@@ -3,7 +3,7 @@ dimer graph and diagrams, and print builtin rotation systems.
 
 Exit codes: 0 when every check passes, 1 on an identity violation,
 2 on an input or configuration error.  Identical (config, seed) pairs
-produce byte-identical JSON regardless of BOZON_THREADS.
+produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Any, Sequence
 
-from .dimer import build_gq, nu
+from .dimer import graph_context, nu_from_couplings
 from .drawing import (
     draw_corner_overlay,
     draw_dual,
@@ -27,7 +27,6 @@ from .drawing import (
 from .errors import BozonError, IdentityViolation
 from .graphs import BUILTIN_EXAMPLES, builtin
 from .ising import EDGE_CAP, SPIN_CAP, uniform_couplings
-from .planar_map import dual
 from .reports import flatten_check
 from .serialize import (
     canonical_json,
@@ -39,6 +38,7 @@ from .serialize import (
 )
 from .suites import (
     DEFAULT_SEED,
+    SEEDED_GRAPHS,
     SUITE_NAMES,
     explicit_instance,
     run_explicit,
@@ -82,6 +82,16 @@ def _parse_caps(text: str) -> dict[str, int]:
             raise argparse.ArgumentTypeError(f"cap {key} must be positive")
         caps[key] = n
     return caps
+
+
+def _check_caps(m, name: str, caps: dict[str, int]) -> None:
+    """Reject a map above the --caps size gates (or the built-in limits)."""
+    v_cap = min(caps["V"], SPIN_CAP)
+    e_cap = min(caps["E"], EDGE_CAP)
+    if m.vertex_count > v_cap:
+        raise InputProblem(f"{name} has {m.vertex_count} vertices, cap is {v_cap}")
+    if m.edge_count > e_cap:
+        raise InputProblem(f"{name} has {m.edge_count} edges, cap is {e_cap}")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -171,14 +181,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputProblem("--graph and --random are mutually exclusive")
     if args.graph is not None:
         m = map_from_dict(_load_json(args.graph))
-        v_cap = min(caps["V"], SPIN_CAP)
-        e_cap = min(caps["E"], EDGE_CAP)
-        if m.vertex_count > v_cap:
-            raise InputProblem(
-                f"graph has {m.vertex_count} vertices, cap is {v_cap}"
-            )
-        if m.edge_count > e_cap:
-            raise InputProblem(f"graph has {m.edge_count} edges, cap is {e_cap}")
+        _check_caps(m, "graph", caps)
         couplings = _input_couplings(args, m.edge_count)
         order_paths, disorder_paths = _input_defects(args)
         name = os.path.splitext(os.path.basename(args.graph))[0] or "input"
@@ -203,6 +206,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise InputProblem("provide --graph FILE or --random N")
         if args.random <= 0:
             raise InputProblem("--random needs a positive count")
+        for name in SEEDED_GRAPHS:
+            _check_caps(builtin(name), f"builtin graph {name}", caps)
         records = run_suite(args.suite, count=args.random, seed=args.seed, tol=args.tol)
         config.update({"mode": "random", "count": args.random})
 
@@ -235,11 +240,12 @@ def _reference_matching(gq) -> tuple[int, ...]:
 
 def cmd_export(args: argparse.Namespace) -> int:
     m, name = _input_map(args)
-    dm = dual(m)
-    gq = build_gq(m, dm)
+    ctx = graph_context(m)
+    dm, gq = ctx.dual_map, ctx.gq
     weights = None
     if args.couplings is not None:
-        weights = nu(gq, couplings_from_dict(_load_json(args.couplings), m.edge_count))
+        j = couplings_from_dict(_load_json(args.couplings), m.edge_count)
+        weights = nu_from_couplings(gq, j)
     order_paths, disorder_paths = _input_defects(args)
     gamma: tuple[int, ...] = ()
     gamma_star: tuple[int, ...] = ()

@@ -18,11 +18,8 @@ from typing import Sequence
 from .boundary import reduce_plus
 from .dimer import (
     DIMER_CAP,
-    brute_force_dimer_Z,
-    build_gq,
-    calibration_sign,
-    dimer_Z_det,
-    kasteleyn_orientation,
+    dimer_partition_function,
+    graph_context,
     nu_from_couplings,
 )
 from .errors import (
@@ -45,7 +42,6 @@ from .planar_map import (
     DefectSet,
     DualMap,
     PathSpec,
-    dual,
     path_spec_from_edges,
     shortest_path,
     validate_defects,
@@ -81,26 +77,20 @@ def dimer_correlation_ratio(
     m: CombinatorialMap,
     j: CouplingAssignment,
     d: DefectSet,
-    dual_map: DualMap | None = None,
     max_vertices: int = DIMER_CAP,
 ) -> tuple[float, str]:
     """Z_dimer(nu(Jbar)) / Z_dimer(nu(J)) on the quad graph, with one
-    shared orientation (or one shared enumeration route) for numerator
-    and denominator.  Returns (ratio, method)."""
-    gq = build_gq(m, dual_map)
+    shared route for numerator and denominator: brute force when G_Q has
+    at most ``max_vertices`` vertices, else the determinant.  Returns
+    (ratio, method)."""
+    ctx = graph_context(m)
     jbar = modify_couplings(j, d)
-    w = nu_from_couplings(gq, j)
-    wbar = nu_from_couplings(gq, jbar)
-    if gq.vertex_count <= max_vertices:
-        zd = brute_force_dimer_Z(gq, w, max_vertices=max_vertices)
-        zd_bar = brute_force_dimer_Z(gq, wbar, max_vertices=max_vertices)
-        method = "brute"
-    else:
-        orientation = kasteleyn_orientation(gq)
-        s = calibration_sign(gq, orientation)
-        zd = s * dimer_Z_det(gq, w, orientation)
-        zd_bar = s * dimer_Z_det(gq, wbar, orientation)
-        method = "determinant"
+    zd, method = dimer_partition_function(
+        ctx, nu_from_couplings(ctx.gq, j), max_vertices=max_vertices
+    )
+    zd_bar, _ = dimer_partition_function(
+        ctx, nu_from_couplings(ctx.gq, jbar), method, max_vertices=max_vertices
+    )
     if zd == 0.0:
         raise SingularMatrix("unmodified dimer partition function vanished")
     return zd_bar / zd, method
@@ -160,7 +150,6 @@ def spin_correlation_squared_dimer(
     j: CouplingAssignment,
     vertices: Sequence[int],
     paths: Sequence[PathSpec],
-    dual_map: DualMap | None = None,
     tol: float = 1e-9,
     max_spins: int = SPIN_CAP,
     max_dimer: int = DIMER_CAP,
@@ -169,7 +158,7 @@ def spin_correlation_squared_dimer(
     E[s...]^2 = Z_dimer(nu(Jbar)) / Z_dimer(nu(J))."""
     value = spin_correlation(m, j, vertices, paths, tol=tol, max_vertices=max_spins)
     d = validate_defects(m, paths, ())
-    ratio, method = dimer_correlation_ratio(m, j, d, dual_map, max_vertices=max_dimer)
+    ratio, method = dimer_correlation_ratio(m, j, d, max_vertices=max_dimer)
     compare("squared_spin_vs_dimer_ratio", value * value, ratio, tol=tol).require()
     return CorrelationReport(
         squared_value=value * value,
@@ -209,12 +198,12 @@ def spinor_correlation_squared(
         raise EndpointMismatch("order paths do not pair up the spinor vertices")
     if want_f != got_f:
         raise EndpointMismatch("disorder paths do not pair up the spinor faces")
-    dm = dual_map or dual(m)
+    dm = dual_map or graph_context(m).dual_map
     d = validate_defects(m, spec.order_paths, spec.disorder_paths, dm)
 
     value = _normalized_ratio(m, j, d, max_spins)
     squared = value * value
-    ratio, method = dimer_correlation_ratio(m, j, d, dm, max_vertices=max_dimer)
+    ratio, method = dimer_correlation_ratio(m, j, d, max_vertices=max_dimer)
     sign = 1
     if abs(ratio) > 0 and abs(squared - ratio) > abs(squared + ratio):
         sign = -1
@@ -364,7 +353,7 @@ def kw_duality_check(
         (-i)^{|Gamma|} Z(G,Jbar)/Z(G,J) = (-i)^{|Gamma*|} Z(G*,Jbar*)/Z(G*,J*).
     """
     d = d or DefectSet.empty()
-    dm = dual_map or dual(m)
+    dm = dual_map or graph_context(m).dual_map
     js = dual_couplings(j)
 
     per_edge_err = max(

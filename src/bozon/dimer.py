@@ -14,12 +14,17 @@ enumeration, and by Kasteleyn determinant with a clockwise-odd
 orientation built from a spanning tree.  Signed weight sums (modified
 couplings) are the signed matching sums; the determinant reproduces them
 after a one-time global sign calibration at all-ones weights.
+
+A map's dual, G_Q, orientation and calibration sign do not depend on the
+couplings, so each map gets one memoized GraphContext that owns them, and
+dimer_partition_function is the one place that picks a route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -37,6 +42,9 @@ from .polygon import PolygonConfig, PolygonPair, enumerate_polygons, pair_polygo
 from .reports import IdentityReport, compare
 
 DIMER_CAP = 36
+# Distinct maps whose GraphContext stays cached; the seeded suites draw
+# from fewer than ten.
+CONTEXT_CACHE_SIZE = 64
 
 LEG = "leg"
 PRIMAL_PARALLEL = "primal_parallel"
@@ -234,16 +242,6 @@ def nu_from_couplings(gq: QuadDimerGraph, jbar: CouplingAssignment) -> DimerWeig
         else:
             out.append(jbar.sech2(gq.edge_primal_edge[k]))
     return tuple(out)
-
-
-def nu(gq: QuadDimerGraph, j: CouplingAssignment) -> DimerWeights:
-    return nu_from_couplings(gq, j)
-
-
-def nu_modified(
-    gq: QuadDimerGraph, j: CouplingAssignment, d: DefectSet
-) -> DimerWeights:
-    return nu_from_couplings(gq, modify_couplings(j, d))
 
 
 def all_ones(gq: QuadDimerGraph) -> DimerWeights:
@@ -448,22 +446,55 @@ def calibration_sign(
     return 1 if det1 > 0 else -1
 
 
+@dataclass(frozen=True)
+class GraphContext:
+    """The coupling-independent structure of one map: its dual, G_Q, the
+    Kasteleyn orientation of G_Q and that orientation's calibration sign.
+
+    G_Q and what depends on it are built on first use, so a map with a
+    bridge (which has no G_Q) still has a context and a dual.
+    """
+
+    map: CombinatorialMap
+    dual_map: DualMap
+
+    @cached_property
+    def gq(self) -> QuadDimerGraph:
+        return build_gq(self.map, self.dual_map)
+
+    @cached_property
+    def orientation(self) -> KasteleynOrientation:
+        return kasteleyn_orientation(self.gq)
+
+    @cached_property
+    def sign(self) -> int:
+        return calibration_sign(self.gq, self.orientation)
+
+
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def graph_context(m: CombinatorialMap) -> GraphContext:
+    """The shared context of a map, keyed on the (immutable) map itself."""
+    return GraphContext(m, dual(m))
+
+
 def dimer_partition_function(
-    gq: QuadDimerGraph,
+    ctx: GraphContext,
     weights: DimerWeights,
-    orientation: KasteleynOrientation | None = None,
+    route: str = "auto",
     max_vertices: int = DIMER_CAP,
-    prefer_brute: bool = False,
-) -> float:
-    """Signed dimer partition function: matching enumeration when the
-    graph is small enough (or requested), else sign-calibrated
-    determinant."""
-    if prefer_brute and gq.vertex_count <= max_vertices:
-        return brute_force_dimer_Z(gq, weights, max_vertices=max_vertices)
-    if orientation is None:
-        orientation = kasteleyn_orientation(gq)
-    s = calibration_sign(gq, orientation)
-    return s * dimer_Z_det(gq, weights, orientation)
+) -> tuple[float, str]:
+    """Signed dimer partition function of G_Q under ``weights``, and the
+    route that computed it: "brute" (matching enumeration, at most
+    ``max_vertices`` vertices), "determinant" (sign-calibrated Kasteleyn
+    determinant), or "auto", which is brute when G_Q is within
+    ``max_vertices`` and the determinant otherwise."""
+    if route == "auto":
+        route = "brute" if ctx.gq.vertex_count <= max_vertices else "determinant"
+    if route == "brute":
+        return brute_force_dimer_Z(ctx.gq, weights, max_vertices=max_vertices), route
+    if route == "determinant":
+        return ctx.sign * dimer_Z_det(ctx.gq, weights, ctx.orientation), route
+    raise ValueError(f"unknown dimer route {route!r}")
 
 
 def pair_of_matching(
@@ -598,12 +629,13 @@ def verify_bipartite_dimer_identity(
     max_vertices: int = DIMER_CAP,
 ) -> IdentityReport:
     """Bare pair-polygon sum = (1/2) * Z_dimer(G_Q, nu(J_bar))."""
-    gq = build_gq(m, dual_map)
+    ctx = graph_context(m)
+    gq = ctx.gq
     jbar = modify_couplings(j, d)
     lhs = pair_polygon_sum(m, dual_map, jbar, include_constant=False)
-    weights = nu_from_couplings(gq, jbar)
-    brute = gq.vertex_count <= max_vertices
-    zd = dimer_partition_function(gq, weights, prefer_brute=brute)
+    zd, route = dimer_partition_function(
+        ctx, nu_from_couplings(gq, jbar), max_vertices=max_vertices
+    )
     report = compare(
         "pair_polygon_vs_half_dimer",
         lhs,
@@ -612,7 +644,7 @@ def verify_bipartite_dimer_identity(
         extra={
             "gamma": len(d.gamma),
             "gamma_star": len(d.gamma_star),
-            "method": "brute" if brute else "determinant",
+            "method": route,
         },
     )
     return report.require()
@@ -630,17 +662,17 @@ def theorem_reports(
     way; the realized sign is recorded.  Returns all three reports without
     raising, in the order [unmodified unsquared, modified unsquared, main].
     """
-    gq = build_gq(m, dual_map)
-    orientation = kasteleyn_orientation(gq)
-    s = calibration_sign(gq, orientation)
+    ctx = graph_context(m)
+    gq = ctx.gq
     jbar = modify_couplings(j, d)
 
     z = partition_function(m, j)
     zbar = partition_function(m, jbar)
     lhs = (zbar / z) ** 2
 
-    zd = s * dimer_Z_det(gq, nu_from_couplings(gq, j), orientation)
-    zd_bar = s * dimer_Z_det(gq, nu_from_couplings(gq, jbar), orientation)
+    det = "determinant"
+    zd, _ = dimer_partition_function(ctx, nu_from_couplings(gq, j), det)
+    zd_bar, _ = dimer_partition_function(ctx, nu_from_couplings(gq, jbar), det)
     if zd == 0.0:
         raise SingularMatrix("dimer partition function of nu(J) vanished")
     sign_gamma = (-1) ** len(d.gamma)
@@ -697,7 +729,7 @@ def matching_count_report(
     compatible polygon pair, the predicted number of matchings inducing it
     equals the enumeration count.  Weight-independent, so one run covers a
     graph for all couplings."""
-    gq = gq or build_gq(m, dual_map)
+    gq = gq or graph_context(m).gq
     hist = matching_pair_histogram(gq, dual_map, max_vertices=max_vertices)
     total = sum(hist.values())
     remaining = dict(hist)

@@ -8,6 +8,7 @@ wheels with rim vertices placed counterclockwise around the hub).
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .errors import UnknownGraph
 from .planar_map import CombinatorialMap, build_map
@@ -86,9 +87,11 @@ _GRID_RE = re.compile(r"^grid_(\d+)_(\d+)$")
 _WHEEL_RE = re.compile(r"^wheel_(\d+)$")
 
 
+@lru_cache(maxsize=64)
 def builtin(name: str) -> CombinatorialMap:
     """Look up a builtin by name: ``k3``, ``c4``, ``grid_<rows>_<cols>``,
-    ``wheel_<k>``."""
+    ``wheel_<k>``.  Maps are immutable, so every lookup of a name returns
+    the same object."""
     if name == "k3":
         return k3()
     if name == "c4":

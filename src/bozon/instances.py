@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from .dimer import graph_context
 from .errors import BozonError
 from .graphs import builtin
 from .ising import CouplingAssignment, base_couplings
@@ -20,7 +21,6 @@ from .planar_map import (
     DefectSet,
     DualMap,
     PathSpec,
-    dual,
     shortest_path,
     validate_defects,
 )
@@ -123,7 +123,7 @@ def random_instance(
 ) -> Instance:
     name = rng.choice(list(families))
     m = builtin(name)
-    dm = dual(m)
+    dm = graph_context(m).dual_map
     j = base_couplings([rng.uniform(J_LOW, J_HIGH) for _ in range(m.edge_count)])
     d = random_defects(m, dm, rng, profile=profile)
     return Instance(index, name, m, dm, j, d, seed)

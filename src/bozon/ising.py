@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -57,9 +57,6 @@ class CouplingAssignment:
     @property
     def values(self) -> tuple[complex, ...]:
         return tuple(self.value(e) for e in range(self.edge_count))
-
-    def is_base(self) -> bool:
-        return not any(self.half_pi) and all(a > 0 for a in self.real)
 
     # closed forms for functions of 2*J, exact in the iota*pi/2 shift:
     # tanh(2a + i*pi) = tanh(2a), cosh(2a + i*pi) = -cosh(2a).
@@ -248,13 +245,6 @@ def order_disorder_correlation(
     )
 
 
-def xor_product(s1: Sequence[int], s2: Sequence[int]) -> tuple[int, ...]:
-    """Pointwise product of two spin configurations."""
-    if len(s1) != len(s2):
-        raise LengthMismatch(f"spin configs of lengths {len(s1)} != {len(s2)}")
-    return tuple(a * b for a, b in zip(s1, s2))
-
-
 def high_temp_expansion_check(
     m: CombinatorialMap,
     k: CouplingAssignment,
@@ -287,21 +277,6 @@ def high_temp_expansion_check(
         poly_sum += term
     rhs = i_power(k.phase_power) * (2**m.vertex_count) * cosh_prod * poly_sum
     return lhs, rhs
-
-
-def low_temp_polygon(m: CombinatorialMap, dual_map, tau: Sequence[int]):
-    """Dual polygon separating the +-1 clusters of the configuration tau:
-    the dual edges crossing primal edges with disagreeing endpoints."""
-    from .polygon import PolygonConfig
-
-    if len(tau) != m.vertex_count:
-        raise LengthMismatch("spin config length differs from vertex count")
-    edges = []
-    for e in range(m.edge_count):
-        u, v = m.edge_endpoints(e)
-        if tau[u] * tau[v] == -1:
-            edges.append(e)
-    return PolygonConfig.from_edges(dual_map.map, "dual", edges)
 
 
 def dual_couplings(j: CouplingAssignment) -> CouplingAssignment:

@@ -16,7 +16,7 @@ and are built through an internal path that allows them).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -29,12 +29,6 @@ from .errors import (
     PathsIntersect,
     SelfLoopRejected,
 )
-
-
-class Dart(NamedTuple):
-    id: int
-    edge: int
-    vertex: int
 
 
 class PathSpec(NamedTuple):
@@ -91,13 +85,6 @@ class CombinatorialMap:
         # an edgeless map is a sphere with a single face
         return len(self.faces) if self.faces else 1
 
-    @property
-    def darts(self) -> tuple[Dart, ...]:
-        return tuple(
-            Dart(d, self.dart_edge[d], self.dart_vertex[d])
-            for d in range(self.dart_count)
-        )
-
     def phi(self, dart: int) -> int:
         """Next dart along the face boundary walk (counterclockwise)."""
         return self._sigma_inv[self.alpha[dart]]
@@ -117,19 +104,12 @@ class CombinatorialMap:
         d1, d2 = self.edge_darts[edge]
         return self.dart_vertex[d1], self.dart_vertex[d2]
 
-    def is_self_loop(self, edge: int) -> bool:
-        u, v = self.edge_endpoints(edge)
-        return u == v
-
     def is_bridge(self, edge: int) -> bool:
         d1, d2 = self.edge_darts[edge]
         return self.dart_face[d1] == self.dart_face[d2]
 
     def has_bridge(self) -> bool:
         return any(self.is_bridge(e) for e in range(self.edge_count))
-
-    def degree(self, vertex: int) -> int:
-        return len(self.vertex_darts[vertex])
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Per-vertex list of (edge, other endpoint), in rotation order."""
@@ -144,9 +124,6 @@ class CombinatorialMap:
 
     def face_edges(self, face: int) -> tuple[int, ...]:
         return tuple(self.dart_edge[d] for d in self.faces[face])
-
-    def cycle_space_dimension(self) -> int:
-        return self.edge_count - self.vertex_count + 1
 
 
 def _assemble(

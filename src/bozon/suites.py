@@ -2,16 +2,14 @@
 checks, one record per instance.
 
 Records are plain dicts (JSON-ready) carrying full replay provenance.
-Instance-level parallelism uses an ordered thread map, so the worker
-count never changes the output; BOZON_THREADS caps it.
+Instances run one after another in stream order, so a seed fixes the
+report byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from .boundary import reduce_dobrushin, reduce_plus, reduce_plus_free
@@ -22,13 +20,14 @@ from .consequences import (
     spin_correlation_squared_dimer,
 )
 from .dimer import (
+    graph_context,
     matching_count_report,
     theorem_reports,
     verify_bipartite_dimer_identity,
 )
 from .errors import BozonError, IdentityViolation
 from .graphs import builtin
-from .instances import Instance, random_instances
+from .instances import FAMILY, Instance, random_instances
 from .ising import (
     CouplingAssignment,
     base_couplings,
@@ -42,7 +41,6 @@ from .planar_map import (
     DefectSet,
     PathSpec,
     build_map,
-    dual,
     validate_defects,
 )
 from .polygon import verify_squared_partition
@@ -64,44 +62,31 @@ SUITE_NAMES = (
 
 
 def worker_count() -> int:
-    raw = os.environ.get("BOZON_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return min(4, os.cpu_count() or 1)
+    """Always 1: suites run serially.  Kept for the benchmark's environment
+    record, which reports this number."""
+    return 1
 
 
-def _map_ordered(fn: Callable[[Any], dict], items: Sequence[Any]) -> list[dict]:
-    if worker_count() <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=worker_count()) as ex:
-        return list(ex.map(fn, items))
-
-
-def _attempt(
-    thunk: Callable[[], IdentityReport | list[IdentityReport]]
-) -> tuple[list[IdentityReport], str | None]:
-    try:
-        out = thunk()
-    except IdentityViolation as exc:
-        if exc.report is not None:
-            return [exc.report], None
-        return [], str(exc)
-    except BozonError as exc:
-        return [], f"{type(exc).__name__}: {exc}"
-    return (out if isinstance(out, list) else [out]), None
-
-
-def _instance_record(
-    inst: Instance,
-    suite: str,
+def _record(
+    fields: dict[str, Any],
     thunk: Callable[[], IdentityReport | list[IdentityReport]],
 ) -> dict[str, Any]:
-    reports, error = _attempt(thunk)
-    rec: dict[str, Any] = {"suite": suite, "scope": "instance"}
-    rec.update(inst.provenance())
+    """A suite record: ``fields`` (suite, scope and provenance), then the
+    checks ``thunk`` returns and the verdict.  An identity violation that
+    carries a report becomes a failed check; any other bozon error leaves
+    no checks and an ``error`` entry."""
+    error = None
+    try:
+        out = thunk()
+        reports = out if isinstance(out, list) else [out]
+    except IdentityViolation as exc:
+        if exc.report is None:
+            reports, error = [], str(exc)
+        else:
+            reports = [exc.report]
+    except BozonError as exc:
+        reports, error = [], f"{type(exc).__name__}: {exc}"
+    rec = dict(fields)
     rec["checks"] = [r.to_dict() for r in reports]
     rec["pass"] = error is None and bool(reports) and all(r.passed for r in reports)
     if error is not None:
@@ -119,17 +104,181 @@ def suite_summary(records: Sequence[dict]) -> dict[str, Any]:
     }
 
 
-# ------------------------------------------------------------ the suites
+# ------------------------------------------------------ per-instance checks
 
 
-def _theorem1_record(inst: Instance, tol: float) -> dict:
-    return _instance_record(
-        inst,
-        "theorem1",
-        lambda: theorem_reports(
-            inst.map, inst.dual_map, inst.couplings, inst.defects, tol=tol
-        ),
+def _theorem1_checks(inst: Instance, tol: float) -> list[IdentityReport]:
+    return theorem_reports(
+        inst.map, inst.dual_map, inst.couplings, inst.defects, tol=tol
     )
+
+
+def _pairpolygon_checks(inst: Instance, tol: float) -> IdentityReport:
+    return verify_squared_partition(
+        inst.map, inst.dual_map, inst.couplings, inst.defects, tol=tol
+    )
+
+
+def _bipartitedimer_checks(inst: Instance, tol: float) -> IdentityReport:
+    return verify_bipartite_dimer_identity(
+        inst.map, inst.dual_map, inst.couplings, inst.defects, tol=tol
+    )
+
+
+def _corollary_checks(inst: Instance, tol: float) -> IdentityReport:
+    vertices = tuple(x for p in inst.defects.order_paths for x in p.endpoints)
+    if not vertices:
+        return compare("direct_squared_vs_dimer_ratio", 1.0, 1.0, tol=tol)
+    rep = spin_correlation_squared_dimer(
+        inst.map, inst.couplings, vertices, inst.defects.order_paths, tol=tol
+    )
+    direct = spin_expectation(inst.map, inst.couplings, vertices)
+    return compare(
+        "direct_squared_vs_dimer_ratio",
+        direct * direct,
+        rep.dimer_ratio,
+        tol=tol,
+        extra={"gamma": rep.gamma_size, "method": rep.method},
+    )
+
+
+def _duality_checks(inst: Instance, tol: float) -> list[IdentityReport]:
+    reports = kw_duality_check(
+        inst.map, inst.couplings, inst.defects, inst.dual_map, tol=tol
+    )
+    return list(reports.values())
+
+
+def _clear_faces(m: CombinatorialMap, d: DefectSet) -> list[int]:
+    """Faces whose contraction keeps every defect edge: no order or
+    disorder-crossed edge has both endpoints on the face.  That rules out
+    the face's own edges and also chords, which contraction would turn
+    into loops."""
+    flagged = [set(m.edge_endpoints(e)) for e in d.gamma | d.gamma_star]
+    faces = []
+    for f in range(m.face_count):
+        on_face = set(m.face_vertices(f))
+        if not any(ends <= on_face for ends in flagged):
+            faces.append(f)
+    return faces
+
+
+def _boundary_checks(inst: Instance, tol: float) -> list[IdentityReport]:
+    m, j, d = inst.map, inst.couplings, inst.defects
+    rng = random.Random(f"{inst.seed}-boundary-{inst.index}")
+    flagged = set(d.gamma) | set(d.gamma_star)
+    faces = _clear_faces(m, d) or list(range(m.face_count))
+    face = faces[rng.randrange(len(faces))]
+    cycle = list(m.face_edges(face))
+    length = len(cycle)
+
+    def reduced_z(res) -> complex:
+        jj = modify_couplings(res.new_couplings, res.new_defects)
+        return res.scalar * partition_function(res.new_map, jj)
+
+    reports = []
+    jbar = modify_couplings(j, d)
+
+    res = reduce_plus(m, j, d, face)
+    fixed = {}
+    for e in cycle:
+        u, v = m.edge_endpoints(e)
+        fixed[u] = fixed[v] = 1
+    lhs = partition_function(m, jbar, fixed=fixed)
+    reports.append(
+        compare("reduce_plus", lhs, reduced_z(res), tol=tol, extra={"face": face})
+    )
+
+    start = rng.randrange(length)
+    span = rng.randint(1, length)
+    arc = [cycle[(start + i) % length] for i in range(span)]
+    res = reduce_plus_free(m, j, d, arc, face=face)
+    fixed = {}
+    for e in arc:
+        u, v = m.edge_endpoints(e)
+        fixed[u] = fixed[v] = 1
+    lhs = partition_function(m, jbar, fixed=fixed)
+    reports.append(
+        compare("reduce_plus_free", lhs, reduced_z(res), tol=tol,
+                extra={"face": face, "arc_edges": span})
+    )
+
+    a = rng.randrange(length)
+    b = (a + rng.randrange(1, length)) % length
+    a, b = min(a, b), max(a, b)
+    walk = [m.dart_vertex[t] for t in m.faces[face]]
+    defect_touch = {v for e in flagged for v in m.edge_endpoints(e)}
+
+    def minus_clear(x: int, y: int) -> bool:
+        minus = {walk[i % length] for i in range(y + 1, x + length + 1)}
+        return not (minus & defect_touch)
+
+    if defect_touch and not minus_clear(a, b):
+        found = next(
+            (
+                (x, y)
+                for x in range(length - 1)
+                for y in range(x + 1, length)
+                if minus_clear(x, y)
+            ),
+            None,
+        )
+        if found is None:
+            # the gauge flip would reclassify a defect edge from every
+            # possible minus arc; the two checks above stand on their own
+            return reports
+        a, b = found
+    res = reduce_dobrushin(m, j, d, face, (a, b))
+    fixed = {walk[i % length]: 1 for i in range(a + 1, b + 1)}
+    fixed.update({walk[i % length]: -1 for i in range(b + 1, a + length + 1)})
+    lhs = partition_function(m, jbar, fixed=fixed)
+    reports.append(
+        compare(
+            "reduce_dobrushin",
+            lhs,
+            reduced_z(res),
+            tol=tol,
+            extra={
+                "face": face,
+                "split": [a, b],
+                "disorder_line": len(res.disorder_line),
+            },
+        )
+    )
+    return reports
+
+
+_INSTANCE_CHECKS: dict[str, Callable[[Instance, float], Any]] = {
+    "theorem1": _theorem1_checks,
+    "pairpolygon": _pairpolygon_checks,
+    "bipartitedimer": _bipartitedimer_checks,
+    "corollary": _corollary_checks,
+    "duality": _duality_checks,
+    "boundary": _boundary_checks,
+}
+
+
+def _instance_record(suite: str, inst: Instance, tol: float) -> dict:
+    fields = {"suite": suite, "scope": "instance", **inst.provenance()}
+    return _record(fields, lambda: _INSTANCE_CHECKS[suite](inst, tol))
+
+
+def _count_record(name: str, m: CombinatorialMap) -> dict:
+    """The exact grouped-matching count of one graph (coupling-free)."""
+    fields = {"suite": "bipartitedimer", "scope": "graph", "graph": name}
+    return _record(
+        fields, lambda: matching_count_report(m, graph_context(m).dual_map)
+    )
+
+
+def _run_stream(
+    suite: str, count: int, seed: int, tol: float, profile: str = "mixed"
+) -> list[dict]:
+    instances = random_instances(count, seed, profile=profile)
+    return [_instance_record(suite, inst, tol) for inst in instances]
+
+
+# ------------------------------------------------------------ the suites
 
 
 def run_theorem1(
@@ -137,50 +286,14 @@ def run_theorem1(
 ) -> list[dict]:
     """Squared correlator vs dimer ratio (with both unsquared product
     identities) on the mixed-defect instance stream."""
-    instances = random_instances(count, seed)
-    return _map_ordered(lambda inst: _theorem1_record(inst, tol), instances)
-
-
-def _pairpolygon_record(inst: Instance, tol: float) -> dict:
-    return _instance_record(
-        inst,
-        "pairpolygon",
-        lambda: verify_squared_partition(
-            inst.map, inst.dual_map, inst.couplings, inst.defects, tol=tol
-        ),
-    )
+    return _run_stream("theorem1", count, seed, tol)
 
 
 def run_pairpolygon(
     count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED, tol: float = 1e-9
 ) -> list[dict]:
     """[Z(Jbar)]^2 = C * (pair-polygon sum) on the same instance stream."""
-    instances = random_instances(count, seed)
-    return _map_ordered(lambda inst: _pairpolygon_record(inst, tol), instances)
-
-
-def _bipartitedimer_record(inst: Instance, tol: float) -> dict:
-    return _instance_record(
-        inst,
-        "bipartitedimer",
-        lambda: verify_bipartite_dimer_identity(
-            inst.map, inst.dual_map, inst.couplings, inst.defects, tol=tol
-        ),
-    )
-
-
-def _count_record(name: str, m: CombinatorialMap) -> dict:
-    reports, error = _attempt(lambda: matching_count_report(m, dual(m)))
-    rec: dict[str, Any] = {
-        "suite": "bipartitedimer",
-        "scope": "graph",
-        "graph": name,
-        "checks": [r.to_dict() for r in reports],
-        "pass": error is None and bool(reports) and all(r.passed for r in reports),
-    }
-    if error is not None:
-        rec["error"] = error
-    return rec
+    return _run_stream("pairpolygon", count, seed, tol)
 
 
 def run_bipartitedimer(
@@ -189,40 +302,10 @@ def run_bipartitedimer(
     """Bare pair-polygon sum = half the dimer sum per instance, plus the
     exact grouped-matching count once per distinct graph (the count is
     coupling-independent)."""
-    instances = random_instances(count, seed)
-    records = _map_ordered(lambda inst: _bipartitedimer_record(inst, tol), instances)
-    for name in sorted({inst.graph_name for inst in instances}):
+    records = _run_stream("bipartitedimer", count, seed, tol)
+    for name in sorted({rec["graph"] for rec in records}):
         records.append(_count_record(name, builtin(name)))
     return records
-
-
-def _corollary_record(inst: Instance, tol: float) -> dict:
-    d = inst.defects
-    vertices = tuple(x for p in d.order_paths for x in p.endpoints)
-
-    def thunk() -> list[IdentityReport]:
-        if not vertices:
-            return [compare("direct_squared_vs_dimer_ratio", 1.0, 1.0, tol=tol)]
-        rep = spin_correlation_squared_dimer(
-            inst.map,
-            inst.couplings,
-            vertices,
-            d.order_paths,
-            inst.dual_map,
-            tol=tol,
-        )
-        direct = spin_expectation(inst.map, inst.couplings, vertices)
-        return [
-            compare(
-                "direct_squared_vs_dimer_ratio",
-                direct * direct,
-                rep.dimer_ratio,
-                tol=tol,
-                extra={"gamma": rep.gamma_size, "method": rep.method},
-            )
-        ]
-
-    return _instance_record(inst, "corollary", thunk)
 
 
 def run_corollary(
@@ -230,8 +313,7 @@ def run_corollary(
 ) -> list[dict]:
     """Squared multi-spin correlations (direct expectation) vs dimer
     ratios on an order-only instance stream, plus the two closed forms."""
-    instances = random_instances(count, seed, profile="order_only")
-    records = _map_ordered(lambda inst: _corollary_record(inst, tol), instances)
+    records = _run_stream("corollary", count, seed, tol, profile="order_only")
     records.extend(closed_form_records(seed, tol=tol))
     return records
 
@@ -241,26 +323,19 @@ def closed_form_records(seed: int, tol: float = 1e-9) -> list[dict]:
     vertices, both routed through the brute-checked correlator."""
     rng = random.Random(f"{seed}-closed-forms")
 
-    def record(name: str, j, thunk) -> dict:
-        reports, error = _attempt(thunk)
-        rec: dict[str, Any] = {
+    def fields(name: str, j: CouplingAssignment) -> dict[str, Any]:
+        return {
             "suite": "corollary",
             "scope": "closed_form",
             "graph": name,
             "couplings": couplings_to_dict(j),
-            "checks": [r.to_dict() for r in reports],
-            "pass": error is None and bool(reports) and all(r.passed for r in reports),
         }
-        if error is not None:
-            rec["error"] = error
-        return rec
 
     j_edge = rng.uniform(0.1, 2.0)
     m1 = build_map([[0], [1]], [(0, 1)])
     j1 = base_couplings([j_edge])
-    rec1 = record(
-        "single_edge",
-        j1,
+    rec1 = _record(
+        fields("single_edge", j1),
         lambda: compare(
             "closed_form_single_edge",
             spin_correlation(m1, j1, (0, 1), (PathSpec((0, 1), (0,)),), tol=tol),
@@ -273,9 +348,8 @@ def closed_form_records(seed: int, tol: float = 1e-9) -> list[dict]:
     t = math.tanh(j_c4)
     c4 = builtin("c4")
     j4 = uniform_couplings(4, j_c4)
-    rec2 = record(
-        "c4",
-        j4,
+    rec2 = _record(
+        fields("c4", j4),
         lambda: compare(
             "closed_form_c4_adjacent",
             spin_correlation(c4, j4, (0, 1), (PathSpec((0, 1), (0,)),), tol=tol),
@@ -292,6 +366,9 @@ _MAGNETIZATION_SITES = (
     ("wheel_5", 0),
 )
 
+# Every builtin map a seeded suite can draw.
+SEEDED_GRAPHS = tuple(dict.fromkeys(FAMILY + tuple(n for n, _ in _MAGNETIZATION_SITES)))
+
 
 def run_magnetization(
     count: int = 10, seed: int = DEFAULT_SEED, tol: float = 1e-9
@@ -299,23 +376,13 @@ def run_magnetization(
     """Fixed-plus boundary magnetization on graphs with an interior
     vertex: direct average vs contracted pair correlation vs dimer ratio."""
     rng = random.Random(f"{seed}-magnetization")
-    jobs = []
+    records = []
     for i in range(count):
         name, u = _MAGNETIZATION_SITES[i % len(_MAGNETIZATION_SITES)]
         m = builtin(name)
-        outer = max(range(m.face_count), key=lambda f: len(m.faces[f]))
+        face = max(range(m.face_count), key=lambda f: len(m.faces[f]))
         j = base_couplings([rng.uniform(0.1, 2.0) for _ in range(m.edge_count)])
-        jobs.append((i, name, m, j, outer, u))
-
-    def work(job) -> dict:
-        i, name, m, j, face, u = job
-
-        def thunk() -> list[IdentityReport]:
-            _value, reports = magnetization_report(m, j, face, u, tol=tol)
-            return reports
-
-        reports, error = _attempt(thunk)
-        rec: dict[str, Any] = {
+        fields = {
             "suite": "magnetization",
             "scope": "instance",
             "index": i,
@@ -324,24 +391,11 @@ def run_magnetization(
             "face": face,
             "vertex": u,
             "couplings": couplings_to_dict(j),
-            "checks": [r.to_dict() for r in reports],
-            "pass": error is None and bool(reports) and all(r.passed for r in reports),
         }
-        if error is not None:
-            rec["error"] = error
-        return rec
-
-    return _map_ordered(work, jobs)
-
-
-def _duality_record(inst: Instance, tol: float) -> dict:
-    def thunk() -> list[IdentityReport]:
-        reports = kw_duality_check(
-            inst.map, inst.couplings, inst.defects, inst.dual_map, tol=tol
+        records.append(
+            _record(fields, lambda: magnetization_report(m, j, face, u, tol=tol)[1])
         )
-        return list(reports.values())
-
-    return _instance_record(inst, "duality", thunk)
+    return records
 
 
 def run_duality(
@@ -349,101 +403,7 @@ def run_duality(
 ) -> list[dict]:
     """Per-edge, modified, and correlator-level coupling duality between
     each instance map and its dual."""
-    instances = random_instances(count, seed)
-    return _map_ordered(lambda inst: _duality_record(inst, tol), instances)
-
-
-def _boundary_record(inst: Instance, tol: float) -> dict:
-    m, j, d = inst.map, inst.couplings, inst.defects
-    rng = random.Random(f"{inst.seed}-boundary-{inst.index}")
-    flagged = set(d.gamma) | set(d.gamma_star)
-    faces = [
-        f for f in range(m.face_count) if flagged.isdisjoint(m.face_edges(f))
-    ] or list(range(m.face_count))
-    face = faces[rng.randrange(len(faces))]
-    cycle = list(m.face_edges(face))
-    length = len(cycle)
-
-    def reduced_z(res) -> complex:
-        jj = modify_couplings(res.new_couplings, res.new_defects)
-        return res.scalar * partition_function(res.new_map, jj)
-
-    def thunk() -> list[IdentityReport]:
-        reports = []
-        jbar = modify_couplings(j, d)
-
-        res = reduce_plus(m, j, d, face)
-        fixed = {}
-        for e in cycle:
-            u, v = m.edge_endpoints(e)
-            fixed[u] = fixed[v] = 1
-        lhs = partition_function(m, jbar, fixed=fixed)
-        reports.append(
-            compare("reduce_plus", lhs, reduced_z(res), tol=tol,
-                    extra={"face": face})
-        )
-
-        start = rng.randrange(length)
-        span = rng.randint(1, length)
-        arc = [cycle[(start + i) % length] for i in range(span)]
-        res = reduce_plus_free(m, j, d, arc, face=face)
-        fixed = {}
-        for e in arc:
-            u, v = m.edge_endpoints(e)
-            fixed[u] = fixed[v] = 1
-        lhs = partition_function(m, jbar, fixed=fixed)
-        reports.append(
-            compare("reduce_plus_free", lhs, reduced_z(res), tol=tol,
-                    extra={"face": face, "arc_edges": span})
-        )
-
-        a = rng.randrange(length)
-        b = (a + rng.randrange(1, length)) % length
-        a, b = min(a, b), max(a, b)
-        walk = [m.dart_vertex[t] for t in m.faces[face]]
-        defect_touch = {v for e in flagged for v in m.edge_endpoints(e)}
-
-        def minus_clear(x: int, y: int) -> bool:
-            minus = {walk[i % length] for i in range(y + 1, x + length + 1)}
-            return not (minus & defect_touch)
-
-        if defect_touch and not minus_clear(a, b):
-            found = next(
-                (
-                    (x, y)
-                    for x in range(length - 1)
-                    for y in range(x + 1, length)
-                    if minus_clear(x, y)
-                ),
-                None,
-            )
-            if found is None:
-                # the gauge flip would reclassify a defect edge from every
-                # possible minus arc; the two checks above stand on their own
-                return reports
-            a, b = found
-        res = reduce_dobrushin(m, j, d, face, (a, b))
-        fixed = {walk[i % length]: 1 for i in range(a + 1, b + 1)}
-        fixed.update(
-            {walk[i % length]: -1 for i in range(b + 1, a + length + 1)}
-        )
-        lhs = partition_function(m, jbar, fixed=fixed)
-        reports.append(
-            compare(
-                "reduce_dobrushin",
-                lhs,
-                reduced_z(res),
-                tol=tol,
-                extra={
-                    "face": face,
-                    "split": [a, b],
-                    "disorder_line": len(res.disorder_line),
-                },
-            )
-        )
-        return reports
-
-    return _instance_record(inst, "boundary", thunk)
+    return _run_stream("duality", count, seed, tol)
 
 
 def run_boundary(
@@ -452,8 +412,7 @@ def run_boundary(
     """Z_bc(G) = scalar * Z_free(G') by double enumeration for plus,
     plus-free arc, and Dobrushin boundary conditions, faces and arcs drawn
     per instance."""
-    instances = random_instances(count, seed, profile="none")
-    return _map_ordered(lambda inst: _boundary_record(inst, tol), instances)
+    return _run_stream("boundary", count, seed, tol, profile="none")
 
 
 _RUNNERS: dict[str, Callable[..., list[dict]]] = {
@@ -498,22 +457,12 @@ def explicit_instance(
 ) -> Instance:
     """Wrap a user-supplied map, couplings, and defect paths as a suite
     instance (validating the paths against the map and its dual)."""
-    dm = dual(m)
+    dm = graph_context(m).dual_map
     if order_paths or disorder_paths:
         d = validate_defects(m, tuple(order_paths), tuple(disorder_paths), dm)
     else:
         d = DefectSet.empty()
     return Instance(0, name, m, dm, couplings, d, seed)
-
-
-_EXPLICIT_RECORDS: dict[str, Callable[[Instance, float], dict]] = {
-    "theorem1": _theorem1_record,
-    "pairpolygon": _pairpolygon_record,
-    "bipartitedimer": _bipartitedimer_record,
-    "corollary": _corollary_record,
-    "duality": _duality_record,
-    "boundary": _boundary_record,
-}
 
 
 def run_explicit(name: str, inst: Instance, tol: float = 1e-9) -> list[dict]:
@@ -524,21 +473,17 @@ def run_explicit(name: str, inst: Instance, tol: float = 1e-9) -> list[dict]:
     """
     if name == "all":
         records = []
-        flagged = set(inst.defects.gamma) | set(inst.defects.gamma_star)
-        reducible = not flagged or any(
-            flagged.isdisjoint(inst.map.face_edges(f))
-            for f in range(inst.map.face_count)
-        )
+        reducible = bool(_clear_faces(inst.map, inst.defects))
         for n in SUITE_NAMES:
             if n == "magnetization" or (n == "boundary" and not reducible):
                 continue
             records.extend(run_explicit(n, inst, tol=tol))
         return records
-    if name not in _EXPLICIT_RECORDS:
+    if name not in _INSTANCE_CHECKS:
         raise ValueError(f"suite {name!r} does not take an explicit instance")
     if name == "corollary" and inst.defects.disorder_paths:
         raise ValueError("corollary suite needs order-only defects")
-    records = [_EXPLICIT_RECORDS[name](inst, tol)]
+    records = [_instance_record(name, inst, tol)]
     if name == "bipartitedimer":
         records.append(_count_record(inst.graph_name, inst.map))
     return records

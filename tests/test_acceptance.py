@@ -24,7 +24,6 @@ from bozon import (
     kasteleyn_orientation,
     kw_duality_check,
     modify_couplings,
-    nu,
     nu_from_couplings,
     polygon_weights,
     quad_graph,
@@ -133,7 +132,7 @@ def test_criterion_5_kasteleyn_oracle(capfd):
             gq = build_gq(inst.map, inst.dual_map)
             if gq.vertex_count > 36:
                 continue
-            w = nu(gq, inst.couplings)
+            w = nu_from_couplings(gq, inst.couplings)
             wbar = nu_from_couplings(
                 gq, modify_couplings(inst.couplings, inst.defects)
             )

@@ -66,13 +66,18 @@ def test_verify_random_all(capsys):
     assert payload["summary"]["failed"] == 0
 
 
-def test_verify_is_byte_identical(capsys, monkeypatch):
+def test_verify_is_byte_identical(capsys):
     args = ("verify", "--suite", "pairpolygon", "--random", "4", "--seed", "3")
-    monkeypatch.setenv("BOZON_THREADS", "2")
     _, out1, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("BOZON_THREADS", "8")
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_verify_random_applies_caps(capsys):
+    code, out, err = run_cli(capsys, "verify", "--random", "3", "--caps", "V=4")
+    assert code == 2
+    assert out == ""
+    assert "grid_2_3 has 6 vertices, cap is 4" in err
 
 
 def test_verify_violation_exits_1(capsys):

@@ -83,12 +83,10 @@ def test_spin_correlation_rejects_unpaired_endpoints(maps, rng):
         spin_correlation(m, j, (0, 2), (PathSpec((0, 1), (0,)),))
 
 
-def test_squared_correlation_equals_dimer_ratio(maps, duals, rng):
+def test_squared_correlation_equals_dimer_ratio(maps, rng):
     m = maps["k3"]
     j = base_couplings(random_j(rng, 3))
-    rep = spin_correlation_squared_dimer(
-        m, j, (0, 1), (PathSpec((0, 1), (0,)),), duals["k3"]
-    )
+    rep = spin_correlation_squared_dimer(m, j, (0, 1), (PathSpec((0, 1), (0,)),))
     want = oracle_expectation(m, list(j.real), (0, 1))
     assert rep.squared_value == pytest.approx(abs(want) ** 2, rel=1e-10)
     assert rep.dimer_ratio == pytest.approx(rep.squared_value, rel=1e-9)
@@ -96,16 +94,14 @@ def test_squared_correlation_equals_dimer_ratio(maps, duals, rng):
     assert rep.method == "brute"
 
 
-def test_dimer_ratio_method_switches_at_cap(maps, duals, rng):
+def test_dimer_ratio_method_switches_at_cap(maps, rng):
     small = maps["c4"]
     big = maps["grid_3_3"]
     d = DefectSet.from_edge_sets({0}, set())
-    _, method_small = dimer_correlation_ratio(
-        small, base_couplings(random_j(rng, 4)), d, duals["c4"]
-    )
-    _, method_big = dimer_correlation_ratio(
-        big, base_couplings(random_j(rng, 12)), d, duals["grid_3_3"]
-    )
+    j_small = base_couplings(random_j(rng, 4))
+    j_big = base_couplings(random_j(rng, 12))
+    _, method_small = dimer_correlation_ratio(small, j_small, d)
+    _, method_big = dimer_correlation_ratio(big, j_big, d)
     assert method_small == "brute"
     assert method_big == "determinant"  # 48 quad vertices exceed the brute cap
 

@@ -20,10 +20,9 @@ from bozon import (
     kasteleyn_orientation,
     matching_count_report,
     matching_pair_histogram,
+    graph_context,
     modify_couplings,
-    nu,
     nu_from_couplings,
-    nu_modified,
     pair_of_matching,
     polygon_to_dimer_count,
     structure_check,
@@ -74,7 +73,7 @@ def test_nu_weights(maps, gqs, rng):
     m = maps["c4"]
     gq = gqs["c4"]
     j = base_couplings(random_j(rng, m.edge_count))
-    w = nu(gq, j)
+    w = nu_from_couplings(gq, j)
     for k in range(gq.edge_count):
         e = gq.edge_primal_edge[k]
         if gq.edge_kind[k] == LEG:
@@ -85,13 +84,13 @@ def test_nu_weights(maps, gqs, rng):
             assert w[k] == pytest.approx(1 / math.cosh(2 * j.real[e]))
 
 
-def test_nu_modified_signs(maps, gqs, rng):
+def test_modified_weights_flip_signs(maps, gqs, rng):
     m = maps["c4"]
     gq = gqs["c4"]
     j = base_couplings(random_j(rng, m.edge_count))
     d = DefectSet.from_edge_sets({0}, {2})
-    w = nu_modified(gq, j, d)
-    base = nu(gq, j)
+    w = nu_from_couplings(gq, modify_couplings(j, d))
+    base = nu_from_couplings(gq, j)
     for k in range(gq.edge_count):
         e = gq.edge_primal_edge[k]
         if e == 0 and gq.edge_kind[k] == "dual_parallel":
@@ -122,7 +121,7 @@ def test_enumerate_matchings_cap(gqs):
 def test_brute_force_dimer_Z_matches_oracle(maps, gqs, rng):
     gq = gqs["k3"]
     j = base_couplings(random_j(rng, 3))
-    w = nu(gq, j)
+    w = nu_from_couplings(gq, j)
     ends = [
         tuple(gq.map.dart_vertex[d] for d in gq.map.edge_darts[k])
         for k in range(gq.edge_count)
@@ -155,7 +154,7 @@ def test_determinant_equals_matching_sum(maps, gqs, rng):
         m = maps[name]
         gq = gqs[name]
         j = base_couplings(random_j(rng, m.edge_count))
-        w = nu(gq, j)
+        w = nu_from_couplings(gq, j)
         o = kasteleyn_orientation(gq)
         det = dimer_Z_det(gq, w, o)
         brute = brute_force_dimer_Z(gq, w)
@@ -169,22 +168,25 @@ def test_determinant_ratio_equals_brute_ratio(maps, duals, gqs, rng):
     gq = gqs["c4"]
     j = base_couplings(random_j(rng, m.edge_count))
     d = DefectSet.from_edge_sets({0}, {2})
-    w_plain = nu(gq, j)
-    w_mod = nu_modified(gq, j, d)
+    w_plain = nu_from_couplings(gq, j)
+    w_mod = nu_from_couplings(gq, modify_couplings(j, d))
     o = kasteleyn_orientation(gq)
     det_ratio = dimer_Z_det(gq, w_mod, o) / dimer_Z_det(gq, w_plain, o)
     brute_ratio = brute_force_dimer_Z(gq, w_mod) / brute_force_dimer_Z(gq, w_plain)
     assert det_ratio == pytest.approx(brute_ratio, rel=1e-9)
 
 
-def test_dimer_partition_function_routes_agree(maps, gqs, rng):
+def test_dimer_partition_function_routes_agree(maps, rng):
     m = maps["grid_2_3"]
-    gq = gqs["grid_2_3"]
+    ctx = graph_context(m)
     j = base_couplings(random_j(rng, m.edge_count))
-    w = nu_modified(gq, j, DefectSet.from_edge_sets({1}, {4}))
-    assert dimer_partition_function(gq, w, prefer_brute=True) == pytest.approx(
-        dimer_partition_function(gq, w), rel=1e-9
-    )
+    d = DefectSet.from_edge_sets({1}, {4})
+    w = nu_from_couplings(ctx.gq, modify_couplings(j, d))
+    brute, route = dimer_partition_function(ctx, w)
+    assert route == "brute"  # 24 quad vertices are within the brute cap
+    det, route = dimer_partition_function(ctx, w, "determinant")
+    assert route == "determinant"
+    assert brute == pytest.approx(det, rel=1e-9)
 
 
 def test_kasteleyn_matrix_shape(gqs):

@@ -19,7 +19,7 @@ from bozon import (
     gq_to_dict,
     map_from_dict,
     map_to_dict,
-    nu,
+    nu_from_couplings,
     order_disorder_correlation,
     validate_defects,
 )
@@ -87,7 +87,7 @@ def test_gq_dict_counts(maps, duals, rng):
     m = maps["k3"]
     gq = build_gq(m, duals["k3"])
     j = base_couplings(random_j(rng, 3))
-    obj = gq_to_dict(gq, nu(gq, j))
+    obj = gq_to_dict(gq, nu_from_couplings(gq, j))
     assert len(obj["vertices"]) == 12
     assert len(obj["edges"]) == 18
     assert all("weight" in e for e in obj["edges"])

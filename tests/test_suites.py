@@ -3,10 +3,9 @@ explicit-instance entry points."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+import bozon.dimer
 from bozon import (
     PathSpec,
     base_couplings,
@@ -20,7 +19,7 @@ from bozon import (
     uniform_couplings,
 )
 from bozon.instances import random_instances
-from bozon.suites import SUITE_NAMES, closed_form_records, worker_count
+from bozon.suites import SUITE_NAMES, closed_form_records
 
 
 def test_suite_names_cover_all_runners():
@@ -69,21 +68,30 @@ def test_magnetization_count_floor():
     assert len(records) >= 10
 
 
-def test_determinism_across_worker_counts(monkeypatch):
-    monkeypatch.setenv("BOZON_THREADS", "1")
+def test_suite_runs_are_byte_identical():
     a = canonical_json(run_suite("theorem1", count=6, seed=5))
-    monkeypatch.setenv("BOZON_THREADS", "4")
     b = canonical_json(run_suite("theorem1", count=6, seed=5))
     assert a == b
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("BOZON_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("BOZON_THREADS", "bogus")
-    assert worker_count() == 1
-    monkeypatch.delenv("BOZON_THREADS")
-    assert worker_count() >= 1
+def test_gq_built_once_per_distinct_map(monkeypatch):
+    built = []
+    real = bozon.dimer.build_gq
+
+    def counting_build_gq(m, dual_map=None):
+        built.append(m)
+        return real(m, dual_map)
+
+    monkeypatch.setattr(bozon.dimer, "build_gq", counting_build_gq)
+    bozon.dimer.graph_context.cache_clear()
+    try:
+        records = run_suite("theorem1", 50, seed=11)
+    finally:
+        bozon.dimer.graph_context.cache_clear()
+    names = {r["graph"] for r in records}
+    assert len(names) > 1
+    assert len(built) == len(names)
+    assert len(set(built)) == len(built)
 
 
 def test_tight_tolerance_yields_failed_records():
@@ -133,6 +141,25 @@ def test_explicit_instance_skips_boundary_when_no_free_face():
     records = run_explicit("all", inst)
     assert suite_summary(records)["pass"]
     assert "boundary" not in [r["suite"] for r in records]
+
+
+def test_boundary_face_avoids_defect_chords():
+    # edge 5 of grid_2_3 joins two vertices of the outer face without being
+    # one of its edges; contracting that face would turn the order edge
+    # into a loop, and the inner faces both contain it, so no face is clear
+    inst = random_instances(3, 108, families=("grid_2_3",))[2]
+    assert inst.defects.gamma == {5}
+    records = run_explicit("all", inst)
+    assert suite_summary(records)["pass"]
+    assert "boundary" not in [r["suite"] for r in records]
+
+    # the disorder-crossed edge 20 of grid_2_8 is such a chord too, but
+    # clear faces exist, and the reduction must pick one of them
+    inst = random_instances(2, 106, families=("grid_2_8",))[1]
+    assert inst.defects.gamma_star == {20}
+    (rec,) = run_explicit("boundary", inst)
+    assert rec["pass"] and "error" not in rec
+    assert len(rec["checks"]) == 3
 
 
 def test_explicit_corollary_requires_order_only():
