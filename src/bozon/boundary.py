@@ -27,8 +27,6 @@ from .planar_map import (
     DefectSet,
     PathSpec,
     build_map,
-    dual,
-    walk_path,
 )
 
 
@@ -421,9 +419,7 @@ def _fan_path(
         endpoints=(m.dart_face[prev], m.dart_face[block[-1]]),
         edges=tuple(m.dart_edge[d] for d in block),
     )
-    dm = dual(m)
-    try:
-        walk_path(dm.map, spec)
-    except Exception:
-        return spec, False
-    return spec, True
+    # the path's dual vertices are the corner faces, which chain by
+    # construction; it is a valid dual path unless it revisits a face
+    faces = [m.dart_face[prev]] + [m.dart_face[d] for d in block]
+    return spec, len(set(faces)) == len(faces)

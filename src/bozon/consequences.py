@@ -373,7 +373,10 @@ def kw_duality_check(
             PathSpec((f_of[p.endpoints[0]], f_of[p.endpoints[1]]), p.edges)
             for p in d.order_paths
         )
-        dstar = validate_defects(dm.map, d.disorder_paths, swapped_disorder)
+        dstar = validate_defects(
+            dm.map, d.disorder_paths, swapped_disorder,
+            graph_context(dm.map).dual_map,
+        )
     else:
         dstar = DefectSet.from_edge_sets(d.gamma_star, d.gamma)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .ising import CouplingAssignment, modify_couplings, partition_function
 from .planar_map import CombinatorialMap, DefectSet, DualMap, _assemble, dual
-from .polygon import PolygonConfig, PolygonPair, enumerate_polygons, pair_polygon_sum
+from .polygon import PolygonPair, enumerate_polygons, pair_polygon_sum
 from .reports import IdentityReport, compare
 
 DIMER_CAP = 36
@@ -248,11 +248,11 @@ def all_ones(gq: QuadDimerGraph) -> DimerWeights:
     return (1.0,) * gq.edge_count
 
 
-def enumerate_matchings(
-    gq: QuadDimerGraph, max_vertices: int = DIMER_CAP
-) -> Iterator[tuple[int, ...]]:
-    """All perfect matchings as sorted edge-id tuples, in a deterministic
-    order (lowest uncovered vertex expanded first)."""
+def _gq_adjacency(
+    gq: QuadDimerGraph, max_vertices: int
+) -> list[list[tuple[int, int]]]:
+    """(edge id, neighbour) lists of G_Q in edge-id order, the order both
+    matching recursions expand."""
     n = gq.vertex_count
     if n > max_vertices:
         raise TooLarge(f"{n} G_Q vertices exceeds matching cap {max_vertices}")
@@ -262,21 +262,7 @@ def enumerate_matchings(
         a, b = gq.map.dart_vertex[d1], gq.map.dart_vertex[d2]
         adj[a].append((k, b))
         adj[b].append((k, a))
-    full = (1 << n) - 1
-    chosen: list[int] = []
-
-    def rec(covered: int) -> Iterator[tuple[int, ...]]:
-        if covered == full:
-            yield tuple(sorted(chosen))
-            return
-        v = ((covered + 1) & ~covered).bit_length() - 1  # lowest zero bit
-        for k, w in adj[v]:
-            if not (covered >> w) & 1:
-                chosen.append(k)
-                yield from rec(covered | (1 << v) | (1 << w))
-                chosen.pop()
-
-    return rec(0)
+    return adj
 
 
 def brute_force_dimer_Z(
@@ -285,16 +271,11 @@ def brute_force_dimer_Z(
     max_vertices: int = DIMER_CAP,
 ) -> float:
     """Signed matching sum by direct recursion."""
-    n = gq.vertex_count
-    if n > max_vertices:
-        raise TooLarge(f"{n} G_Q vertices exceeds matching cap {max_vertices}")
-    adj: list[list[tuple[float, int]]] = [[] for _ in range(n)]
-    for k in range(gq.edge_count):
-        d1, d2 = gq.map.edge_darts[k]
-        a, b = gq.map.dart_vertex[d1], gq.map.dart_vertex[d2]
-        adj[a].append((weights[k], b))
-        adj[b].append((weights[k], a))
-    full = (1 << n) - 1
+    adj = [
+        [(weights[k], w) for k, w in nbrs]
+        for nbrs in _gq_adjacency(gq, max_vertices)
+    ]
+    full = (1 << gq.vertex_count) - 1
 
     def rec(covered: int, acc: float) -> float:
         if covered == full:
@@ -497,30 +478,6 @@ def dimer_partition_function(
     raise ValueError(f"unknown dimer route {route!r}")
 
 
-def pair_of_matching(
-    gq: QuadDimerGraph, matching: Sequence[int], dual_map: DualMap
-) -> PolygonPair:
-    """The polygon pair induced by a matching: e joins P when exactly one
-    edge parallel to e is used, e* joins P* when exactly one edge parallel
-    to e* is used."""
-    used = set(matching)
-    p_edges = []
-    d_edges = []
-    for q in gq.quads:
-        npp = sum(1 for k in q.primal_parallel if k in used)
-        ndp = sum(1 for k in q.dual_parallel if k in used)
-        if npp == 1 and ndp == 1:
-            raise InconsistentPair(f"quad {q.edge} uses both parallel kinds")
-        if npp == 1:
-            p_edges.append(q.edge)
-        if ndp == 1:
-            d_edges.append(q.edge)
-    return PolygonPair(
-        primal=PolygonConfig.from_edges(gq.primal, "primal", p_edges),
-        dual=PolygonConfig.from_edges(dual_map.map, "dual", d_edges),
-    )
-
-
 class _ParityUnionFind:
     def __init__(self) -> None:
         self.parent: dict[int, int] = {}
@@ -608,15 +565,40 @@ def polygon_to_dimer_count(gq: QuadDimerGraph, pair: PolygonPair) -> int:
 
 
 def matching_pair_histogram(
-    gq: QuadDimerGraph, dual_map: DualMap, max_vertices: int = DIMER_CAP
+    gq: QuadDimerGraph, max_vertices: int = DIMER_CAP
 ) -> dict[tuple[int, int], int]:
     """Matching counts grouped by induced pair, keyed (primal mask, dual
-    mask); the enumeration oracle for polygon_to_dimer_count."""
+    mask); the enumeration oracle for polygon_to_dimer_count.
+
+    e joins P when exactly one of the two edges parallel to e is used, so
+    P is the XOR of the primal edges of the used primal-parallel edges, and
+    P* likewise over the dual-parallel ones; legs toggle nothing."""
+    toggles = []
+    for kind, e in zip(gq.edge_kind, gq.edge_primal_edge):
+        toggles.append((
+            1 << e if kind == PRIMAL_PARALLEL else 0,
+            1 << e if kind == DUAL_PARALLEL else 0,
+        ))
+    adj = [
+        [(w, *toggles[k]) for k, w in nbrs]
+        for nbrs in _gq_adjacency(gq, max_vertices)
+    ]
+    full = (1 << gq.vertex_count) - 1
     hist: dict[tuple[int, int], int] = {}
-    for matching in enumerate_matchings(gq, max_vertices=max_vertices):
-        pair = pair_of_matching(gq, matching, dual_map)
-        key = (pair.primal.mask, pair.dual.mask)
-        hist[key] = hist.get(key, 0) + 1
+
+    def rec(covered: int, pm: int, dm: int) -> None:
+        if covered == full:
+            if pm & dm:
+                e = (pm & dm).bit_length() - 1
+                raise InconsistentPair(f"quad {e} uses both parallel kinds")
+            hist[pm, dm] = hist.get((pm, dm), 0) + 1
+            return
+        v = (covered + 1 & ~covered).bit_length() - 1
+        for w, pt, dt in adj[v]:
+            if not (covered >> w) & 1:
+                rec(covered | (1 << v) | (1 << w), pm ^ pt, dm ^ dt)
+
+    rec(0, 0, 0)
     return hist
 
 
@@ -730,7 +712,7 @@ def matching_count_report(
     equals the enumeration count.  Weight-independent, so one run covers a
     graph for all couplings."""
     gq = gq or graph_context(m).gq
-    hist = matching_pair_histogram(gq, dual_map, max_vertices=max_vertices)
+    hist = matching_pair_histogram(gq, max_vertices=max_vertices)
     total = sum(hist.values())
     remaining = dict(hist)
     mismatches = 0

@@ -156,6 +156,17 @@ def polygon_weights(
     )
 
 
+def _mask_products(masks: Sequence[int], weights: Sequence[float]) -> np.ndarray:
+    """prod_{e in mask} weights[e] for every mask, one edge at a time over
+    all masks.  Each mask is multiplied by its edges' weights in ascending
+    edge order, as a per-mask loop would, so the result is the same."""
+    arr = np.array(masks, dtype=np.int64)
+    out = np.ones(len(masks))
+    for e, w_e in enumerate(weights):
+        out[(arr >> e) & 1 == 1] *= w_e
+    return out
+
+
 def pair_polygon_sum(
     m: CombinatorialMap,
     dual_map: DualMap,
@@ -172,22 +183,8 @@ def pair_polygon_sum(
     p_masks = polygon_masks(m, max_edges=max_edges)
     d_masks = polygon_masks(dual_map.map, max_edges=max_edges)
 
-    def products(masks: Sequence[int], weights: Sequence[float]) -> np.ndarray:
-        out = np.empty(len(masks))
-        for i, mask in enumerate(masks):
-            t = 1.0
-            e = 0
-            mm = mask
-            while mm:
-                if mm & 1:
-                    t *= weights[e]
-                mm >>= 1
-                e += 1
-            out[i] = t
-        return out
-
-    p_prod = products(p_masks, w.primal)
-    d_prod = products(d_masks, w.dual)
+    p_prod = _mask_products(p_masks, w.primal)
+    d_prod = _mask_products(d_masks, w.dual)
     d_mask_arr = np.array(d_masks, dtype=np.int64)
     total = 0.0
     for pmask, pw in zip(p_masks, p_prod):

@@ -469,15 +469,20 @@ def run_explicit(name: str, inst: Instance, tol: float = 1e-9) -> list[dict]:
     """Run one suite's checks on a single explicit instance.
 
     The magnetization suite has no single-instance form here (it needs a
-    boundary face and a bulk vertex; see the magnetize entry point).
+    boundary face and a bulk vertex; see the magnetize entry point).  "all"
+    also skips the boundary suite when no face is clear of defects, and the
+    corollary suite when the instance has a disorder path.
     """
     if name == "all":
         records = []
-        reducible = bool(_clear_faces(inst.map, inst.defects))
+        skip = {"magnetization"}
+        if not _clear_faces(inst.map, inst.defects):
+            skip.add("boundary")
+        if inst.defects.disorder_paths:
+            skip.add("corollary")
         for n in SUITE_NAMES:
-            if n == "magnetization" or (n == "boundary" and not reducible):
-                continue
-            records.extend(run_explicit(n, inst, tol=tol))
+            if n not in skip:
+                records.extend(run_explicit(n, inst, tol=tol))
         return records
     if name not in _INSTANCE_CHECKS:
         raise ValueError(f"suite {name!r} does not take an explicit instance")

@@ -9,6 +9,8 @@ from bozon import (
     DefectSet,
     PathSpec,
     base_couplings,
+    builtin,
+    dual,
     modify_couplings,
     partition_function,
     reduce_dobrushin,
@@ -17,7 +19,7 @@ from bozon import (
     validate_defects,
     walk_path,
 )
-from bozon.errors import BadArcSplit, DefectOnBoundary, NonContiguousArc
+from bozon.errors import BadArcSplit, BozonError, DefectOnBoundary, NonContiguousArc
 
 from conftest import modified_values, oracle_partition, random_j
 
@@ -144,12 +146,35 @@ def test_reduce_dobrushin_appends_disorder_line(maps, rng):
     if res.path_validated:
         assert res.disorder_path is not None
         # the declared dual path really walks the disorder line
-        from bozon import dual
-
         dm = dual(res.new_map)
         seq = walk_path(dm.map, res.disorder_path)
         assert len(seq) == len(res.disorder_path.edges) + 1
         assert set(res.disorder_path.edges) == set(res.disorder_line)
+
+
+def test_dobrushin_path_validated_matches_dual_walk(rng):
+    """The fan path is validated without building the dual; the dual walk
+    is the reference, over every face and split."""
+    paths = loops = 0
+    for name in ("grid_2_8", "wheel_4"):
+        m = builtin(name)
+        j = base_couplings(random_j(rng, m.edge_count))
+        for face in range(m.face_count):
+            length = len(m.faces[face])
+            for a in range(length - 1):
+                for b in range(a + 1, length):
+                    res = reduce_dobrushin(m, j, DefectSet.empty(), face, (a, b))
+                    if res.disorder_path is None:
+                        continue
+                    try:
+                        walk_path(dual(res.new_map).map, res.disorder_path)
+                        walks = True
+                    except BozonError:
+                        walks = False
+                    assert res.path_validated == walks, (name, face, a, b)
+                    paths += 1
+                    loops += not walks
+    assert paths and loops  # both outcomes occur
 
 
 def test_reduce_dobrushin_bad_splits(maps, rng):

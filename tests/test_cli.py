@@ -151,6 +151,25 @@ def test_verify_explicit_magnetization_exits_2(capsys, c4_file):
     assert code == 2
 
 
+def test_verify_all_skips_corollary_for_disorder_paths(tmp_path, capsys, c4_file):
+    defects = tmp_path / "disorder.json"
+    defects.write_text(
+        json.dumps({"disorder_paths": [{"endpoints": [0, 1], "edges": [0]}]})
+    )
+    code, out, _ = run_cli(
+        capsys, "verify", "--graph", c4_file, "--defects", str(defects)
+    )
+    assert code == 0
+    suites = {r["suite"] for r in json.loads(out)["records"]}
+    assert "theorem1" in suites and "corollary" not in suites
+    code, _, err = run_cli(
+        capsys, "verify", "--suite", "corollary", "--graph", c4_file,
+        "--defects", str(defects),
+    )
+    assert code == 2
+    assert "order-only" in err
+
+
 def test_verify_csv_output(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "theorem1", "--random", "2",

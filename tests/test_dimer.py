@@ -15,7 +15,6 @@ from bozon import (
     calibration_sign,
     dimer_partition_function,
     dimer_Z_det,
-    enumerate_matchings,
     kasteleyn_matrix,
     kasteleyn_orientation,
     matching_count_report,
@@ -23,17 +22,22 @@ from bozon import (
     graph_context,
     modify_couplings,
     nu_from_couplings,
-    pair_of_matching,
     polygon_to_dimer_count,
     structure_check,
     theorem_reports,
     verify_bipartite_dimer_identity,
     verify_theorem_main,
 )
-from bozon.dimer import LEG, PRIMAL_PARALLEL, all_ones
+from bozon.dimer import DUAL_PARALLEL, LEG, PRIMAL_PARALLEL, all_ones
 from bozon.errors import TooLarge
 
-from conftest import modified_values, oracle_matchings, oracle_partition, random_j
+from conftest import (
+    modified_values,
+    oracle_even_subgraphs,
+    oracle_matchings,
+    oracle_partition,
+    random_j,
+)
 
 
 @pytest.fixture(scope="module")
@@ -101,34 +105,49 @@ def test_modified_weights_flip_signs(maps, gqs, rng):
             assert w[k] == pytest.approx(base[k])
 
 
-def test_enumerate_matchings_matches_oracle(maps, gqs):
-    for name in ("k3", "c4"):
+def gq_oracle_matchings(gq):
+    ends = [
+        tuple(gq.map.dart_vertex[d] for d in gq.map.edge_darts[k])
+        for k in range(gq.edge_count)
+    ]
+    return oracle_matchings(gq.vertex_count, ends)
+
+
+def oracle_pair_histogram(gq):
+    """Oracle matchings grouped by induced pair, counting per primal edge
+    how many of its parallel edges of each kind a matching uses."""
+    hist = {}
+    for matching in gq_oracle_matchings(gq):
+        uses = {PRIMAL_PARALLEL: [0] * gq.primal.edge_count,
+                DUAL_PARALLEL: [0] * gq.primal.edge_count}
+        for k in matching:
+            if gq.edge_kind[k] != LEG:
+                uses[gq.edge_kind[k]][gq.edge_primal_edge[k]] += 1
+        key = tuple(
+            sum(1 << e for e, n in enumerate(uses[kind]) if n == 1)
+            for kind in (PRIMAL_PARALLEL, DUAL_PARALLEL)
+        )
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+def test_matching_pair_histogram_matches_oracle(gqs):
+    for name in ("k3", "c4", "grid_2_3"):
         gq = gqs[name]
-        ends = [
-            tuple(gq.map.dart_vertex[d] for d in gq.map.edge_darts[k])
-            for k in range(gq.edge_count)
-        ]
-        got = sorted(enumerate_matchings(gq))
-        want = sorted(oracle_matchings(gq.vertex_count, ends))
-        assert got == want
+        assert matching_pair_histogram(gq) == oracle_pair_histogram(gq), name
 
 
-def test_enumerate_matchings_cap(gqs):
+def test_matching_pair_histogram_cap(gqs):
     with pytest.raises(TooLarge):
-        list(enumerate_matchings(gqs["grid_3_3"]))  # 48 vertices > default cap
+        matching_pair_histogram(gqs["grid_3_3"])  # 48 vertices > default cap
 
 
 def test_brute_force_dimer_Z_matches_oracle(maps, gqs, rng):
     gq = gqs["k3"]
     j = base_couplings(random_j(rng, 3))
     w = nu_from_couplings(gq, j)
-    ends = [
-        tuple(gq.map.dart_vertex[d] for d in gq.map.edge_darts[k])
-        for k in range(gq.edge_count)
-    ]
     want = sum(
-        math.prod(w[k] for k in matching)
-        for matching in oracle_matchings(gq.vertex_count, ends)
+        math.prod(w[k] for k in matching) for matching in gq_oracle_matchings(gq)
     )
     assert brute_force_dimer_Z(gq, w) == pytest.approx(want, rel=1e-12)
 
@@ -195,18 +214,20 @@ def test_kasteleyn_matrix_shape(gqs):
     assert K.shape == (6, 6)
 
 
-def test_pair_of_matching_all_matchings(maps, duals, gqs):
-    gq = gqs["c4"]
-    for matching in enumerate_matchings(gq):
-        pair = pair_of_matching(gq, matching, duals["c4"])
-        assert pair.primal.mask & pair.dual.mask == 0
+def test_histogram_keys_are_disjoint_polygon_pairs(maps, duals, gqs):
+    for name in ("k3", "c4", "grid_2_3"):
+        primal = set(oracle_even_subgraphs(maps[name]))
+        dual = set(oracle_even_subgraphs(duals[name].map))
+        for pmask, dmask in matching_pair_histogram(gqs[name]):
+            assert pmask in primal and dmask in dual
+            assert pmask & dmask == 0
 
 
 def test_polygon_to_dimer_count_matches_histogram(maps, duals, gqs):
     for name in ("k3", "c4"):
         gq = gqs[name]
-        hist = matching_pair_histogram(gq, duals[name])
-        assert sum(hist.values()) == len(list(enumerate_matchings(gq)))
+        hist = matching_pair_histogram(gq)
+        assert sum(hist.values()) == len(gq_oracle_matchings(gq))
         from bozon.polygon import PolygonConfig, PolygonPair
 
         for (pmask, dmask), count in hist.items():
@@ -224,6 +245,23 @@ def test_matching_count_report_passes(maps, duals):
         rep = matching_count_report(maps[name], duals[name])
         assert rep.passed
         assert rep.extra["pairs"] > 0
+
+
+@pytest.mark.parametrize(
+    "name, pairs, matchings",
+    [
+        ("k3", 5, 20),
+        ("c4", 9, 49),
+        ("grid_2_3", 41, 530),
+        ("wheel_4", 48, 769),
+        ("wheel_5", 124, 3653),
+        ("grid_3_3", 434, 25416),
+    ],
+)
+def test_matching_count_report_exact_counts(maps, duals, name, pairs, matchings):
+    rep = matching_count_report(maps[name], duals[name])
+    assert rep.passed
+    assert (rep.extra["pairs"], rep.extra["matchings"]) == (pairs, matchings)
 
 
 def test_bipartite_dimer_identity(maps, duals, rng):

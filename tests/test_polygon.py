@@ -17,7 +17,7 @@ from bozon import (
     verify_squared_partition,
 )
 from bozon.errors import OverlapError, TooLarge
-from bozon.polygon import PolygonConfig, polygon_masks
+from bozon.polygon import PolygonConfig, _mask_products, polygon_masks
 
 from conftest import modified_values, oracle_even_subgraphs, oracle_partition, random_j
 
@@ -127,3 +127,19 @@ def test_verify_squared_partition_reports(maps, duals, rng):
     report = verify_squared_partition(m, duals["wheel_4"], j, d)
     assert report.passed
     assert report.extra == {"gamma": 1, "gamma_star": 1}
+
+
+def test_mask_products_match_per_mask_loop(maps, duals, rng):
+    for name, m in maps.items():
+        for carrier in (m, duals[name].map):
+            masks = polygon_masks(carrier)
+            weights = [rng.choice((0.0, rng.uniform(-2.0, 2.0)))
+                       for _ in range(carrier.edge_count)]
+            want = []
+            for mask in masks:
+                t = 1.0
+                for e in range(carrier.edge_count):
+                    if mask >> e & 1:
+                        t *= weights[e]
+                want.append(t)
+            assert _mask_products(masks, weights).tolist() == want, name
