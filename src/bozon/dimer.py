@@ -9,11 +9,13 @@ kinds: duals of primal half-edges (parallel to the dual edge, weight
 sech(2J_e)), duals of dual half-edges (parallel to the primal edge,
 weight tanh(2J_e)), and duals of corner edges (legs, weight 1).
 
-Partition functions are computed two ways: by recursive perfect-matching
-enumeration, and by Kasteleyn determinant with a clockwise-odd
-orientation built from a spanning tree.  Signed weight sums (modified
-couplings) are the signed matching sums; the determinant reproduces them
-after a one-time global sign calibration at all-ones weights.
+Partition functions are computed two ways: as an exact sum over all
+perfect matchings, by one frontier sweep over G_Q's vertices in
+breadth-first order that never reads an orientation, and by Kasteleyn
+determinant with a clockwise-odd orientation built from a spanning tree.
+Signed weight sums (modified couplings) are the signed matching sums; the
+determinant reproduces them after a one-time global sign calibration at
+all-ones weights.
 
 A map's dual, G_Q, orientation and calibration sign do not depend on the
 couplings, so each map gets one memoized GraphContext that owns them, and
@@ -98,6 +100,23 @@ class QuadDimerGraph:
             k for k in range(self.edge_count) if self.edge_kind[k] == LEG
         )
 
+    @cached_property
+    def sweep_order(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """The vertices in breadth-first order from vertex 0, each with its
+        (edge id, neighbour) pairs to vertices later in that order.  On a
+        planar graph this keeps the matching sweep's frontier small."""
+        adj = self.map.adjacency()
+        pos = {0: 0}
+        order = [0]
+        for v in order:
+            for _k, u in adj[v]:
+                if u not in pos:
+                    pos[u] = len(order)
+                    order.append(u)
+        return tuple(
+            (v, tuple((k, u) for k, u in adj[v] if pos[u] > pos[v])) for v in order
+        )
+
 
 def _overlay_map(m: CombinatorialMap) -> CombinatorialMap:
     """Sphere map of the primal/dual overlay.  Vertex ids: primal 0..V-1,
@@ -174,8 +193,7 @@ def build_gq(m: CombinatorialMap, dual_map: DualMap | None = None) -> QuadDimerG
     color[0] = 0
     queue = [0]
     adj = gq_map.adjacency()
-    while queue:
-        u = queue.pop(0)
+    for u in queue:
         for _e, w in adj[u]:
             if color[w] == -1:
                 color[w] = 1 - color[u]
@@ -248,21 +266,40 @@ def all_ones(gq: QuadDimerGraph) -> DimerWeights:
     return (1.0,) * gq.edge_count
 
 
-def _gq_adjacency(
-    gq: QuadDimerGraph, max_vertices: int
-) -> list[list[tuple[int, int]]]:
-    """(edge id, neighbour) lists of G_Q in edge-id order, the order both
-    matching recursions expand."""
+def _matching_sweep(
+    gq: QuadDimerGraph, max_vertices: int, weights: Sequence, toggles: Sequence[int]
+) -> dict[int, float]:
+    """Sums over G_Q's perfect matchings of their weight products, keyed by
+    the XOR of their edges' toggles, from one pass over gq.sweep_order.  A
+    state is the mask of later vertices already matched (bit v) with the
+    toggle XOR above bit n; at vertex v it drops v from the mask or matches
+    v to a free later neighbour, and equal states merge.  Zero weights are
+    skipped, integer weights give exact counts, and no orientation is read.
+    """
     n = gq.vertex_count
     if n > max_vertices:
         raise TooLarge(f"{n} G_Q vertices exceeds matching cap {max_vertices}")
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k in range(gq.edge_count):
-        d1, d2 = gq.map.edge_darts[k]
-        a, b = gq.map.dart_vertex[d1], gq.map.dart_vertex[d2]
-        adj[a].append((k, b))
-        adj[b].append((k, a))
-    return adj
+    states: dict[int, float] = {0: 1}
+    for v, later in gq.sweep_order:
+        bit = 1 << v
+        steps = [
+            (weights[k], 1 << u, 1 << u | toggles[k] << n)
+            for k, u in later
+            if weights[k] != 0.0
+        ]
+        new: dict[int, float] = {}
+        get = new.get
+        for key, z in states.items():
+            if key & bit:
+                key ^= bit
+                new[key] = get(key, 0) + z
+                continue
+            for w, u_bit, flip in steps:
+                if not key & u_bit:
+                    nxt = key ^ flip
+                    new[nxt] = get(nxt, 0) + z * w
+        states = new
+    return {key >> n: z for key, z in states.items()}
 
 
 def brute_force_dimer_Z(
@@ -270,24 +307,9 @@ def brute_force_dimer_Z(
     weights: DimerWeights,
     max_vertices: int = DIMER_CAP,
 ) -> float:
-    """Signed matching sum by direct recursion."""
-    adj = [
-        [(weights[k], w) for k, w in nbrs]
-        for nbrs in _gq_adjacency(gq, max_vertices)
-    ]
-    full = (1 << gq.vertex_count) - 1
-
-    def rec(covered: int, acc: float) -> float:
-        if covered == full:
-            return acc
-        v = (covered + 1 & ~covered).bit_length() - 1
-        total = 0.0
-        for w_k, w in adj[v]:
-            if w_k != 0.0 and not (covered >> w) & 1:
-                total += rec(covered | (1 << v) | (1 << w), acc * w_k)
-        return total
-
-    return rec(0, 1.0)
+    """Signed matching sum over all perfect matchings, by the sweep."""
+    sums = _matching_sweep(gq, max_vertices, weights, (0,) * gq.edge_count)
+    return float(sums.get(0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -326,8 +348,7 @@ def kasteleyn_orientation(
     queue = [0]
     adj = m.adjacency()
     in_tree = [False] * m.edge_count
-    while queue:
-        u = queue.pop(0)
+    for u in queue:
         for e, w in adj[u]:
             if not seen[w]:
                 seen[w] = True
@@ -353,10 +374,7 @@ def kasteleyn_orientation(
     order = [root_face]
     seen_f = [False] * m.face_count
     seen_f[root_face] = True
-    i = 0
-    while i < len(order):
-        f = order[i]
-        i += 1
+    for f in order:
         for e, g in face_adj[f]:
             if not seen_f[g]:
                 seen_f[g] = True
@@ -465,7 +483,7 @@ def dimer_partition_function(
     max_vertices: int = DIMER_CAP,
 ) -> tuple[float, str]:
     """Signed dimer partition function of G_Q under ``weights``, and the
-    route that computed it: "brute" (matching enumeration, at most
+    route that computed it: "brute" (the matching sweep, at most
     ``max_vertices`` vertices), "determinant" (sign-calibrated Kasteleyn
     determinant), or "auto", which is brute when G_Q is within
     ``max_vertices`` and the determinant otherwise."""
@@ -568,37 +586,26 @@ def matching_pair_histogram(
     gq: QuadDimerGraph, max_vertices: int = DIMER_CAP
 ) -> dict[tuple[int, int], int]:
     """Matching counts grouped by induced pair, keyed (primal mask, dual
-    mask); the enumeration oracle for polygon_to_dimer_count.
+    mask), from the sweep with unit weights; checks polygon_to_dimer_count.
 
     e joins P when exactly one of the two edges parallel to e is used, so
     P is the XOR of the primal edges of the used primal-parallel edges, and
-    P* likewise over the dual-parallel ones; legs toggle nothing."""
-    toggles = []
-    for kind, e in zip(gq.edge_kind, gq.edge_primal_edge):
-        toggles.append((
-            1 << e if kind == PRIMAL_PARALLEL else 0,
-            1 << e if kind == DUAL_PARALLEL else 0,
-        ))
-    adj = [
-        [(w, *toggles[k]) for k, w in nbrs]
-        for nbrs in _gq_adjacency(gq, max_vertices)
+    P* likewise, E bits higher, over the dual-parallel ones; legs toggle
+    nothing."""
+    E = gq.primal.edge_count
+    shift = {PRIMAL_PARALLEL: 0, DUAL_PARALLEL: E}
+    toggles = [
+        0 if kind == LEG else 1 << e + shift[kind]
+        for kind, e in zip(gq.edge_kind, gq.edge_primal_edge)
     ]
-    full = (1 << gq.vertex_count) - 1
-    hist: dict[tuple[int, int], int] = {}
-
-    def rec(covered: int, pm: int, dm: int) -> None:
-        if covered == full:
-            if pm & dm:
-                e = (pm & dm).bit_length() - 1
-                raise InconsistentPair(f"quad {e} uses both parallel kinds")
-            hist[pm, dm] = hist.get((pm, dm), 0) + 1
-            return
-        v = (covered + 1 & ~covered).bit_length() - 1
-        for w, pt, dt in adj[v]:
-            if not (covered >> w) & 1:
-                rec(covered | (1 << v) | (1 << w), pm ^ pt, dm ^ dt)
-
-    rec(0, 0, 0)
+    sums = _matching_sweep(gq, max_vertices, (1,) * gq.edge_count, toggles)
+    hist = {}
+    for key, count in sums.items():
+        pm, dm = key & ((1 << E) - 1), key >> E
+        if pm & dm:
+            e = (pm & dm).bit_length() - 1
+            raise InconsistentPair(f"quad {e} uses both parallel kinds")
+        hist[pm, dm] = count
     return hist
 
 
@@ -709,8 +716,8 @@ def matching_count_report(
 ) -> IdentityReport:
     """Exact integer check of the grouped-matching count: for every
     compatible polygon pair, the predicted number of matchings inducing it
-    equals the enumeration count.  Weight-independent, so one run covers a
-    graph for all couplings."""
+    equals the matching sweep's count.  Weight-independent, so one run
+    covers a graph for all couplings."""
     gq = gq or graph_context(m).gq
     hist = matching_pair_histogram(gq, max_vertices=max_vertices)
     total = sum(hist.values())

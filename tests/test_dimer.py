@@ -12,6 +12,7 @@ from bozon import (
     base_couplings,
     brute_force_dimer_Z,
     build_gq,
+    builtin,
     calibration_sign,
     dimer_partition_function,
     dimer_Z_det,
@@ -142,6 +143,50 @@ def test_matching_pair_histogram_cap(gqs):
         matching_pair_histogram(gqs["grid_3_3"])  # 48 vertices > default cap
 
 
+@pytest.mark.parametrize(
+    "name, matchings, keys",
+    [("grid_3_4", 1_249_330, 4_616), ("wheel_8", 434_657, 2_208)],
+)
+def test_matching_pair_histogram_past_old_cap(name, matchings, keys):
+    ctx = graph_context(builtin(name))
+    hist = matching_pair_histogram(ctx.gq, max_vertices=68)
+    assert (sum(hist.values()), len(hist)) == (matchings, keys)
+    det = dimer_Z_det(ctx.gq, all_ones(ctx.gq), ctx.orientation)
+    assert matchings == round(abs(det))
+
+
+def test_sweep_equals_determinant(maps, rng):
+    """Plain and modified weights on every builtin map whose G_Q has at
+    most 48 vertices.  A modified sum can cancel, so the bound is relative
+    to the sum of the matchings' absolute weights, which is |Z| itself
+    when no weight is negative."""
+    for name, m in maps.items():
+        ctx = graph_context(m)
+        j = base_couplings(random_j(rng, m.edge_count))
+        d = DefectSet.from_edge_sets({0}, {1})
+        for jj in (j, modify_couplings(j, d)):
+            w = nu_from_couplings(ctx.gq, jj)
+            sweep = brute_force_dimer_Z(ctx.gq, w, max_vertices=48)
+            det = ctx.sign * dimer_Z_det(ctx.gq, w, ctx.orientation)
+            scale = brute_force_dimer_Z(
+                ctx.gq, [abs(x) for x in w], max_vertices=48
+            )
+            assert abs(sweep - det) <= 1e-12 * scale, name
+
+
+def test_sweep_skips_zero_weights(gqs, rng):
+    for name in ("k3", "c4"):
+        gq = gqs[name]
+        w = [rng.uniform(0.1, 2.0) for _ in range(gq.edge_count)]
+        for k in range(0, gq.edge_count, 3):
+            w[k] = 0.0
+        want = sum(
+            math.prod(w[k] for k in matching)
+            for matching in gq_oracle_matchings(gq)
+        )
+        assert brute_force_dimer_Z(gq, w) == pytest.approx(want, rel=1e-12), name
+
+
 def test_brute_force_dimer_Z_matches_oracle(maps, gqs, rng):
     gq = gqs["k3"]
     j = base_couplings(random_j(rng, 3))
@@ -202,7 +247,7 @@ def test_dimer_partition_function_routes_agree(maps, rng):
     d = DefectSet.from_edge_sets({1}, {4})
     w = nu_from_couplings(ctx.gq, modify_couplings(j, d))
     brute, route = dimer_partition_function(ctx, w)
-    assert route == "brute"  # 24 quad vertices are within the brute cap
+    assert route == "brute"  # 28 quad vertices are within the brute cap
     det, route = dimer_partition_function(ctx, w, "determinant")
     assert route == "determinant"
     assert brute == pytest.approx(det, rel=1e-9)
