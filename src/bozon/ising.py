@@ -6,22 +6,25 @@ that the imaginary shift is exact: for s = +-1,
 an exact factor of i times the spin product and the partition function is
 ``i**k`` times a real spin sum (k = number of flagged edges).  No complex
 trigonometry is ever evaluated.
+
+That real sum covers every spin configuration without listing them: one
+frontier sweep (a transfer matrix) adds the vertices in a narrow order and
+keeps one summed weight per spin pattern of the live vertices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Collection, Mapping, Sequence
 
 from .errors import LengthMismatch, NonPositiveCoupling, OverlapError, TooLarge
 from .planar_map import CombinatorialMap, DefectSet
 
+# A size gate on the free spins, kept so that --caps keeps its meaning;
+# the sweep's cost follows the frontier width, not this count.
 SPIN_CAP = 24
 EDGE_CAP = 24
-_CHUNK_BITS = 18
 
 # exact powers of i
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -112,46 +115,89 @@ def modify_couplings(j: CouplingAssignment, d: DefectSet) -> CouplingAssignment:
     return CouplingAssignment(real=tuple(real), half_pi=tuple(flags))
 
 
-def _spin_chunks(
-    m: CombinatorialMap,
-    fixed: Mapping[int, int] | None,
-    max_vertices: int,
-):
-    """Yield (spins, n) blocks covering all assignments of the free spins.
+def _sweep_order(m: CombinatorialMap):
+    """The spin sweep's plan, memoized on the map: (self-loop edges, steps),
+    each step (v, (edge, earlier neighbour bit) pairs, AND-mask dropping the
+    vertices, v included, with no neighbour after v).  The order is greedy:
+    from vertex 0, add the visited set's unvisited neighbour that leaves the
+    fewest live vertices, lowest id first; start a new component at the
+    lowest unvisited id.  Breadth-first order can hold a whole layer live;
+    this keeps planar frontiers small."""
+    plan = m.__dict__.get("_sweep_order_cache")
+    if plan is not None:
+        return plan
+    n = m.vertex_count
+    adj = m.adjacency()
+    nbrs = [{u for _e, u in adj[v] if u != v} for v in range(n)]
+    unvisited = [len(nb) for nb in nbrs]  # unvisited neighbours per vertex
+    seen: set[int] = set()
+    steps = []
+    live = 0
 
-    spins has shape (n, |V|), values +-1, fixed columns held constant.
-    Chunks are yielded in increasing configuration order so any ordered
-    reduction over them is deterministic.
-    """
+    def live_after(c: int) -> int:
+        return live + (unvisited[c] > 0) - sum(unvisited[u] == 1 for u in nbrs[c] & seen)
+
+    while len(seen) < n:
+        frontier = {u for w in seen for u in nbrs[w]} - seen
+        if frontier:
+            v = min(frontier, key=lambda c: (live_after(c), c))
+        else:
+            v = min(set(range(n)) - seen)
+        back = tuple((e, 1 << u) for e, u in adj[v] if u in seen)
+        seen.add(v)
+        gone = 0 if unvisited[v] else 1 << v
+        for u in nbrs[v]:
+            unvisited[u] -= 1
+            if u in seen and not unvisited[u]:
+                gone |= 1 << u
+        live += 1 - bin(gone).count("1")
+        steps.append((v, back, ~gone))
+    plan = (sorted({e for v in range(n) for e, u in adj[v] if u == v}), steps)
+    object.__setattr__(m, "_sweep_order_cache", plan)
+    return plan
+
+
+def _spin_sum(
+    m: CombinatorialMap, j: CouplingAssignment, fixed: Mapping[int, int] | None,
+    obs: Collection[int], max_vertices: int,
+) -> float:
+    """Z over its exact phase i**k, with the spins in obs multiplied in, by
+    one frontier sweep.  A state is the mask of live vertices with spin -1,
+    valued by the summed weight of the swept spins.  At vertex v each state
+    takes each allowed spin and multiplies in one factor per edge to an
+    earlier neighbour: e^a if the spins agree, else e^-a, negated on a
+    flagged edge, as exp((a + i*pi/2)x) = i*x*e^(ax).  A vertex in obs flips
+    the sign at spin -1.  Vertices with no later neighbour leave the mask,
+    so equal states merge.  A self-loop contributes e^a once."""
+    if j.edge_count != m.edge_count:
+        raise LengthMismatch("coupling count differs from edge count")
     fixed = dict(fixed or {})
     for v, s in fixed.items():
         if s not in (-1, 1):
             raise ValueError(f"fixed spin at {v} must be +-1, got {s}")
-    free = [v for v in range(m.vertex_count) if v not in fixed]
-    if len(free) > max_vertices:
-        raise TooLarge(
-            f"{len(free)} free spins exceeds enumeration cap {max_vertices}"
-        )
-    total = 1 << len(free)
-    chunk = min(total, 1 << _CHUNK_BITS)
-    base = np.zeros(m.vertex_count, dtype=np.int8)
-    for v, s in fixed.items():
-        base[v] = s
-    free_arr = np.array(free, dtype=np.int64)
-    for start in range(0, total, chunk):
-        n = min(chunk, total - start)
-        spins = np.broadcast_to(base, (n, m.vertex_count)).copy()
-        if len(free):
-            codes = np.arange(start, start + n, dtype=np.int64)
-            bits = (codes[:, None] >> np.arange(len(free))) & 1
-            spins[:, free_arr] = (1 - 2 * bits).astype(np.int8)
-        yield spins, n
-
-
-def _edge_arrays(m: CombinatorialMap):
-    u = np.array([m.edge_endpoints(e)[0] for e in range(m.edge_count)], dtype=np.int64)
-    v = np.array([m.edge_endpoints(e)[1] for e in range(m.edge_count)], dtype=np.int64)
-    return u, v
+    free = sum(1 for v in range(m.vertex_count) if v not in fixed)
+    if free > max_vertices:
+        raise TooLarge(f"{free} free spins exceeds enumeration cap {max_vertices}")
+    loops, steps = _sweep_order(m)
+    same = [math.exp(a) for a in j.real]
+    differ = [-math.exp(-a) if f else math.exp(-a) for a, f in zip(j.real, j.half_pi)]
+    states = {0: math.prod((same[e] for e in loops), start=1.0)}
+    for v, back, keep in steps:
+        new: dict[int, float] = {}
+        get = new.get
+        for s in (fixed[v],) if v in fixed else (1, -1):
+            down = 1 << v if s < 0 else 0
+            sign = -1.0 if s < 0 and v in obs else 1.0
+            f_down, f_up = (same, differ) if s < 0 else (differ, same)
+            factors = [(f_down[e], f_up[e], bit) for e, bit in back]
+            for key, z in states.items():
+                w = sign * z
+                for if_down, if_up, bit in factors:
+                    w *= if_down if key & bit else if_up
+                nxt = (key | down) & keep
+                new[nxt] = get(nxt, 0.0) + w
+        states = new
+    return sum(states.values())
 
 
 def partition_function(
@@ -160,25 +206,13 @@ def partition_function(
     fixed: Mapping[int, int] | None = None,
     max_vertices: int = SPIN_CAP,
 ) -> complex:
-    """Spin sum of exp(sum_e J_e s_u s_v) over all (free) configurations.
+    """Spin sum of exp(sum_e J_e s_u s_v) over all configurations of the
+    free spins, by the frontier sweep.
 
-    The result is exactly i**k times a real number, k = number of flagged
-    edges; the phase is applied from the exact table.
+    The result is exactly i**k times the sweep's real sum, k = number of
+    flagged edges; the phase is applied from the exact table.
     """
-    if j.edge_count != m.edge_count:
-        raise LengthMismatch("coupling count differs from edge count")
-    u, v = _edge_arrays(m)
-    real = np.array(j.real)
-    flagged = np.flatnonzero(np.array(j.half_pi))
-    acc = 0.0
-    for spins, _n in _spin_chunks(m, fixed, max_vertices):
-        prod = spins[:, u].astype(np.float64) * spins[:, v]
-        energy = prod @ real
-        w = np.exp(energy)
-        if len(flagged):
-            w *= prod[:, flagged].prod(axis=1)
-        acc += float(w.sum())
-    return i_power(j.phase_power) * acc
+    return i_power(j.phase_power) * _spin_sum(m, j, fixed, (), max_vertices)
 
 
 def spin_expectation(
@@ -188,30 +222,17 @@ def spin_expectation(
     fixed: Mapping[int, int] | None = None,
     max_vertices: int = SPIN_CAP,
 ) -> float:
-    """E[prod_{v in vertices} s_v] under the (possibly fixed-spin) measure.
+    """E[prod_{v in vertices} s_v] under the (possibly fixed-spin) measure:
+    the sweep with the observable spins inserted over the sweep without.
 
     Repeated vertices cancel in pairs.  The phase factors of flagged edges
     divide out between numerator and denominator, so the result is real.
     """
-    counts: dict[int, int] = {}
-    for v0 in vertices:
-        counts[v0] = counts.get(v0, 0) + 1
-    obs = np.array(sorted(v0 for v0, c in counts.items() if c % 2), dtype=np.int64)
-    u, v = _edge_arrays(m)
-    real = np.array(j.real)
-    flagged = np.flatnonzero(np.array(j.half_pi))
-    num = 0.0
-    den = 0.0
-    for spins, _n in _spin_chunks(m, fixed, max_vertices):
-        prod = spins[:, u].astype(np.float64) * spins[:, v]
-        w = np.exp(prod @ real)
-        if len(flagged):
-            w *= prod[:, flagged].prod(axis=1)
-        den += float(w.sum())
-        if len(obs):
-            w = w * spins[:, obs].prod(axis=1)
-        num += float(w.sum())
-    return num / den
+    odd: set[int] = set()
+    for v in vertices:
+        odd ^= {v}
+    den = _spin_sum(m, j, fixed, (), max_vertices)
+    return _spin_sum(m, j, fixed, odd, max_vertices) / den
 
 
 @dataclass(frozen=True)

@@ -72,8 +72,7 @@ def _spanning_tree_masks(m: CombinatorialMap) -> tuple[list[int], list[int]]:
     in_tree = [False] * m.edge_count
     queue = [0]
     adj = m.adjacency()
-    while queue:
-        u = queue.pop(0)
+    for u in queue:
         for e, w in adj[u]:
             if not seen[w]:
                 seen[w] = True

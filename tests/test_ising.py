@@ -14,6 +14,9 @@ from bozon import (
     CouplingAssignment,
     DefectSet,
     base_couplings,
+    build_map,
+    builtin,
+    dual,
     dual_couplings,
     high_temp_expansion_check,
     modify_couplings,
@@ -28,7 +31,7 @@ from bozon.errors import (
     OverlapError,
     TooLarge,
 )
-from bozon.ising import i_power
+from bozon.ising import _sweep_order, i_power
 
 from conftest import modified_values, oracle_expectation, oracle_partition, random_j
 
@@ -116,8 +119,6 @@ def test_partition_function_phase_is_exact(maps, rng):
 
 
 def test_partition_function_cap():
-    from bozon import builtin
-
     m = builtin("grid_5_6")
     with pytest.raises(TooLarge):
         partition_function(m, uniform_couplings(m.edge_count, 0.5))
@@ -187,3 +188,111 @@ def test_dual_couplings_reject_modified():
     j = CouplingAssignment(real=(0.5,), half_pi=(True,))
     with pytest.raises(NonPositiveCoupling):
         dual_couplings(j)
+
+
+# ------------------------------------------------- the frontier sweep
+
+# every builtin map the seeded suites and the benchmark workloads draw
+SWEEP_MAPS = (
+    "k3", "c4", "grid_2_3", "grid_3_3", "wheel_4", "wheel_5", "grid_3_4",
+    "grid_4_4", "grid_3_5", "grid_2_8", "wheel_8", "wheel_10", "wheel_12",
+)
+
+
+def peak_live(m):
+    """Largest number of vertices in one sweep state, the new one included."""
+    live = peak = 0
+    for v, _back, keep in _sweep_order(m)[1]:
+        live |= 1 << v
+        peak = max(peak, bin(live).count("1"))
+        live &= keep
+    assert live == 0
+    return peak
+
+
+def k_2_n(n, hubs_first):
+    """K_{2,n} on the sphere.  Edges 2k and 2k+1 join leaf k to hubs A and
+    B; the hubs are vertices 0, 1 or n, n+1."""
+    a, b = (0, 1) if hubs_first else (n, n + 1)
+    leaf = [k + 2 if hubs_first else k for k in range(n)]
+    rotations = [None] * (n + 2)
+    rotations[a] = [4 * k for k in range(n)]
+    rotations[b] = [4 * k + 2 for k in reversed(range(n))]
+    for k in range(n):
+        rotations[leaf[k]] = [4 * k + 1, 4 * k + 3]
+    edges = [(2 * e, 2 * e + 1) for e in range(2 * n)]
+    return build_map(rotations, edges)
+
+
+@pytest.mark.parametrize("hubs_first", (True, False))
+def test_sweep_on_k_2_22_matches_closed_form(rng, hubs_first):
+    n = 22
+    m = k_2_n(n, hubs_first)
+    assert peak_live(m) <= 3
+    j = base_couplings(random_j(rng, m.edge_count))
+    for jj in (j, modify_couplings(j, DefectSet.from_edge_sets((), {0, 3, 8}))):
+        want = sum(
+            math.prod(
+                2 * math.cosh(x * jj.real[2 * k] + y * jj.real[2 * k + 1])
+                for k in range(n)
+            )
+            for x in (1, -1)
+            for y in (1, -1)
+        )
+        assert close(partition_function(m, jj), want)
+
+
+@pytest.mark.parametrize("name", SWEEP_MAPS)
+def test_sweep_order_is_narrow_on_builtins(name):
+    m = builtin(name)
+    assert peak_live(m) <= 5
+    order = [v for v, _back, _keep in _sweep_order(m)[1]]
+    assert sorted(order) == list(range(m.vertex_count))
+    assert _sweep_order(m) is _sweep_order(m)
+
+
+def coupling_kinds(m, j):
+    """(assignment, oracle values) for plain, flagged and negated J."""
+    flagged, negated = {0, m.edge_count - 1}, {m.edge_count // 2}
+    return (
+        (j, list(j.real)),
+        (modify_couplings(j, DefectSet.from_edge_sets(flagged, ())),
+         modified_values(j, flagged)),
+        (modify_couplings(j, DefectSet.from_edge_sets((), negated)),
+         modified_values(j, (), negated)),
+    )
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in SWEEP_MAPS if builtin(n).vertex_count <= 12]
+)
+def test_sweep_matches_oracle_on_builtins(rng, name):
+    m = builtin(name)
+    n = m.vertex_count
+    j = base_couplings(random_j(rng, m.edge_count))
+    face = {v: rng.choice((1, -1)) for v in m.face_vertices(0)}
+    obs = (0, n - 1, n - 1, 1, 1, 1)
+    for jj, values in coupling_kinds(m, j):
+        for fixed in (None, face, {n - 1: -1}):
+            assert close(
+                partition_function(m, jj, fixed=fixed),
+                oracle_partition(m, values, fixed=fixed),
+            )
+            assert close(
+                spin_expectation(m, jj, obs, fixed=fixed),
+                oracle_expectation(m, values, obs, fixed=fixed),
+            )
+
+
+def test_sweep_on_self_loop_map(rng):
+    m = dual(build_map([[0], [1]], [(0, 1)])).map
+    assert (m.vertex_count, m.edge_count, m.edge_endpoints(0)) == (1, 1, (0, 0))
+    j = base_couplings(random_j(rng, 1))
+    for jj, values in coupling_kinds(m, j):
+        assert close(partition_function(m, jj), oracle_partition(m, values))
+        assert close(
+            partition_function(m, jj, fixed={0: -1}),
+            oracle_partition(m, values, fixed={0: -1}),
+        )
+        assert spin_expectation(m, jj, (0,)) == 0.0
+        assert spin_expectation(m, jj, (0, 0)) == 1.0
