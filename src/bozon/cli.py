@@ -240,8 +240,7 @@ def _reference_matching(gq) -> tuple[int, ...]:
 
 def cmd_export(args: argparse.Namespace) -> int:
     m, name = _input_map(args)
-    ctx = graph_context(m)
-    dm, gq = ctx.dual_map, ctx.gq
+    gq = graph_context(m).gq
     weights = None
     if args.couplings is not None:
         j = couplings_from_dict(_load_json(args.couplings), m.edge_count)
@@ -269,10 +268,10 @@ def cmd_export(args: argparse.Namespace) -> int:
     emit(f"{name}.gq.json", canonical_json(gq_to_dict(gq, weights)))
     if args.svg:
         emit(f"{name}.map.svg", draw_map(m, gamma=gamma))
-        emit(f"{name}.dual.svg", draw_dual(m, dm, gamma_star=gamma_star))
+        emit(f"{name}.dual.svg", draw_dual(m, gamma_star=gamma_star))
         emit(f"{name}.corner.svg", draw_corner_overlay(m))
         emit(f"{name}.gq.svg", draw_gq(gq))
-        emit(f"{name}.pair.svg", draw_polygon_pair(m, dm, gamma, gamma_star))
+        emit(f"{name}.pair.svg", draw_polygon_pair(m, gamma, gamma_star))
         emit(f"{name}.matching.svg", draw_gq(gq, matching=_reference_matching(gq)))
     return 0
 

@@ -40,7 +40,6 @@ from .ising import (
 from .planar_map import (
     CombinatorialMap,
     DefectSet,
-    DualMap,
     PathSpec,
     path_spec_from_edges,
     shortest_path,
@@ -173,7 +172,6 @@ def spinor_correlation_squared(
     m: CombinatorialMap,
     j: CouplingAssignment,
     spec: SpinorSpec,
-    dual_map: DualMap | None = None,
     tol: float = 1e-9,
     max_spins: int = SPIN_CAP,
     max_dimer: int = DIMER_CAP,
@@ -198,8 +196,7 @@ def spinor_correlation_squared(
         raise EndpointMismatch("order paths do not pair up the spinor vertices")
     if want_f != got_f:
         raise EndpointMismatch("disorder paths do not pair up the spinor faces")
-    dm = dual_map or graph_context(m).dual_map
-    d = validate_defects(m, spec.order_paths, spec.disorder_paths, dm)
+    d = validate_defects(m, spec.order_paths, spec.disorder_paths)
 
     value = _normalized_ratio(m, j, d, max_spins)
     squared = value * value
@@ -338,7 +335,6 @@ def kw_duality_check(
     m: CombinatorialMap,
     j: CouplingAssignment,
     d: DefectSet | None = None,
-    dual_map: DualMap | None = None,
     tol: float = 1e-9,
     edge_tol: float = 1e-12,
     max_spins: int = SPIN_CAP,
@@ -353,7 +349,7 @@ def kw_duality_check(
         (-i)^{|Gamma|} Z(G,Jbar)/Z(G,J) = (-i)^{|Gamma*|} Z(G*,Jbar*)/Z(G*,J*).
     """
     d = d or DefectSet.empty()
-    dm = dual_map or graph_context(m).dual_map
+    dm = m.dual
     js = dual_couplings(j)
 
     per_edge_err = max(
@@ -367,16 +363,13 @@ def kw_duality_check(
     }
 
     if d.order_paths or d.disorder_paths:
-        d = validate_defects(m, d.order_paths, d.disorder_paths, dm)
-        f_of = vertex_to_dual_face(m, dm)
+        d = validate_defects(m, d.order_paths, d.disorder_paths)
+        f_of = vertex_to_dual_face(m)
         swapped_disorder = tuple(
             PathSpec((f_of[p.endpoints[0]], f_of[p.endpoints[1]]), p.edges)
             for p in d.order_paths
         )
-        dstar = validate_defects(
-            dm.map, d.disorder_paths, swapped_disorder,
-            graph_context(dm.map).dual_map,
-        )
+        dstar = validate_defects(dm, d.disorder_paths, swapped_disorder)
     else:
         dstar = DefectSet.from_edge_sets(d.gamma_star, d.gamma)
 
@@ -394,7 +387,7 @@ def kw_duality_check(
     )
 
     lhs = _normalized_ratio(m, j, d, max_spins)
-    rhs = _normalized_ratio(dm.map, js, dstar, max_spins)
+    rhs = _normalized_ratio(dm, js, dstar, max_spins)
     reports["correlator_duality"] = compare(
         "correlator_duality",
         lhs,

@@ -17,9 +17,10 @@ Signed weight sums (modified couplings) are the signed matching sums; the
 determinant reproduces them after a one-time global sign calibration at
 all-ones weights.
 
-A map's dual, G_Q, orientation and calibration sign do not depend on the
+G_Q, its orientation and its calibration sign do not depend on the
 couplings, so each map gets one memoized GraphContext that owns them, and
-dimer_partition_function is the one place that picks a route.
+dimer_partition_function is the one place that picks a route.  The map's
+dual is memoized on the map itself (``m.dual``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     TooLarge,
 )
 from .ising import CouplingAssignment, modify_couplings, partition_function
-from .planar_map import CombinatorialMap, DefectSet, DualMap, _assemble, dual
+from .planar_map import CombinatorialMap, DefectSet, _assemble, dual
 from .polygon import PolygonPair, enumerate_polygons, pair_polygon_sum
 from .reports import IdentityReport, compare
 
@@ -165,15 +166,17 @@ def _overlay_map(m: CombinatorialMap) -> CombinatorialMap:
     return _assemble(rotations, edges)
 
 
-def build_gq(m: CombinatorialMap, dual_map: DualMap | None = None) -> QuadDimerGraph:
+def build_gq(m: CombinatorialMap, _dual: object = None) -> QuadDimerGraph:
     """Construct G_Q; requires a bridge-free map (a bridge would make the
-    crossing structure degenerate)."""
+    crossing structure degenerate).  G_Q is read off the overlay, not the
+    dual; the ignored second argument keeps older positional callers
+    ``build_gq(m, dual)`` working."""
     if m.has_bridge():
         bad = [e for e in range(m.edge_count) if m.is_bridge(e)]
         raise BridgeUnsupported(f"map has bridges at edges {bad}")
     E = m.edge_count
     overlay = _overlay_map(m)
-    gq_map = dual(overlay).map
+    gq_map = dual(overlay)
 
     edge_kind = []
     edge_primal = []
@@ -447,19 +450,18 @@ def calibration_sign(
 
 @dataclass(frozen=True)
 class GraphContext:
-    """The coupling-independent structure of one map: its dual, G_Q, the
+    """The coupling-independent dimer structure of one map: G_Q, the
     Kasteleyn orientation of G_Q and that orientation's calibration sign.
 
-    G_Q and what depends on it are built on first use, so a map with a
-    bridge (which has no G_Q) still has a context and a dual.
+    Each is built on first use, so a map with a bridge (which has no G_Q)
+    still has a context.
     """
 
     map: CombinatorialMap
-    dual_map: DualMap
 
     @cached_property
     def gq(self) -> QuadDimerGraph:
-        return build_gq(self.map, self.dual_map)
+        return build_gq(self.map)
 
     @cached_property
     def orientation(self) -> KasteleynOrientation:
@@ -473,7 +475,7 @@ class GraphContext:
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def graph_context(m: CombinatorialMap) -> GraphContext:
     """The shared context of a map, keyed on the (immutable) map itself."""
-    return GraphContext(m, dual(m))
+    return GraphContext(m)
 
 
 def dimer_partition_function(
@@ -496,90 +498,61 @@ def dimer_partition_function(
     raise ValueError(f"unknown dimer route {route!r}")
 
 
-class _ParityUnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-        self.parity: dict[int, int] = {}
-
-    def find(self, x: int) -> tuple[int, int]:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.parity[x] = 0
-            return x, 0
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        p = 0
-        for y in reversed(path):
-            p ^= self.parity[y]
-            self.parent[y] = x
-            self.parity[y] = p
-        return x, self.parity[path[0]] if path else 0
-
-    def union(self, a: int, b: int, rel: int) -> bool:
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return (pa ^ pb) == rel
-        self.parent[rb] = ra
-        self.parity[rb] = pa ^ pb ^ rel
-        return True
-
-
 def polygon_to_dimer_count(gq: QuadDimerGraph, pair: PolygonPair) -> int:
     """Number of perfect matchings of G_Q inducing the given pair.
 
-    The leg in/out states satisfy one parity relation per quadrangle (legs
+    The leg in/out states satisfy parity relations per quadrangle (legs
     across a used parallel edge agree, the two sides disagree; all four
-    agree on an untouched quadrangle), leaving exactly two global leg
-    configurations.  Each contributes 2^(number of quadrangles with all
-    four legs out), those being completable by either parallel pair."""
-    uf = _ParityUnionFind()
+    agree on an untouched quadrangle).  One breadth-first labelling of
+    that constraint graph leaves exactly two global leg configurations,
+    the labelling and its complement.  Each contributes 2^(number of
+    quadrangles with all four legs out), those being completable by
+    either parallel pair."""
     m = gq.map
+    links: dict[int, list[tuple[int, int]]] = {leg: [] for leg in gq.legs()}
 
-    def leg_pairs(edge_ids: tuple[int, int]) -> list[tuple[int, int]]:
-        out = []
-        for k in edge_ids:
-            d1, d2 = m.edge_darts[k]
-            a, b = m.dart_vertex[d1], m.dart_vertex[d2]
-            out.append((gq.vertex_legs[a], gq.vertex_legs[b]))
-        return out
+    def link(a: int, b: int, rel: int) -> None:
+        links[a].append((b, rel))
+        links[b].append((a, rel))
 
-    ok = True
     for q in gq.quads:
-        in_p = (pair.primal.mask >> q.edge) & 1
-        in_d = (pair.dual.mask >> q.edge) & 1
-        if in_p:
-            pairs = leg_pairs(q.primal_parallel)
-        elif in_d:
-            pairs = leg_pairs(q.dual_parallel)
+        if (pair.primal.mask >> q.edge) & 1:
+            parallel = q.primal_parallel
+        elif (pair.dual.mask >> q.edge) & 1:
+            parallel = q.dual_parallel
         else:
             legs = q.corner_legs
             for i in range(3):
-                ok &= uf.union(legs[i], legs[i + 1], 0)
+                link(legs[i], legs[i + 1], 0)
             continue
-        (a1, b1), (a2, b2) = pairs
-        ok &= uf.union(a1, b1, 0)
-        ok &= uf.union(a2, b2, 0)
-        ok &= uf.union(a1, a2, 1)
-    if not ok:
-        raise InconsistentPair("leg parity constraints are contradictory")
-
-    legs = gq.legs()
-    roots = {uf.find(l)[0] for l in legs}
-    if len(roots) != 1:
-        raise InconsistentPair(f"leg constraint graph has {len(roots)} components")
-    total = 0
-    for base in (0, 1):
-        states = {l: base ^ uf.find(l)[1] for l in legs}
-        q0 = sum(
-            1
-            for q in gq.quads
-            if all(states[l] == 0 for l in q.corner_legs)
+        (a1, b1), (a2, b2) = (
+            [gq.vertex_legs[m.dart_vertex[t]] for t in m.edge_darts[k]]
+            for k in parallel
         )
-        total += 1 << q0
-    return total
+        link(a1, b1, 0)
+        link(a2, b2, 0)
+        link(a1, a2, 1)
+
+    start = next(iter(links))
+    parity = {start: 0}
+    queue = [start]
+    for a in queue:
+        for b, rel in links[a]:
+            p = parity[a] ^ rel
+            if b not in parity:
+                parity[b] = p
+                queue.append(b)
+            elif parity[b] != p:
+                raise InconsistentPair("leg parity constraints are contradictory")
+    if len(parity) != len(links):
+        raise InconsistentPair("leg constraint graph is disconnected")
+
+    uniform = [0, 0]  # quadrangles whose four legs all have parity 0 / 1
+    for q in gq.quads:
+        p = parity[q.corner_legs[0]]
+        if all(parity[leg] == p for leg in q.corner_legs):
+            uniform[p] += 1
+    return (1 << uniform[0]) + (1 << uniform[1])
 
 
 def matching_pair_histogram(
@@ -611,7 +584,6 @@ def matching_pair_histogram(
 
 def verify_bipartite_dimer_identity(
     m: CombinatorialMap,
-    dual_map: DualMap,
     j: CouplingAssignment,
     d: DefectSet,
     tol: float = 1e-9,
@@ -621,7 +593,7 @@ def verify_bipartite_dimer_identity(
     ctx = graph_context(m)
     gq = ctx.gq
     jbar = modify_couplings(j, d)
-    lhs = pair_polygon_sum(m, dual_map, jbar, include_constant=False)
+    lhs = pair_polygon_sum(m, m.dual, jbar, include_constant=False)
     zd, route = dimer_partition_function(
         ctx, nu_from_couplings(gq, jbar), max_vertices=max_vertices
     )
@@ -641,15 +613,16 @@ def verify_bipartite_dimer_identity(
 
 def theorem_reports(
     m: CombinatorialMap,
-    dual_map: DualMap,
     j: CouplingAssignment,
     d: DefectSet,
     tol: float = 1e-9,
 ) -> list[IdentityReport]:
-    """Squared correlator = +-(-1)^{|Gamma|} * ratio of dimer partition
+    """Squared correlator = (-1)^{|Gamma|} * ratio of dimer partition
     functions, with the two unsquared product identities checked on the
-    way; the realized sign is recorded.  Returns all three reports without
-    raising, in the order [unmodified unsquared, modified unsquared, main].
+    way.  The paper's sign is predicted, +1 once (-1)^{|Gamma|} is in the
+    right-hand side, and asserted: a ratio of the wrong sign fails.
+    Returns all three reports without raising, in the order [unmodified
+    unsquared, modified unsquared, main].
     """
     ctx = graph_context(m)
     gq = ctx.gq
@@ -676,16 +649,12 @@ def theorem_reports(
         "squared_Zbar_vs_dimer", zbar * zbar, sign_gamma * scale * zd_bar, tol=tol
     )
 
-    magnitude_ok = compare("theorem_main_magnitude", abs(lhs), abs(rhs), tol=tol)
-    realized = 1
-    if magnitude_ok.passed and abs(rhs) > 0:
-        realized = 1 if abs(lhs - rhs) <= abs(lhs + rhs) else -1
     r_main = compare(
         "theorem_main",
         lhs,
-        realized * rhs,
+        rhs,
         tol=tol,
-        sign=realized,
+        sign=1,
         extra={
             "gamma": len(d.gamma),
             "gamma_star": len(d.gamma_star),
@@ -697,12 +666,11 @@ def theorem_reports(
 
 def verify_theorem_main(
     m: CombinatorialMap,
-    dual_map: DualMap,
     j: CouplingAssignment,
     d: DefectSet,
     tol: float = 1e-9,
 ) -> IdentityReport:
-    reports = theorem_reports(m, dual_map, j, d, tol=tol)
+    reports = theorem_reports(m, j, d, tol=tol)
     for r in reports:
         r.require()
     return reports[-1]
@@ -710,21 +678,21 @@ def verify_theorem_main(
 
 def matching_count_report(
     m: CombinatorialMap,
-    dual_map: DualMap,
+    dual_map: CombinatorialMap,
     gq: QuadDimerGraph | None = None,
     max_vertices: int = 48,
 ) -> IdentityReport:
     """Exact integer check of the grouped-matching count: for every
     compatible polygon pair, the predicted number of matchings inducing it
     equals the matching sweep's count.  Weight-independent, so one run
-    covers a graph for all couplings."""
+    covers a graph for all couplings.  ``dual_map`` is ``m.dual``."""
     gq = gq or graph_context(m).gq
     hist = matching_pair_histogram(gq, max_vertices=max_vertices)
     total = sum(hist.values())
     remaining = dict(hist)
     mismatches = 0
     pairs = 0
-    duals = list(enumerate_polygons(dual_map.map, side="dual"))
+    duals = list(enumerate_polygons(dual_map, side="dual"))
     for p in enumerate_polygons(m, side="primal"):
         for q in duals:
             if p.mask & q.mask:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dimer import DUAL_PARALLEL, LEG, PRIMAL_PARALLEL, QuadDimerGraph
-from .planar_map import CombinatorialMap, DualMap, quad_graph
+from .planar_map import CombinatorialMap, quad_graph
 
 Point = tuple[float, float]
 
@@ -203,7 +203,6 @@ def draw_map(
 
 def draw_dual(
     m: CombinatorialMap,
-    dual_map: DualMap,
     gamma_star: Iterable[int] = (),
     highlight: Iterable[int] = (),
 ) -> str:
@@ -216,10 +215,9 @@ def draw_dual(
     els = _edge_elements(
         m, pos, stroke_for=lambda e: "#bbbbbb", width_for=lambda e: 1.2
     )
-    dm = dual_map.map
     # dual vertex k sits at the centroid of primal face k
     els += _edge_elements(
-        dm,
+        m.dual,
         centers,
         stroke_for=lambda e: "#c0392b" if e in gamma_star else "#2980b9",
         width_for=lambda e: 4.0 if e in bold else 1.6,
@@ -302,7 +300,6 @@ def draw_gq(gq: QuadDimerGraph, matching: Iterable[int] = ()) -> str:
 
 def draw_polygon_pair(
     m: CombinatorialMap,
-    dual_map: DualMap,
     primal_edges: Iterable[int] = (),
     dual_edges: Iterable[int] = (),
 ) -> str:
@@ -319,7 +316,7 @@ def draw_polygon_pair(
         width_for=lambda e: 4.0 if e in p else 1.2,
     )
     els += _edge_elements(
-        dual_map.map,
+        m.dual,
         centers,
         stroke_for=lambda e: "#2980b9" if e in q else "#dddddd",
         width_for=lambda e: 4.0 if e in q else 1.0,

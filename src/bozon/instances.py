@@ -12,14 +12,12 @@ import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .dimer import graph_context
 from .errors import BozonError
 from .graphs import builtin
 from .ising import CouplingAssignment, base_couplings
 from .planar_map import (
     CombinatorialMap,
     DefectSet,
-    DualMap,
     PathSpec,
     shortest_path,
     validate_defects,
@@ -45,7 +43,6 @@ class Instance:
     index: int
     graph_name: str
     map: CombinatorialMap
-    dual_map: DualMap
     couplings: CouplingAssignment
     defects: DefectSet
     seed: int
@@ -82,7 +79,6 @@ def _sample_paths(
 
 def random_defects(
     m: CombinatorialMap,
-    dual_map: DualMap,
     rng: random.Random,
     profile: str = "mixed",
     max_edges: int = MAX_DEFECT_EDGES,
@@ -99,7 +95,7 @@ def random_defects(
         if order is None:
             continue
         gamma = sorted({e for p in order for e in p.edges})
-        disorder = _sample_paths(dual_map.map, rng, n_dis, forbidden_edges=gamma)
+        disorder = _sample_paths(m.dual, rng, n_dis, forbidden_edges=gamma)
         if disorder is None:
             continue
         total = sum(len(p.edges) for p in order) + sum(
@@ -108,7 +104,7 @@ def random_defects(
         if total > max_edges:
             continue
         try:
-            return validate_defects(m, order, disorder, dual_map)
+            return validate_defects(m, order, disorder)
         except BozonError:
             continue
     return DefectSet.empty()
@@ -123,10 +119,9 @@ def random_instance(
 ) -> Instance:
     name = rng.choice(list(families))
     m = builtin(name)
-    dm = graph_context(m).dual_map
     j = base_couplings([rng.uniform(J_LOW, J_HIGH) for _ in range(m.edge_count)])
-    d = random_defects(m, dm, rng, profile=profile)
-    return Instance(index, name, m, dm, j, d, seed)
+    d = random_defects(m, rng, profile=profile)
+    return Instance(index, name, m, j, d, seed)
 
 
 def random_instances(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -89,16 +90,17 @@ class CombinatorialMap:
         """Next dart along the face boundary walk (counterclockwise)."""
         return self._sigma_inv[self.alpha[dart]]
 
-    @property
+    @cached_property
     def _sigma_inv(self) -> tuple[int, ...]:
-        inv = self.__dict__.get("_sigma_inv_cache")
-        if inv is None:
-            inv = [0] * len(self.sigma)
-            for d, s in enumerate(self.sigma):
-                inv[s] = d
-            inv = tuple(inv)
-            object.__setattr__(self, "_sigma_inv_cache", inv)
-        return inv
+        inv = [0] * len(self.sigma)
+        for d, s in enumerate(self.sigma):
+            inv[s] = d
+        return tuple(inv)
+
+    @cached_property
+    def dual(self) -> CombinatorialMap:
+        """The dual map, built once per map object (see ``dual``)."""
+        return dual(self)
 
     def edge_endpoints(self, edge: int) -> tuple[int, int]:
         d1, d2 = self.edge_darts[edge]
@@ -231,25 +233,15 @@ def build_map(
     return _assemble(rotations, edges, allow_self_loops=False)
 
 
-@dataclass(frozen=True)
-class DualMap:
-    """Dual sphere map.  Darts are shared with the primal map, so the edge
-    bijection is the identity on edge ids and dual vertex ``k`` is exactly
-    primal face ``k``."""
-
-    map: CombinatorialMap
-    primal: CombinatorialMap
-    edge_bijection: tuple[int, ...]
-
-
-def dual(m: CombinatorialMap) -> DualMap:
+def dual(m: CombinatorialMap) -> CombinatorialMap:
     """Dual map: vertices are the faces of ``m``, rotations are the face
-    boundary walks.  Faces of the dual are the alpha-images of primal
-    vertex orbits, which is what dual-of-dual tests rely on."""
+    boundary walks.  Darts are shared with ``m``, so dual edge ``e`` crosses
+    primal edge ``e`` and dual vertex ``k`` is primal face ``k``.  Faces of
+    the dual are the alpha-images of primal vertex orbits, which is what
+    dual-of-dual tests rely on.  ``m.dual`` memoizes this per map."""
     if m.edge_count == 0:
         raise MalformedRotation("dual of an edgeless map is not defined")
-    dmap = _assemble(m.faces, m.edge_darts, allow_self_loops=True)
-    return DualMap(map=dmap, primal=m, edge_bijection=tuple(range(m.edge_count)))
+    return _assemble(m.faces, m.edge_darts, allow_self_loops=True)
 
 
 class QuadGraph(NamedTuple):
@@ -274,15 +266,12 @@ def quad_graph(m: CombinatorialMap) -> QuadGraph:
     )
 
 
-def vertex_to_dual_face(m: CombinatorialMap, dual_map: "DualMap") -> tuple[int, ...]:
+def vertex_to_dual_face(m: CombinatorialMap) -> tuple[int, ...]:
     """For each primal vertex, the face of the dual map it sits inside.
     The faces of the dual are the alpha-images of the primal vertex
     orbits, so any incident dart locates the face."""
-    out = []
-    for v in range(m.vertex_count):
-        d = m.vertex_darts[v][0]
-        out.append(dual_map.map.dart_face[m.alpha[d]])
-    return tuple(out)
+    dart_face = m.dual.dart_face
+    return tuple(dart_face[m.alpha[rot[0]]] for rot in m.vertex_darts)
 
 
 def walk_path(carrier: CombinatorialMap, spec: PathSpec) -> tuple[int, ...]:
@@ -405,7 +394,6 @@ def validate_defects(
     m: CombinatorialMap,
     order_paths: Sequence[PathSpec],
     disorder_paths: Sequence[PathSpec],
-    dual_map: DualMap | None = None,
 ) -> DefectSet:
     """Check both path families and return the frozen defect set.
 
@@ -425,13 +413,10 @@ def validate_defects(
         seen_vertices.update(seq)
         order_vertices.extend(p.endpoints)
 
-    dmap = None
-    if disorder_paths:
-        dmap = (dual_map or dual(m)).map
     seen_faces: set[int] = set()
     disorder_faces: list[int] = []
     for p in disorder_paths:
-        seq = walk_path(dmap, p)
+        seq = walk_path(m.dual, p)
         if seen_faces & set(seq):
             raise PathsIntersect(f"disorder paths share faces: {p}")
         seen_faces.update(seq)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import OverlapError, TooLarge
 from .ising import EDGE_CAP, CouplingAssignment, partition_function
-from .planar_map import CombinatorialMap, DefectSet, DualMap
+from .planar_map import CombinatorialMap, DefectSet
 from .reports import IdentityReport, compare
 
 
@@ -168,7 +168,7 @@ def _mask_products(masks: Sequence[int], weights: Sequence[float]) -> np.ndarray
 
 def pair_polygon_sum(
     m: CombinatorialMap,
-    dual_map: DualMap,
+    dual_map: CombinatorialMap,
     jbar: CouplingAssignment,
     max_edges: int = EDGE_CAP,
     include_constant: bool = True,
@@ -176,11 +176,11 @@ def pair_polygon_sum(
     """C * sum over non-crossing pairs (P, P*) of
     prod_{e* in P*} sech(2J_bar) * prod_{e in P} tanh(2J_bar).
 
-    With include_constant=False the bare pair sum is returned (the form
-    the dimer identity halves)."""
+    ``dual_map`` is ``m.dual``.  With include_constant=False the bare pair
+    sum is returned (the form the dimer identity halves)."""
     w = polygon_weights(m, jbar)
     p_masks = polygon_masks(m, max_edges=max_edges)
-    d_masks = polygon_masks(dual_map.map, max_edges=max_edges)
+    d_masks = polygon_masks(dual_map, max_edges=max_edges)
 
     p_prod = _mask_products(p_masks, w.primal)
     d_prod = _mask_products(d_masks, w.dual)
@@ -194,7 +194,6 @@ def pair_polygon_sum(
 
 def verify_squared_partition(
     m: CombinatorialMap,
-    dual_map: DualMap,
     j: CouplingAssignment,
     d: DefectSet,
     tol: float = 1e-9,
@@ -206,7 +205,7 @@ def verify_squared_partition(
     jbar = modify_couplings(j, d)
     z = partition_function(m, jbar)
     lhs = z * z
-    rhs = pair_polygon_sum(m, dual_map, jbar, max_edges=max_edges)
+    rhs = pair_polygon_sum(m, m.dual, jbar, max_edges=max_edges)
     report = compare(
         "squared_partition_pair_polygon",
         lhs,

@@ -13,8 +13,9 @@ from .errors import IdentityViolation
 class IdentityReport:
     """Outcome of checking ``lhs == rhs`` (up to a recorded sign).
 
-    ``sign`` is +1/-1 when the identity is of the form lhs = sign * rhs
-    and the realized sign is part of the result; otherwise None.
+    ``sign`` is +1/-1 when the identity is of the form lhs = sign * rhs:
+    the predicted sign where it is asserted, the realized one where it is
+    fitted; otherwise None.
     """
 
     name: str

@@ -20,7 +20,6 @@ from .consequences import (
     spin_correlation_squared_dimer,
 )
 from .dimer import (
-    graph_context,
     matching_count_report,
     theorem_reports,
     verify_bipartite_dimer_identity,
@@ -108,20 +107,16 @@ def suite_summary(records: Sequence[dict]) -> dict[str, Any]:
 
 
 def _theorem1_checks(inst: Instance, tol: float) -> list[IdentityReport]:
-    return theorem_reports(
-        inst.map, inst.dual_map, inst.couplings, inst.defects, tol=tol
-    )
+    return theorem_reports(inst.map, inst.couplings, inst.defects, tol=tol)
 
 
 def _pairpolygon_checks(inst: Instance, tol: float) -> IdentityReport:
-    return verify_squared_partition(
-        inst.map, inst.dual_map, inst.couplings, inst.defects, tol=tol
-    )
+    return verify_squared_partition(inst.map, inst.couplings, inst.defects, tol=tol)
 
 
 def _bipartitedimer_checks(inst: Instance, tol: float) -> IdentityReport:
     return verify_bipartite_dimer_identity(
-        inst.map, inst.dual_map, inst.couplings, inst.defects, tol=tol
+        inst.map, inst.couplings, inst.defects, tol=tol
     )
 
 
@@ -143,9 +138,7 @@ def _corollary_checks(inst: Instance, tol: float) -> IdentityReport:
 
 
 def _duality_checks(inst: Instance, tol: float) -> list[IdentityReport]:
-    reports = kw_duality_check(
-        inst.map, inst.couplings, inst.defects, inst.dual_map, tol=tol
-    )
+    reports = kw_duality_check(inst.map, inst.couplings, inst.defects, tol=tol)
     return list(reports.values())
 
 
@@ -266,9 +259,7 @@ def _instance_record(suite: str, inst: Instance, tol: float) -> dict:
 def _count_record(name: str, m: CombinatorialMap) -> dict:
     """The exact grouped-matching count of one graph (coupling-free)."""
     fields = {"suite": "bipartitedimer", "scope": "graph", "graph": name}
-    return _record(
-        fields, lambda: matching_count_report(m, graph_context(m).dual_map)
-    )
+    return _record(fields, lambda: matching_count_report(m, m.dual))
 
 
 def _run_stream(
@@ -457,12 +448,11 @@ def explicit_instance(
 ) -> Instance:
     """Wrap a user-supplied map, couplings, and defect paths as a suite
     instance (validating the paths against the map and its dual)."""
-    dm = graph_context(m).dual_map
     if order_paths or disorder_paths:
-        d = validate_defects(m, tuple(order_paths), tuple(disorder_paths), dm)
+        d = validate_defects(m, tuple(order_paths), tuple(disorder_paths))
     else:
         d = DefectSet.empty()
-    return Instance(0, name, m, dm, couplings, d, seed)
+    return Instance(0, name, m, couplings, d, seed)
 
 
 def run_explicit(name: str, inst: Instance, tol: float = 1e-9) -> list[dict]:

@@ -129,7 +129,7 @@ def test_criterion_5_kasteleyn_oracle(capfd):
     with criterion(capfd, 5, "|det K| = brute matching sum; det ratio = brute ratio"):
         checked = 0
         for inst in random_instances(COUNT, SEED):
-            gq = build_gq(inst.map, inst.dual_map)
+            gq = build_gq(inst.map)
             w = nu_from_couplings(gq, inst.couplings)
             wbar = nu_from_couplings(
                 gq, modify_couplings(inst.couplings, inst.defects)
@@ -191,15 +191,11 @@ def test_criterion_8_coupling_duality(capfd):
             dm = dual(m)
             j = base_couplings(random_j(rng, m.edge_count))
             configs = [
-                validate_defects(
-                    m, (PathSpec(m.edge_endpoints(0), (0,)),), (), dm
-                ),
-                validate_defects(
-                    m, (), (PathSpec(dm.map.edge_endpoints(1), (1,)),), dm
-                ),
+                validate_defects(m, (PathSpec(m.edge_endpoints(0), (0,)),), ()),
+                validate_defects(m, (), (PathSpec(dm.edge_endpoints(1), (1,)),)),
             ]
             for d in configs:
-                reports = kw_duality_check(m, j, d, dm)
+                reports = kw_duality_check(m, j, d)
                 assert reports["correlator_duality"].rel_err <= 1e-9
 
 
@@ -209,14 +205,14 @@ def test_criterion_9_structural_invariants(capfd):
             m = builtin(name)
             assert m.vertex_count - m.edge_count + m.face_count == 2
             dm = dual(m)
-            dd = dual(dm.map).map
+            dd = dual(dm)
             assert (dd.vertex_count, dd.edge_count, dd.face_count) == (
                 m.vertex_count,
                 m.edge_count,
                 m.face_count,
             )
             assert quad_graph(m).edge_count == 2 * m.edge_count
-            gq = build_gq(m, dm)
+            gq = build_gq(m)
             s = structure_check(gq)
             assert s["vertices"] == 4 * m.edge_count
             assert s["edges"] == 6 * m.edge_count

@@ -60,15 +60,14 @@ def test_reduce_plus_shrinks_graph(maps, rng):
     assert res.merged_vertex is not None
 
 
-def test_reduce_plus_with_interior_defects(maps, duals, rng):
+def test_reduce_plus_with_interior_defects(maps, rng):
     m = maps["grid_3_3"]
     j = base_couplings(random_j(rng, m.edge_count))
     # edge 2 = (3,4) interior; dual edge 3 crosses interior edge (4,5)
     d = validate_defects(
         m,
         (PathSpec((3, 4), (2,)),),
-        (PathSpec(duals["grid_3_3"].map.edge_endpoints(3), (3,)),),
-        duals["grid_3_3"],
+        (PathSpec(maps["grid_3_3"].dual.edge_endpoints(3), (3,)),),
     )
     outer = max(range(m.face_count), key=lambda f: len(m.faces[f]))
     res = reduce_plus(m, j, d, outer)
@@ -146,8 +145,7 @@ def test_reduce_dobrushin_appends_disorder_line(maps, rng):
     if res.path_validated:
         assert res.disorder_path is not None
         # the declared dual path really walks the disorder line
-        dm = dual(res.new_map)
-        seq = walk_path(dm.map, res.disorder_path)
+        seq = walk_path(dual(res.new_map), res.disorder_path)
         assert len(seq) == len(res.disorder_path.edges) + 1
         assert set(res.disorder_path.edges) == set(res.disorder_line)
 
@@ -167,7 +165,7 @@ def test_dobrushin_path_validated_matches_dual_walk(rng):
                     if res.disorder_path is None:
                         continue
                     try:
-                        walk_path(dual(res.new_map).map, res.disorder_path)
+                        walk_path(dual(res.new_map), res.disorder_path)
                         walks = True
                     except BozonError:
                         walks = False

@@ -106,23 +106,22 @@ def test_dimer_ratio_method_switches_at_cap(maps, rng):
     assert method_big == "determinant"  # 48 quad vertices exceed the brute cap
 
 
-def test_spinor_correlation_c4(maps, duals, rng):
+def test_spinor_correlation_c4(maps, rng):
     m = maps["c4"]
     j = base_couplings(random_j(rng, 4))
-    dm = duals["c4"]
     # both C4 faces touch every vertex, so any (vertex, face) pair is incident
     spec = SpinorSpec(
         pairs=((0, 0), (1, 1)),
         order_paths=(PathSpec((0, 1), (0,)),),
         disorder_paths=(PathSpec((0, 1), (2,)),),
     )
-    rep = spinor_correlation_squared(m, j, spec, dm)
+    rep = spinor_correlation_squared(m, j, spec)
     assert rep.sign in (-1, 1)
     assert rep.squared_value == pytest.approx(rep.sign * rep.dimer_ratio, rel=1e-9)
     assert rep.gamma_size == 1
 
 
-def test_spinor_requires_incidence(maps, duals, rng):
+def test_spinor_requires_incidence(maps, rng):
     m = maps["grid_2_3"]
     j = base_couplings(random_j(rng, m.edge_count))
     # vertex 0 paired with a face it does not touch
@@ -135,15 +134,14 @@ def test_spinor_requires_incidence(maps, duals, rng):
         disorder_paths=(),
     )
     with pytest.raises(EndpointMismatch):
-        spinor_correlation_squared(m, j, spec, duals["grid_2_3"])
+        spinor_correlation_squared(m, j, spec)
 
 
-def test_spinor_empty_is_trivial(maps, duals):
+def test_spinor_empty_is_trivial(maps):
     rep = spinor_correlation_squared(
         maps["c4"],
         uniform_couplings(4, 0.5),
         SpinorSpec(pairs=(), order_paths=(), disorder_paths=()),
-        duals["c4"],
     )
     assert (rep.squared_value, rep.dimer_ratio, rep.sign) == (1.0, 1.0, 1)
     assert rep.method == "none"
@@ -186,20 +184,20 @@ def test_magnetization_strong_coupling_saturates(maps):
     assert magnetization(m, j, outer, 0) == pytest.approx(1.0, abs=1e-3)
 
 
-def test_duality_per_edge_relation(maps, duals, rng):
+def test_duality_per_edge_relation(maps, rng):
     m = maps["grid_2_3"]
     j = base_couplings(random_j(rng, m.edge_count))
-    reports = kw_duality_check(m, j, None, duals["grid_2_3"])
+    reports = kw_duality_check(m, j, None)
     assert reports["per_edge_duality"].passed
     assert reports["per_edge_duality"].tol == 1e-12
     assert reports["modified_duality"].passed
     assert reports["correlator_duality"].passed
 
 
-def test_duality_with_defects(maps, duals, rng):
+def test_duality_with_defects(maps, rng):
     for name in ("k3", "c4"):
         m = maps[name]
         j = base_couplings(random_j(rng, m.edge_count))
-        d = validate_defects(m, (PathSpec((0, 1), (0,)),), (), duals[name])
-        reports = kw_duality_check(m, j, d, duals[name])
+        d = validate_defects(m, (PathSpec((0, 1), (0,)),), ())
+        reports = kw_duality_check(m, j, d)
         assert all(r.passed for r in reports.values())

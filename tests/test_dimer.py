@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+import bozon.dimer
 from bozon import (
     DefectSet,
     base_couplings,
@@ -30,7 +31,7 @@ from bozon import (
     verify_theorem_main,
 )
 from bozon.dimer import DUAL_PARALLEL, LEG, PRIMAL_PARALLEL, all_ones
-from bozon.errors import TooLarge
+from bozon.errors import InconsistentPair, TooLarge
 
 from conftest import (
     modified_values,
@@ -42,8 +43,8 @@ from conftest import (
 
 
 @pytest.fixture(scope="module")
-def gqs(maps, duals):
-    return {name: build_gq(maps[name], duals[name]) for name in maps}
+def gqs(maps):
+    return {name: build_gq(maps[name]) for name in maps}
 
 
 def test_gq_counts(maps, gqs):
@@ -227,7 +228,7 @@ def test_determinant_equals_matching_sum(maps, gqs, rng):
         assert s * det == pytest.approx(brute, rel=1e-9)
 
 
-def test_determinant_ratio_equals_brute_ratio(maps, duals, gqs, rng):
+def test_determinant_ratio_equals_brute_ratio(maps, gqs, rng):
     m = maps["c4"]
     gq = gqs["c4"]
     j = base_couplings(random_j(rng, m.edge_count))
@@ -262,7 +263,7 @@ def test_kasteleyn_matrix_shape(gqs):
 def test_histogram_keys_are_disjoint_polygon_pairs(maps, duals, gqs):
     for name in ("k3", "c4", "grid_2_3"):
         primal = set(oracle_even_subgraphs(maps[name]))
-        dual = set(oracle_even_subgraphs(duals[name].map))
+        dual = set(oracle_even_subgraphs(duals[name]))
         for pmask, dmask in matching_pair_histogram(gqs[name]):
             assert pmask in primal and dmask in dual
             assert pmask & dmask == 0
@@ -280,9 +281,21 @@ def test_polygon_to_dimer_count_matches_histogram(maps, duals, gqs):
             d_edges = [e for e in range(gq.primal.edge_count) if dmask >> e & 1]
             pair = PolygonPair(
                 primal=PolygonConfig.from_edges(gq.primal, "primal", p_edges),
-                dual=PolygonConfig.from_edges(duals[name].map, "dual", d_edges),
+                dual=PolygonConfig.from_edges(duals[name], "dual", d_edges),
             )
             assert polygon_to_dimer_count(gq, pair) == count
+
+
+def test_polygon_to_dimer_count_rejects_odd_subgraph(gqs):
+    from bozon.polygon import PolygonConfig, PolygonPair
+
+    # a lone edge is not a polygon; its leg parities contradict each other
+    pair = PolygonPair(
+        primal=PolygonConfig("primal", (0,), 1),
+        dual=PolygonConfig("dual", (), 0),
+    )
+    with pytest.raises(InconsistentPair):
+        polygon_to_dimer_count(gqs["c4"], pair)
 
 
 def test_matching_count_report_passes(maps, duals):
@@ -309,21 +322,21 @@ def test_matching_count_report_exact_counts(maps, duals, name, pairs, matchings)
     assert (rep.extra["pairs"], rep.extra["matchings"]) == (pairs, matchings)
 
 
-def test_bipartite_dimer_identity(maps, duals, rng):
+def test_bipartite_dimer_identity(maps, rng):
     for name in ("k3", "c4", "grid_2_3"):
         m = maps[name]
         j = base_couplings(random_j(rng, m.edge_count))
         d = DefectSet.from_edge_sets({0}, set())
-        rep = verify_bipartite_dimer_identity(m, duals[name], j, d)
+        rep = verify_bipartite_dimer_identity(m, j, d)
         assert rep.passed
 
 
-def test_theorem_reports_match_oracle(maps, duals, rng):
+def test_theorem_reports_match_oracle(maps, rng):
     m = maps["c4"]
     j = base_couplings(random_j(rng, m.edge_count))
     gamma, gamma_star = {0}, {2}
     d = DefectSet.from_edge_sets(gamma, gamma_star)
-    reports = theorem_reports(m, duals["c4"], j, d)
+    reports = theorem_reports(m, j, d)
     assert [r.name for r in reports] == [
         "squared_Z_vs_dimer",
         "squared_Zbar_vs_dimer",
@@ -338,9 +351,32 @@ def test_theorem_reports_match_oracle(maps, duals, rng):
     assert main.sign in (-1, 1)
 
 
-def test_verify_theorem_main_returns_last_report(maps, duals, rng):
+def test_theorem_main_fails_a_flipped_dimer_ratio(maps, rng, monkeypatch):
+    """The sign is predicted, not fitted: negating Z_dimer(nu(Jbar)), the
+    second dimer sum theorem_reports takes, must fail theorem_main."""
+    m = maps["c4"]
+    j = base_couplings(random_j(rng, m.edge_count))
+    d = DefectSet.from_edge_sets({0}, {2})
+    assert theorem_reports(m, j, d)[-1].passed
+    real = bozon.dimer.dimer_partition_function
+    calls = []
+
+    def flipped(*args, **kwargs):
+        z, route = real(*args, **kwargs)
+        calls.append(z)
+        return (-z if len(calls) == 2 else z), route
+
+    monkeypatch.setattr(bozon.dimer, "dimer_partition_function", flipped)
+    main = theorem_reports(m, j, d)[-1]
+    assert len(calls) == 2
+    assert main.name == "theorem_main"
+    assert not main.passed
+    assert main.sign == 1
+
+
+def test_verify_theorem_main_returns_last_report(maps, rng):
     m = maps["k3"]
     j = base_couplings(random_j(rng, m.edge_count))
-    rep = verify_theorem_main(m, duals["k3"], j, DefectSet.empty())
+    rep = verify_theorem_main(m, j, DefectSet.empty())
     assert rep.name == "theorem_main"
     assert rep.passed

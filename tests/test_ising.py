@@ -285,7 +285,7 @@ def test_sweep_matches_oracle_on_builtins(rng, name):
 
 
 def test_sweep_on_self_loop_map(rng):
-    m = dual(build_map([[0], [1]], [(0, 1)])).map
+    m = dual(build_map([[0], [1]], [(0, 1)]))
     assert (m.vertex_count, m.edge_count, m.edge_endpoints(0)) == (1, 1, (0, 0))
     j = base_couplings(random_j(rng, 1))
     for jj, values in coupling_kinds(m, j):

@@ -138,23 +138,21 @@ def test_wheel_counts(k):
 
 def test_dual_swaps_vertex_and_face_counts(maps, duals):
     for name, m in maps.items():
-        dm = duals[name].map
+        dm = duals[name]
         assert dm.vertex_count == m.face_count
         assert dm.face_count == m.vertex_count
         assert dm.edge_count == m.edge_count
 
 
-def test_dual_edge_bijection_is_identity(maps, duals):
-    for name, m in maps.items():
-        dm = duals[name]
-        assert dm.edge_bijection == tuple(range(m.edge_count))
-        for e in range(m.edge_count):
-            assert dm.map.edge_darts[e] == m.edge_darts[e]
+def test_dual_edge_bijection_is_identity(maps):
+    for m in maps.values():
+        assert dual(m).edge_darts == m.edge_darts
+        assert m.dual is m.dual
 
 
 def test_dual_involution_counts(maps, duals):
     for name, m in maps.items():
-        dd = dual(duals[name].map).map
+        dd = dual(duals[name])
         assert dd.vertex_count == m.vertex_count
         assert dd.edge_count == m.edge_count
         assert dd.face_count == m.face_count
@@ -166,14 +164,14 @@ def test_dual_involution_counts(maps, duals):
 
 def test_dual_vertex_degree_is_face_size(maps, duals):
     for name, m in maps.items():
-        dm = duals[name].map
+        dm = duals[name]
         for f in range(m.face_count):
             assert len(dm.vertex_darts[f]) == len(m.faces[f])
 
 
-def test_vertex_to_dual_face_is_injective(maps, duals):
+def test_vertex_to_dual_face_is_injective(maps):
     for name, m in maps.items():
-        mapping = vertex_to_dual_face(m, duals[name])
+        mapping = vertex_to_dual_face(m)
         assert len(set(mapping)) == m.vertex_count
 
 
@@ -247,9 +245,9 @@ def test_shortest_path_respects_forbidden_edges(maps):
 # -------------------------------------------------------------- defects
 
 
-def test_validate_defects_basic(maps, duals):
+def test_validate_defects_basic(maps):
     m = maps["grid_3_3"]
-    d = validate_defects(m, (PathSpec((3, 4), (2,)),), (), duals["grid_3_3"])
+    d = validate_defects(m, (PathSpec((3, 4), (2,)),), ())
     assert d.gamma == frozenset({2})
     assert d.gamma_star == frozenset()
     assert d.order_vertices == (3, 4)
@@ -259,26 +257,26 @@ def test_validate_defects_disorder_on_dual(maps, duals):
     m = maps["c4"]
     dm = duals["c4"]
     # dual of C4 has two vertices joined by four parallel edges
-    p = PathSpec(dm.map.edge_endpoints(0), (0,))
-    d = validate_defects(m, (), (p,), dm)
+    p = PathSpec(dm.edge_endpoints(0), (0,))
+    d = validate_defects(m, (), (p,))
     assert d.gamma_star == frozenset({0})
 
 
-def test_order_paths_must_be_vertex_disjoint(maps, duals):
+def test_order_paths_must_be_vertex_disjoint(maps):
     m = maps["c4"]
     p1 = PathSpec((0, 1), (0,))
     p2 = PathSpec((1, 2), (1,))
     with pytest.raises(PathsIntersect):
-        validate_defects(m, (p1, p2), (), duals["c4"])
+        validate_defects(m, (p1, p2), ())
 
 
 def test_gamma_and_gamma_star_must_not_share_edges(maps, duals):
     m = maps["c4"]
     dm = duals["c4"]
     order = PathSpec((0, 1), (0,))
-    disorder = PathSpec(dm.map.edge_endpoints(0), (0,))
+    disorder = PathSpec(dm.edge_endpoints(0), (0,))
     with pytest.raises(PathsIntersect):
-        validate_defects(m, (order,), (disorder,), dm)
+        validate_defects(m, (order,), (disorder,))
 
 
 def test_defect_set_from_edge_sets_rejects_overlap():

@@ -49,7 +49,7 @@ def test_polygon_masks_match_subset_filter(maps):
 
 def test_dual_polygons_match_subset_filter(maps, duals):
     for name in ("k3", "c4", "grid_2_3"):
-        dm = duals[name].map
+        dm = duals[name]
         assert sorted(polygon_masks(dm)) == oracle_even_subgraphs(dm)
 
 
@@ -69,7 +69,7 @@ def test_polygon_config_rejects_odd_degree(maps):
 def test_polygon_pair_rejects_crossing(maps, duals):
     m = maps["c4"]
     p = PolygonConfig.from_edges(m, "primal", [0, 1, 2, 3])
-    q = PolygonConfig.from_edges(duals["c4"].map, "dual", [0, 1])
+    q = PolygonConfig.from_edges(duals["c4"], "dual", [0, 1])
     with pytest.raises(OverlapError):
         PolygonPair(primal=p, dual=q)
 
@@ -120,18 +120,18 @@ def test_pair_polygon_sum_modified(maps, duals, rng):
     assert abs((zbar * zbar).imag) < 1e-12 * abs(zbar) ** 2
 
 
-def test_verify_squared_partition_reports(maps, duals, rng):
+def test_verify_squared_partition_reports(maps, rng):
     m = maps["wheel_4"]
     j = base_couplings(random_j(rng, m.edge_count))
     d = DefectSet.from_edge_sets({0}, {4})
-    report = verify_squared_partition(m, duals["wheel_4"], j, d)
+    report = verify_squared_partition(m, j, d)
     assert report.passed
     assert report.extra == {"gamma": 1, "gamma_star": 1}
 
 
 def test_mask_products_match_per_mask_loop(maps, duals, rng):
     for name, m in maps.items():
-        for carrier in (m, duals[name].map):
+        for carrier in (m, duals[name]):
             masks = polygon_masks(carrier)
             weights = [rng.choice((0.0, rng.uniform(-2.0, 2.0)))
                        for _ in range(carrier.edge_count)]

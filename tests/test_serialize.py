@@ -62,9 +62,9 @@ def test_couplings_from_dict_requires_fields():
         couplings_from_dict({"edges": [{"id": 0}]}, 1)
 
 
-def test_defects_round_trip(maps, duals):
+def test_defects_round_trip(maps):
     m = maps["grid_3_3"]
-    d = validate_defects(m, (PathSpec((3, 4), (2,)),), (), duals["grid_3_3"])
+    d = validate_defects(m, (PathSpec((3, 4), (2,)),), ())
     obj = defects_to_dict(d)
     order, disorder = defect_paths_from_dict(obj)
     assert order == d.order_paths
@@ -83,9 +83,9 @@ def test_correlator_dict_shape(maps, rng):
     assert complex(obj["value_re"], obj["value_im"]) == c.value
 
 
-def test_gq_dict_counts(maps, duals, rng):
+def test_gq_dict_counts(maps, rng):
     m = maps["k3"]
-    gq = build_gq(m, duals["k3"])
+    gq = build_gq(m)
     j = base_couplings(random_j(rng, 3))
     obj = gq_to_dict(gq, nu_from_couplings(gq, j))
     assert len(obj["vertices"]) == 12

@@ -3,9 +3,13 @@ explicit-instance entry points."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import bozon.dimer
+import bozon.graphs
+import bozon.planar_map
 from bozon import (
     PathSpec,
     base_couplings,
@@ -18,7 +22,7 @@ from bozon import (
     suite_summary,
     uniform_couplings,
 )
-from bozon.instances import random_instances
+from bozon.instances import FAMILY, random_instances
 from bozon.suites import SUITE_NAMES, closed_form_records
 
 
@@ -78,9 +82,9 @@ def test_gq_built_once_per_distinct_map(monkeypatch):
     built = []
     real = bozon.dimer.build_gq
 
-    def counting_build_gq(m, dual_map=None):
+    def counting_build_gq(m):
         built.append(m)
-        return real(m, dual_map)
+        return real(m)
 
     monkeypatch.setattr(bozon.dimer, "build_gq", counting_build_gq)
     bozon.dimer.graph_context.cache_clear()
@@ -92,6 +96,28 @@ def test_gq_built_once_per_distinct_map(monkeypatch):
     assert len(names) > 1
     assert len(built) == len(names)
     assert len(set(built)) == len(built)
+
+
+def test_dual_built_once_per_distinct_map(monkeypatch):
+    calls = Counter()
+    real = bozon.planar_map.dual
+
+    def counting_dual(m):
+        calls[m] += 1
+        return real(m)
+
+    monkeypatch.setattr(bozon.planar_map, "dual", counting_dual)
+    bozon.graphs.builtin.cache_clear()  # fresh maps, no dual memoized yet
+    try:
+        records = run_suite("all", 30, seed=11)
+    finally:
+        bozon.graphs.builtin.cache_clear()
+    drawn = {builtin(r["graph"]) for r in records if r["graph"] in FAMILY}
+    assert len(drawn) > 1
+    assert drawn <= set(calls)
+    assert max(calls.values()) == 1, [
+        (m.vertex_count, m.edge_count, n) for m, n in calls.items() if n > 1
+    ]
 
 
 def test_tight_tolerance_yields_failed_records():
