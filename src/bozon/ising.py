@@ -115,48 +115,6 @@ def modify_couplings(j: CouplingAssignment, d: DefectSet) -> CouplingAssignment:
     return CouplingAssignment(real=tuple(real), half_pi=tuple(flags))
 
 
-def _sweep_order(m: CombinatorialMap):
-    """The spin sweep's plan, memoized on the map: (self-loop edges, steps),
-    each step (v, (edge, earlier neighbour bit) pairs, AND-mask dropping the
-    vertices, v included, with no neighbour after v).  The order is greedy:
-    from vertex 0, add the visited set's unvisited neighbour that leaves the
-    fewest live vertices, lowest id first; start a new component at the
-    lowest unvisited id.  Breadth-first order can hold a whole layer live;
-    this keeps planar frontiers small."""
-    plan = m.__dict__.get("_sweep_order_cache")
-    if plan is not None:
-        return plan
-    n = m.vertex_count
-    adj = m.adjacency()
-    nbrs = [{u for _e, u in adj[v] if u != v} for v in range(n)]
-    unvisited = [len(nb) for nb in nbrs]  # unvisited neighbours per vertex
-    seen: set[int] = set()
-    steps = []
-    live = 0
-
-    def live_after(c: int) -> int:
-        return live + (unvisited[c] > 0) - sum(unvisited[u] == 1 for u in nbrs[c] & seen)
-
-    while len(seen) < n:
-        frontier = {u for w in seen for u in nbrs[w]} - seen
-        if frontier:
-            v = min(frontier, key=lambda c: (live_after(c), c))
-        else:
-            v = min(set(range(n)) - seen)
-        back = tuple((e, 1 << u) for e, u in adj[v] if u in seen)
-        seen.add(v)
-        gone = 0 if unvisited[v] else 1 << v
-        for u in nbrs[v]:
-            unvisited[u] -= 1
-            if u in seen and not unvisited[u]:
-                gone |= 1 << u
-        live += 1 - bin(gone).count("1")
-        steps.append((v, back, ~gone))
-    plan = (sorted({e for v in range(n) for e, u in adj[v] if u == v}), steps)
-    object.__setattr__(m, "_sweep_order_cache", plan)
-    return plan
-
-
 def _spin_sum(
     m: CombinatorialMap, j: CouplingAssignment, fixed: Mapping[int, int] | None,
     obs: Collection[int], max_vertices: int,
@@ -178,7 +136,7 @@ def _spin_sum(
     free = sum(1 for v in range(m.vertex_count) if v not in fixed)
     if free > max_vertices:
         raise TooLarge(f"{free} free spins exceeds enumeration cap {max_vertices}")
-    loops, steps = _sweep_order(m)
+    loops, steps = m.vertex_plan
     same = [math.exp(a) for a in j.real]
     differ = [-math.exp(-a) if f else math.exp(-a) for a, f in zip(j.real, j.half_pi)]
     states = {0: math.prod((same[e] for e in loops), start=1.0)}
@@ -272,12 +230,13 @@ def high_temp_expansion_check(
     max_vertices: int = SPIN_CAP,
     max_edges: int = EDGE_CAP,
 ) -> tuple[complex, complex]:
-    """Spin sum vs 2^|V| (prod_e cosh K_e) sum_{polygons} prod tanh K_e.
+    """Spin sum vs 2^|V| (prod_e cosh K_e) sum_{polygons} prod tanh K_e,
+    the polygon sum taken by the pair sweep with no dual polygons.
 
     Returns (lhs, rhs) for the caller to compare; both sides carry the
     same exact i**k phase when K is modified.
     """
-    from .polygon import enumerate_polygons
+    from .polygon import _polygon_sweep
 
     lhs = partition_function(m, k, max_vertices=max_vertices)
     # cosh(a + i*pi/2) = i sinh a keeps the phase exact: prod cosh = i^k * real
@@ -290,12 +249,7 @@ def high_temp_expansion_check(
         else:
             cosh_prod *= math.cosh(k.real[e])
             tanh.append(math.tanh(k.real[e]))
-    poly_sum = 0.0
-    for p in enumerate_polygons(m, max_edges=max_edges):
-        term = 1.0
-        for e in p.edges:
-            term *= tanh[e]
-        poly_sum += term
+    poly_sum = _polygon_sweep(m, tanh, None, max_edges)
     rhs = i_power(k.phase_power) * (2**m.vertex_count) * cosh_prod * poly_sum
     return lhs, rhs
 

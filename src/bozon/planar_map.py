@@ -102,6 +102,64 @@ class CombinatorialMap:
         """The dual map, built once per map object (see ``dual``)."""
         return dual(self)
 
+    @cached_property
+    def vertex_plan(self):
+        """The spin sweep's plan: (self-loop edges, steps), each step (v,
+        (edge, earlier neighbour bit) pairs, AND-mask dropping the vertices,
+        v included, with no neighbour after v).  The order is greedy: from
+        vertex 0, add the visited set's unvisited neighbour that leaves the
+        fewest live vertices, lowest id first; start a new component at the
+        lowest unvisited id.  Breadth-first order can hold a whole layer
+        live; this keeps planar frontiers small."""
+        n = self.vertex_count
+        adj = self.adjacency()
+        nbrs = [{u for _e, u in adj[v] if u != v} for v in range(n)]
+        unvisited = [len(nb) for nb in nbrs]  # unvisited neighbours per vertex
+        seen: set[int] = set()
+        steps = []
+        live = 0
+
+        def live_after(c: int) -> int:
+            return live + (unvisited[c] > 0) - sum(unvisited[u] == 1 for u in nbrs[c] & seen)
+
+        while len(seen) < n:
+            frontier = {u for w in seen for u in nbrs[w]} - seen
+            if frontier:
+                v = min(frontier, key=lambda c: (live_after(c), c))
+            else:
+                v = min(set(range(n)) - seen)
+            back = tuple((e, 1 << u) for e, u in adj[v] if u in seen)
+            seen.add(v)
+            gone = 0 if unvisited[v] else 1 << v
+            for u in nbrs[v]:
+                unvisited[u] -= 1
+                if u in seen and not unvisited[u]:
+                    gone |= 1 << u
+            live += 1 - bin(gone).count("1")
+            steps.append((v, back, ~gone))
+        return sorted({e for v in range(n) for e, u in adj[v] if u == v}), steps
+
+    @cached_property
+    def edge_plan(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The polygon sweep's plan: the self-loops, then each vertex's edges
+        to earlier vertices in ``vertex_plan`` order.  Vertex v is bit v and
+        face f is bit V+f; each step is (edge, XOR of its endpoint bits, XOR
+        of its face bits, bits of the vertices and faces it touches last).
+        An edge's faces are its endpoints in the dual."""
+        loops, steps = self.vertex_plan
+        order = [*loops, *(e for _v, back, _keep in steps for e, _bit in back)]
+        n = self.vertex_count
+        plan = []
+        later: set[int] = set()
+        for e in reversed(order):
+            d1, d2 = self.edge_darts[e]
+            u, v = self.dart_vertex[d1], self.dart_vertex[d2]
+            f, g = n + self.dart_face[d1], n + self.dart_face[d2]
+            last = {u, v, f, g} - later
+            later |= last
+            plan.append((e, (1 << u) ^ (1 << v), (1 << f) ^ (1 << g), sum(1 << b for b in last)))
+        return tuple(reversed(plan))
+
     def edge_endpoints(self, edge: int) -> tuple[int, int]:
         d1, d2 = self.edge_darts[edge]
         return self.dart_vertex[d1], self.dart_vertex[d2]

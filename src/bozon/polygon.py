@@ -4,7 +4,13 @@ squared modified partition function.
 A polygon configuration is an edge subset with even degree at every
 vertex.  Pairs (P on G, P* on G*) are non-intersecting when no primal
 edge of P is crossed by a dual edge of P*; since dual edges share primal
-edge ids, that is a bitmask disjointness test.
+edge ids, that means P and P* share no edge.
+
+The pair sum never lists polygons: one frontier sweep over the edges
+keeps one summed weight per parity pattern of the vertices and faces it
+has touched, and each edge goes to P, to P*, or to neither.  The same
+sweep without the P* branch gives the high-temperature polygon sum.
+Enumeration stays for the matching counts and for tests.
 """
 
 from __future__ import annotations
@@ -12,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import OverlapError, TooLarge
 from .ising import EDGE_CAP, CouplingAssignment, partition_function
@@ -155,15 +159,37 @@ def polygon_weights(
     )
 
 
-def _mask_products(masks: Sequence[int], weights: Sequence[float]) -> np.ndarray:
-    """prod_{e in mask} weights[e] for every mask, one edge at a time over
-    all masks.  Each mask is multiplied by its edges' weights in ascending
-    edge order, as a per-mask loop would, so the result is the same."""
-    arr = np.array(masks, dtype=np.int64)
-    out = np.ones(len(masks))
-    for e, w_e in enumerate(weights):
-        out[(arr >> e) & 1 == 1] *= w_e
-    return out
+def _polygon_sweep(
+    m: CombinatorialMap,
+    primal: Sequence[float],
+    dual: Sequence[float] | None,
+    max_edges: int,
+) -> float:
+    """Sum over edge-disjoint pairs (P, P*) of even subgraphs of m and
+    m.dual of prod_{e in P} primal[e] * prod_{e in P*} dual[e]; over P
+    alone when dual is None.  A state is the set of vertices and faces of
+    odd degree so far, valued by the summed weight of the edges swept.
+    Each edge is skipped, put in P (its endpoints flip) or put in P* (its
+    faces flip), never both, so the pair cannot cross.  A vertex or face
+    whose last edge has passed must be even: states where it is odd are
+    dropped, so equal states merge and only the empty state is left."""
+    if m.edge_count > max_edges:
+        raise TooLarge(f"{m.edge_count} edges exceeds polygon cap {max_edges}")
+    states = {0: 1.0}
+    for e, ends, faces, gone in m.edge_plan:
+        branches = [(0, 1.0), (ends, primal[e])]
+        if dual is not None:
+            branches.append((faces, dual[e]))
+        new: dict[int, float] = {}
+        get = new.get
+        for key, z in states.items():
+            for flip, w in branches:
+                nxt = key ^ flip
+                if not nxt & gone:
+                    new[nxt] = get(nxt, 0.0) + z * w
+        states = new
+    (total,) = states.values()
+    return total
 
 
 def pair_polygon_sum(
@@ -174,21 +200,14 @@ def pair_polygon_sum(
     include_constant: bool = True,
 ) -> float:
     """C * sum over non-crossing pairs (P, P*) of
-    prod_{e* in P*} sech(2J_bar) * prod_{e in P} tanh(2J_bar).
+    prod_{e* in P*} sech(2J_bar) * prod_{e in P} tanh(2J_bar), by one
+    frontier sweep over the edges of m.
 
-    ``dual_map`` is ``m.dual``.  With include_constant=False the bare pair
-    sum is returned (the form the dimer identity halves)."""
+    ``dual_map`` is ``m.dual``; the sweep reads the faces from ``m``
+    itself.  With include_constant=False the bare pair sum is returned (the
+    form the dimer identity halves)."""
     w = polygon_weights(m, jbar)
-    p_masks = polygon_masks(m, max_edges=max_edges)
-    d_masks = polygon_masks(dual_map, max_edges=max_edges)
-
-    p_prod = _mask_products(p_masks, w.primal)
-    d_prod = _mask_products(d_masks, w.dual)
-    d_mask_arr = np.array(d_masks, dtype=np.int64)
-    total = 0.0
-    for pmask, pw in zip(p_masks, p_prod):
-        compatible = (d_mask_arr & pmask) == 0
-        total += pw * float(d_prod[compatible].sum())
+    total = _polygon_sweep(m, w.primal, w.dual, max_edges)
     return (w.constant * total) if include_constant else total
 
 

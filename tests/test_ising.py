@@ -31,7 +31,7 @@ from bozon.errors import (
     OverlapError,
     TooLarge,
 )
-from bozon.ising import _sweep_order, i_power
+from bozon.ising import i_power
 
 from conftest import modified_values, oracle_expectation, oracle_partition, random_j
 
@@ -202,7 +202,7 @@ SWEEP_MAPS = (
 def peak_live(m):
     """Largest number of vertices in one sweep state, the new one included."""
     live = peak = 0
-    for v, _back, keep in _sweep_order(m)[1]:
+    for v, _back, keep in m.vertex_plan[1]:
         live |= 1 << v
         peak = max(peak, bin(live).count("1"))
         live &= keep
@@ -246,9 +246,9 @@ def test_sweep_on_k_2_22_matches_closed_form(rng, hubs_first):
 def test_sweep_order_is_narrow_on_builtins(name):
     m = builtin(name)
     assert peak_live(m) <= 5
-    order = [v for v, _back, _keep in _sweep_order(m)[1]]
+    order = [v for v, _back, _keep in m.vertex_plan[1]]
     assert sorted(order) == list(range(m.vertex_count))
-    assert _sweep_order(m) is _sweep_order(m)
+    assert m.vertex_plan is m.vertex_plan
 
 
 def coupling_kinds(m, j):
@@ -296,3 +296,21 @@ def test_sweep_on_self_loop_map(rng):
         )
         assert spin_expectation(m, jj, (0,)) == 0.0
         assert spin_expectation(m, jj, (0, 0)) == 1.0
+
+
+@pytest.mark.parametrize("name", SWEEP_MAPS)
+def test_high_temp_expansion_on_builtins(rng, name):
+    m = builtin(name)
+    j = base_couplings(random_j(rng, m.edge_count))
+    for jj, _values in coupling_kinds(m, j):
+        lhs, rhs = high_temp_expansion_check(m, jj)
+        assert close(lhs, rhs), name
+
+
+def test_high_temp_expansion_on_self_loop_map(rng):
+    m = dual(build_map([[0], [1]], [(0, 1)]))
+    j = base_couplings(random_j(rng, 1))
+    for jj, values in coupling_kinds(m, j):
+        lhs, rhs = high_temp_expansion_check(m, jj)
+        assert close(lhs, oracle_partition(m, values))
+        assert close(lhs, rhs)

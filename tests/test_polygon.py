@@ -1,15 +1,23 @@
 """Even-subgraph enumeration and the pair-polygon identity, checked
-against a 2^|E| subset filter and the spin-sum oracle."""
+against a 2^|E| subset filter, the spin-sum oracle and a loop over all
+disjoint pairs of polygon masks."""
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from bozon import (
+    CouplingAssignment,
     DefectSet,
     PolygonPair,
     base_couplings,
+    build_map,
+    builtin,
     cycle_basis_masks,
+    dual,
     enumerate_polygons,
     modify_couplings,
     pair_polygon_sum,
@@ -17,7 +25,8 @@ from bozon import (
     verify_squared_partition,
 )
 from bozon.errors import OverlapError, TooLarge
-from bozon.polygon import PolygonConfig, _mask_products, polygon_masks
+from bozon.ising import EDGE_CAP
+from bozon.polygon import PolygonConfig, polygon_masks
 
 from conftest import modified_values, oracle_even_subgraphs, oracle_partition, random_j
 
@@ -129,17 +138,115 @@ def test_verify_squared_partition_reports(maps, rng):
     assert report.extra == {"gamma": 1, "gamma_star": 1}
 
 
-def test_mask_products_match_per_mask_loop(maps, duals, rng):
-    for name, m in maps.items():
-        for carrier in (m, duals[name]):
-            masks = polygon_masks(carrier)
-            weights = [rng.choice((0.0, rng.uniform(-2.0, 2.0)))
-                       for _ in range(carrier.edge_count)]
-            want = []
-            for mask in masks:
-                t = 1.0
-                for e in range(carrier.edge_count):
-                    if mask >> e & 1:
-                        t *= weights[e]
-                want.append(t)
-            assert _mask_products(masks, weights).tolist() == want, name
+# ------------------------------------------------- the edge sweep
+
+# every builtin map with at most EDGE_CAP edges that the seeded suites and
+# the benchmark workloads draw
+SWEEP_MAPS = (
+    "k3", "c4", "grid_2_3", "grid_3_3", "wheel_4", "wheel_5", "grid_3_4",
+    "grid_4_4", "grid_3_5", "grid_2_8", "wheel_8", "wheel_10", "wheel_12",
+)
+
+
+CARRIERS = SWEEP_MAPS + ("self_loop", "c4_dual")
+
+
+def carrier(name):
+    """A builtin map, or "self_loop" (one vertex with one self-loop: the
+    dual of a single edge) or "c4_dual" (two vertices joined by four
+    parallel edges)."""
+    if name == "self_loop":
+        return dual(build_map([[0], [1]], [(0, 1)]))
+    if name == "c4_dual":
+        return builtin("c4").dual
+    return builtin(name)
+
+
+def oracle_pair_sum(m, primal, dual_w):
+    """(sum, sum of |terms|) over every pair of a primal and a dual polygon
+    mask that share no edge, each mask weighted by its own product."""
+    def products(g, w):
+        masks = polygon_masks(g)
+        prods = [math.prod(w[e] for e in range(g.edge_count) if mask >> e & 1)
+                 for mask in masks]
+        return masks, np.array(prods)
+
+    p_masks, p_prod = products(m, primal)
+    d_masks, d_prod = products(m.dual, dual_w)
+    d_arr = np.array(d_masks, dtype=np.int64)
+    total = size = 0.0
+    for pmask, pw in zip(p_masks, p_prod):
+        disjoint = (d_arr & pmask) == 0
+        total += pw * d_prod[disjoint].sum()
+        size += abs(pw) * np.abs(d_prod[disjoint]).sum()
+    return float(total), float(size)
+
+
+def sweep_couplings(m, rng):
+    """Plain couplings, modified ones (flagged and negated edges) and ones
+    with J = 0, hence weight 0.0, on some edges, flagged or not."""
+    j = base_couplings(random_j(rng, m.edge_count))
+    last = m.edge_count - 1
+    modified = modify_couplings(
+        j, DefectSet.from_edge_sets({0}, {last} if last else ())
+    )
+    zeroed = CouplingAssignment(
+        real=tuple(0.0 if e % 3 == 0 else x for e, x in enumerate(modified.real)),
+        half_pi=modified.half_pi,
+    )
+    return j, modified, zeroed
+
+
+@pytest.mark.parametrize("name", CARRIERS)
+def test_pair_sweep_matches_pair_oracle(rng, name):
+    m = carrier(name)
+    assert m.edge_count <= EDGE_CAP
+    for jbar in sweep_couplings(m, rng):
+        w = polygon_weights(m, jbar)
+        want, size = oracle_pair_sum(m, w.primal, w.dual)
+        bare = pair_polygon_sum(m, m.dual, jbar, include_constant=False)
+        full = pair_polygon_sum(m, m.dual, jbar)
+        assert abs(bare - want) <= 1e-12 * size, name
+        assert abs(full - w.constant * want) <= 1e-12 * abs(w.constant) * size, name
+    assert 0.0 in w.primal
+
+
+def test_pair_polygon_sum_cap():
+    from bozon import grid, high_temp_expansion_check
+
+    m = grid(3, 6)
+    assert m.edge_count == 27 > EDGE_CAP
+    j = base_couplings([0.5] * m.edge_count)
+    with pytest.raises(TooLarge, match="27 edges exceeds polygon cap 24"):
+        pair_polygon_sum(m, m.dual, j)
+    with pytest.raises(TooLarge, match="27 edges exceeds polygon cap 24"):
+        high_temp_expansion_check(m, j)
+
+
+def peak_live_bits(m):
+    """Most vertices and faces whose parity one sweep state carries."""
+    live = peak = 0
+    for _e, ends, faces, gone in m.edge_plan:
+        live |= ends | faces
+        peak = max(peak, bin(live).count("1"))
+        live &= ~gone
+    assert live == 0
+    return peak
+
+
+@pytest.mark.parametrize("name", CARRIERS)
+def test_edge_plan_is_built_once_and_reads_the_dual(name):
+    m = carrier(name)
+    assert m.edge_plan is m.edge_plan
+    n = m.vertex_count
+    assert sorted(e for e, *_rest in m.edge_plan) == list(range(m.edge_count))
+    last = {}
+    for i, (e, ends, faces, _gone) in enumerate(m.edge_plan):
+        u, v = m.edge_endpoints(e)
+        f, g = m.dual.edge_endpoints(e)
+        assert ends == (1 << u) ^ (1 << v)
+        assert faces == (1 << (n + f)) ^ (1 << (n + g))
+        last.update(dict.fromkeys((u, v, n + f, n + g), i))
+    for i, (_e, _ends, _faces, gone) in enumerate(m.edge_plan):
+        assert gone == sum(1 << b for b, k in last.items() if k == i)
+    assert peak_live_bits(m) <= 10, name
