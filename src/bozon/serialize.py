@@ -1,7 +1,8 @@
 """JSON (de)serialization for maps, couplings, defects, and reports.
 
-All dumps are canonical: sorted keys, two-space indent, trailing newline,
-and no timestamps, so identical inputs produce byte-identical files.
+All dumps are canonical and compact (sorted keys, no whitespace, one
+trailing newline, no timestamps), so json's C encoder writes them and
+identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .planar_map import CombinatorialMap, DefectSet, PathSpec, build_map
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------- graphs

@@ -72,8 +72,8 @@ def _record(
 ) -> dict[str, Any]:
     """A suite record: ``fields`` (suite, scope and provenance), then the
     checks ``thunk`` returns and the verdict.  An identity violation that
-    carries a report becomes a failed check; any other bozon error leaves
-    no checks and an ``error`` entry."""
+    carries a report becomes a failed check; any other bozon error, or a
+    float overflow, leaves no checks and an ``error`` entry."""
     error = None
     try:
         out = thunk()
@@ -83,7 +83,7 @@ def _record(
             reports, error = [], str(exc)
         else:
             reports = [exc.report]
-    except BozonError as exc:
+    except (BozonError, OverflowError) as exc:
         reports, error = [], f"{type(exc).__name__}: {exc}"
     rec = dict(fields)
     rec["checks"] = [r.to_dict() for r in reports]

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from bozon.cli import main
+from bozon.serialize import map_from_dict
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +37,20 @@ def test_builtin_graph_json(capsys):
     assert code == 0
     assert len(obj["vertices"]) == 5
     assert len(obj["edges"]) == 8
+
+
+def test_builtin_out_file_is_compact_and_loads(tmp_path, capsys):
+    path = tmp_path / "k3.json"
+    code, out, _ = run_cli(capsys, "builtin", "k3", "--out", str(path))
+    assert code == 0 and out == ""
+    text = path.read_text()
+    obj = json.loads(text)
+    assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    m = map_from_dict(obj)
+    assert (m.vertex_count, m.edge_count) == (3, 3)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "theorem1", "--graph", str(path))
+    assert code == 0
+    assert json.loads(out)["summary"]["pass"] is True
 
 
 def test_builtin_unknown_exits_2(capsys):
@@ -191,6 +206,29 @@ def test_verify_out_file(tmp_path, capsys, c4_file):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["summary"]["pass"]
+
+
+def test_verify_overflow_exits_1_with_report(tmp_path, capsys):
+    graph = tmp_path / "g33.json"
+    assert run_cli(capsys, "builtin", "grid_3_3", "--out", str(graph))[0] == 0
+    couplings = tmp_path / "j.json"
+    couplings.write_text(
+        json.dumps({"edges": [{"id": e, "J": 400.0} for e in range(12)]})
+    )
+    defects = tmp_path / "d.json"
+    defects.write_text(
+        json.dumps({"order_paths": [{"endpoints": [0, 8], "edges": [0, 1, 8, 11]}]})
+    )
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "all", "--graph", str(graph),
+        "--couplings", str(couplings), "--defects", str(defects),
+    )
+    assert code == 1
+    assert "Traceback" not in err
+    records = json.loads(out)["records"]
+    errors = {r["suite"]: r["error"] for r in records if "error" in r}
+    for suite in ("theorem1", "pairpolygon", "bipartitedimer"):
+        assert errors[suite].startswith("OverflowError")
 
 
 def test_export_writes_gq_and_svgs(tmp_path, capsys):

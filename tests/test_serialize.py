@@ -24,6 +24,7 @@ from bozon import (
     validate_defects,
 )
 from bozon.errors import LengthMismatch, MalformedRotation, NonPositiveCoupling
+from bozon.reports import compare
 from bozon.serialize import correlator_to_dict
 
 from conftest import random_j
@@ -102,3 +103,28 @@ def test_canonical_json_is_stable():
     assert a == b
     assert a.endswith("\n")
     assert json.loads(a) == {"a": [2, 3], "b": 1}
+
+
+def test_canonical_json_is_compact():
+    obj = {"b": [1.5, {"d": None, "c": True}], "a": "x"}
+    text = canonical_json(obj)
+    assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    assert text.count("\n") == 1 and text.endswith("\n")
+
+
+def _bits(x):
+    return [_bits(v) for v in x] if isinstance(x, list) else float(x).hex()
+
+
+def test_canonical_json_floats_round_trip_bit_exactly():
+    values = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, -1.7976931348623157e308]
+    again = json.loads(canonical_json(values))
+    assert _bits(again) == _bits(values)
+
+    rep = compare("z", complex(-0.0, 5e-324), complex(1e-300, 0.1 + 0.2))
+    rec = {"checks": [rep.to_dict()], "pass": rep.passed}
+    loaded = json.loads(canonical_json(rec))
+    assert loaded == rec
+    for key in ("lhs", "rhs"):
+        assert isinstance(loaded["checks"][0][key], list)
+        assert _bits(loaded["checks"][0][key]) == _bits(rec["checks"][0][key])

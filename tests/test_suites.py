@@ -204,3 +204,36 @@ def test_explicit_magnetization_rejected():
     inst = explicit_instance(builtin("c4"), uniform_couplings(4, 0.5))
     with pytest.raises(ValueError):
         run_explicit("magnetization", inst)
+
+
+def _grid_3_3_order_path(j):
+    """grid_3_3 with uniform coupling j and one order path 0 -> 8."""
+    m = builtin("grid_3_3")
+    return explicit_instance(
+        m,
+        uniform_couplings(m.edge_count, j),
+        order_paths=(PathSpec((0, 8), (0, 1, 8, 11)),),
+        name="grid_3_3",
+    )
+
+
+def test_float_overflow_is_a_failed_record():
+    inst = _grid_3_3_order_path(400.0)
+    for suite in ("theorem1", "pairpolygon", "bipartitedimer"):
+        rec = run_explicit(suite, inst)[0]
+        assert rec["suite"] == suite
+        assert rec["checks"] == []
+        assert rec["pass"] is False
+        assert rec["error"].startswith("OverflowError")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="compare's absolute floor passes rel_err ~ 1 when both sides are < 1",
+)
+@pytest.mark.parametrize("j", [1e-5, 1e-7])
+def test_tiny_coupling_main_identity_fails_honestly(j):
+    (rec,) = run_explicit("theorem1", _grid_3_3_order_path(j))
+    verdicts = {c["name"]: c["pass"] for c in rec["checks"]}
+    assert verdicts["squared_Zbar_vs_dimer"] is False
+    assert verdicts["theorem_main"] is False
