@@ -2,8 +2,8 @@
 dimer graph and diagrams, and print builtin rotation systems.
 
 Exit codes: 0 when every check passes, 1 on an identity violation,
-2 on an input or configuration error.  Identical (config, seed) pairs
-produce byte-identical JSON.
+2 on an input or configuration error or an input too large to verify
+(TooLarge).  Identical (config, seed) pairs produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .drawing import (
 )
 from .errors import BozonError, IdentityViolation
 from .graphs import BUILTIN_EXAMPLES, builtin
-from .ising import EDGE_CAP, SPIN_CAP, uniform_couplings
+from .ising import uniform_couplings
 from .reports import flatten_check
 from .serialize import (
     canonical_json,
@@ -38,7 +38,6 @@ from .serialize import (
 )
 from .suites import (
     DEFAULT_SEED,
-    SEEDED_GRAPHS,
     SUITE_NAMES,
     explicit_instance,
     run_explicit,
@@ -59,39 +58,6 @@ def _load_json(path: str) -> Any:
         raise InputProblem(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputProblem(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _parse_caps(text: str) -> dict[str, int]:
-    """``V=..,E=..`` enumeration gates.  Caps only tighten the built-in
-    limits; the library's own guards stay in force above them."""
-    caps = {"V": SPIN_CAP, "E": EDGE_CAP}
-    if not text:
-        return caps
-    for part in text.split(","):
-        key, sep, value = part.partition("=")
-        key = key.strip().upper()
-        if not sep or key not in caps:
-            raise argparse.ArgumentTypeError(
-                f"bad cap {part!r}; use V=<n>,E=<n>"
-            )
-        try:
-            n = int(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"cap {key} needs an integer")
-        if n <= 0:
-            raise argparse.ArgumentTypeError(f"cap {key} must be positive")
-        caps[key] = n
-    return caps
-
-
-def _check_caps(m, name: str, caps: dict[str, int]) -> None:
-    """Reject a map above the --caps size gates (or the built-in limits)."""
-    v_cap = min(caps["V"], SPIN_CAP)
-    e_cap = min(caps["E"], EDGE_CAP)
-    if m.vertex_count > v_cap:
-        raise InputProblem(f"{name} has {m.vertex_count} vertices, cap is {v_cap}")
-    if m.edge_count > e_cap:
-        raise InputProblem(f"{name} has {m.edge_count} edges, cap is {e_cap}")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -167,13 +133,11 @@ def _input_defects(args: argparse.Namespace):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    caps = args.caps
     config: dict[str, Any] = {
         "command": "verify",
         "suite": args.suite,
         "seed": args.seed,
         "tol": args.tol,
-        "caps": caps,
         "format": args.format,
     }
 
@@ -181,7 +145,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputProblem("--graph and --random are mutually exclusive")
     if args.graph is not None:
         m = map_from_dict(_load_json(args.graph))
-        _check_caps(m, "graph", caps)
         couplings = _input_couplings(args, m.edge_count)
         order_paths, disorder_paths = _input_defects(args)
         name = os.path.splitext(os.path.basename(args.graph))[0] or "input"
@@ -206,8 +169,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise InputProblem("provide --graph FILE or --random N")
         if args.random <= 0:
             raise InputProblem("--random needs a positive count")
-        for name in SEEDED_GRAPHS:
-            _check_caps(builtin(name), f"builtin graph {name}", caps)
         records = run_suite(args.suite, count=args.random, seed=args.seed, tol=args.tol)
         config.update({"mode": "random", "count": args.random})
 
@@ -310,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, metavar="N",
                    help="run N seeded random instances instead of --graph")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--caps", type=_parse_caps, default=_parse_caps(""),
-                   metavar="V=..,E=..", help="tighten enumeration size gates")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the report here instead of stdout")

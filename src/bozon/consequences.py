@@ -2,10 +2,11 @@
 
 Squared multi-spin correlations equal ratios of dimer partition functions
 on the quad graph; mixed order/disorder (spinor) correlations obey the
-same identity with the realized sign recorded; boundary magnetization
-reduces to a pair correlation after contracting the plus boundary; and a
-planar graph with its dual satisfies the Kramers-Wannier coupling duality
-edge by edge, for modified couplings, and at the correlator level.
+same identity with the predicted sign +1, which is asserted; boundary
+magnetization reduces to a pair correlation after contracting the plus
+boundary; and a planar graph with its dual satisfies the Kramers-Wannier
+coupling duality edge by edge, for modified couplings, and at the
+correlator level.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .boundary import reduce_plus
-from .dimer import (
-    DIMER_CAP,
-    dimer_partition_function,
-    graph_context,
-    nu_from_couplings,
-)
+from .dimer import dimer_partition_function, graph_context, nu_from_couplings
 from .errors import (
     DefectOnBoundary,
     EndpointMismatch,
@@ -29,7 +25,6 @@ from .errors import (
     SingularMatrix,
 )
 from .ising import (
-    SPIN_CAP,
     CouplingAssignment,
     dual_couplings,
     i_power,
@@ -76,19 +71,16 @@ def dimer_correlation_ratio(
     m: CombinatorialMap,
     j: CouplingAssignment,
     d: DefectSet,
-    max_vertices: int = DIMER_CAP,
 ) -> tuple[float, str]:
     """Z_dimer(nu(Jbar)) / Z_dimer(nu(J)) on the quad graph, with one
     shared route for numerator and denominator: brute force when G_Q has
-    at most ``max_vertices`` vertices, else the determinant.  Returns
+    at most DIMER_CAP vertices, else the determinant.  Returns
     (ratio, method)."""
     ctx = graph_context(m)
     jbar = modify_couplings(j, d)
-    zd, method = dimer_partition_function(
-        ctx, nu_from_couplings(ctx.gq, j), max_vertices=max_vertices
-    )
+    zd, method = dimer_partition_function(ctx, nu_from_couplings(ctx.gq, j))
     zd_bar, _ = dimer_partition_function(
-        ctx, nu_from_couplings(ctx.gq, jbar), method, max_vertices=max_vertices
+        ctx, nu_from_couplings(ctx.gq, jbar), method
     )
     if zd == 0.0:
         raise SingularMatrix("unmodified dimer partition function vanished")
@@ -99,13 +91,12 @@ def _normalized_ratio(
     m: CombinatorialMap,
     j: CouplingAssignment,
     d: DefectSet,
-    max_vertices: int,
     residual_tol: float = 1e-12,
 ) -> float:
     """(-i)^{|Gamma|} Z(Jbar)/Z(J); exact phase bookkeeping makes this
     real, and the imaginary residue is checked anyway."""
-    z = partition_function(m, j, max_vertices=max_vertices)
-    zbar = partition_function(m, modify_couplings(j, d), max_vertices=max_vertices)
+    z = partition_function(m, j)
+    zbar = partition_function(m, modify_couplings(j, d))
     value = i_power(-len(d.gamma)) * (zbar / z)
     if abs(value.imag) > residual_tol * max(1.0, abs(value)):
         raise IdentityViolation(
@@ -120,7 +111,6 @@ def spin_correlation(
     vertices: Sequence[int],
     paths: Sequence[PathSpec],
     tol: float = 1e-9,
-    max_vertices: int = SPIN_CAP,
 ) -> float:
     """E[s_{u_1} ... s_{u_2n}] through the defect machinery.
 
@@ -138,8 +128,8 @@ def spin_correlation(
             f"vertices {sorted(want.elements())}"
         )
     d = validate_defects(m, paths, ())
-    value = _normalized_ratio(m, j, d, max_vertices)
-    direct = spin_expectation(m, j, vertices, max_vertices=max_vertices)
+    value = _normalized_ratio(m, j, d)
+    direct = spin_expectation(m, j, vertices)
     compare("spin_correlation_vs_direct", value, direct, tol=tol).require()
     return value
 
@@ -150,14 +140,12 @@ def spin_correlation_squared_dimer(
     vertices: Sequence[int],
     paths: Sequence[PathSpec],
     tol: float = 1e-9,
-    max_spins: int = SPIN_CAP,
-    max_dimer: int = DIMER_CAP,
 ) -> CorrelationReport:
     """Squared multi-spin correlation as a dimer ratio, with no sign:
     E[s...]^2 = Z_dimer(nu(Jbar)) / Z_dimer(nu(J))."""
-    value = spin_correlation(m, j, vertices, paths, tol=tol, max_vertices=max_spins)
+    value = spin_correlation(m, j, vertices, paths, tol=tol)
     d = validate_defects(m, paths, ())
-    ratio, method = dimer_correlation_ratio(m, j, d, max_vertices=max_dimer)
+    ratio, method = dimer_correlation_ratio(m, j, d)
     compare("squared_spin_vs_dimer_ratio", value * value, ratio, tol=tol).require()
     return CorrelationReport(
         squared_value=value * value,
@@ -173,12 +161,11 @@ def spinor_correlation_squared(
     j: CouplingAssignment,
     spec: SpinorSpec,
     tol: float = 1e-9,
-    max_spins: int = SPIN_CAP,
-    max_dimer: int = DIMER_CAP,
 ) -> CorrelationReport:
     """Squared mixed order/disorder correlation at incident (vertex, face)
-    pairs, compared against the dimer ratio; the realized sign is recorded
-    rather than assumed."""
+    pairs, compared against the dimer ratio.  With the (-i)^{|Gamma|}
+    normalization the theorem predicts sign +1, and it is asserted: a ratio
+    of the wrong sign fails."""
     if not spec.pairs:
         return CorrelationReport(1.0, 1.0, 1, 0, "none")
     if len(spec.pairs) % 2:
@@ -198,24 +185,21 @@ def spinor_correlation_squared(
         raise EndpointMismatch("disorder paths do not pair up the spinor faces")
     d = validate_defects(m, spec.order_paths, spec.disorder_paths)
 
-    value = _normalized_ratio(m, j, d, max_spins)
+    value = _normalized_ratio(m, j, d)
     squared = value * value
-    ratio, method = dimer_correlation_ratio(m, j, d, max_vertices=max_dimer)
-    sign = 1
-    if abs(ratio) > 0 and abs(squared - ratio) > abs(squared + ratio):
-        sign = -1
+    ratio, method = dimer_correlation_ratio(m, j, d)
     compare(
         "spinor_squared_vs_dimer_ratio",
         squared,
-        sign * ratio,
+        ratio,
         tol=tol,
-        sign=sign,
+        sign=1,
         extra={"gamma": len(d.gamma), "gamma_star": len(d.gamma_star)},
     ).require()
     return CorrelationReport(
         squared_value=squared,
         dimer_ratio=ratio,
-        sign=sign,
+        sign=1,
         gamma_size=len(d.gamma),
         method=method,
     )
@@ -228,7 +212,6 @@ def magnetization_report(
     u: int,
     path_edges: Sequence[int] | None = None,
     tol: float = 1e-9,
-    max_spins: int = SPIN_CAP,
     check_dimer: bool = True,
 ) -> tuple[float, list[IdentityReport]]:
     """Magnetization at ``u`` with the boundary of ``face`` fixed to +1,
@@ -245,9 +228,7 @@ def magnetization_report(
     boundary_vertices = set(m.face_vertices(face))
     if u in boundary_vertices:
         return 1.0, [compare("magnetization_fixed_vertex", 1.0, 1.0, tol=tol)]
-    direct = spin_expectation(
-        m, j, [u], fixed={v: 1 for v in boundary_vertices}, max_vertices=max_spins
-    )
+    direct = spin_expectation(m, j, [u], fixed={v: 1 for v in boundary_vertices})
 
     res = reduce_plus(m, j, DefectSet.empty(), face)
     gp, jp = res.new_map, res.new_couplings
@@ -276,9 +257,7 @@ def magnetization_report(
             )
         spec = PathSpec((u_new, b), spec.edges)
 
-    pair = spin_correlation(
-        gp, jp, (u_new, b), (spec,), tol=tol, max_vertices=max_spins
-    )
+    pair = spin_correlation(gp, jp, (u_new, b), (spec,), tol=tol)
     reports = [
         compare(
             "magnetization_pair_reduction",
@@ -289,9 +268,7 @@ def magnetization_report(
         )
     ]
     if check_dimer and not gp.has_bridge():
-        rep = spin_correlation_squared_dimer(
-            gp, jp, (u_new, b), (spec,), tol=tol, max_spins=max_spins
-        )
+        rep = spin_correlation_squared_dimer(gp, jp, (u_new, b), (spec,), tol=tol)
         reports.append(
             compare(
                 "magnetization_squared_vs_dimer",
@@ -311,7 +288,6 @@ def magnetization(
     u: int,
     path_edges: Sequence[int] | None = None,
     tol: float = 1e-9,
-    max_spins: int = SPIN_CAP,
     check_dimer: bool = True,
 ) -> float:
     """Magnetization value alone; raises IdentityViolation when the two
@@ -323,7 +299,6 @@ def magnetization(
         u,
         path_edges=path_edges,
         tol=tol,
-        max_spins=max_spins,
         check_dimer=check_dimer,
     )
     for r in reports:
@@ -337,7 +312,6 @@ def kw_duality_check(
     d: DefectSet | None = None,
     tol: float = 1e-9,
     edge_tol: float = 1e-12,
-    max_spins: int = SPIN_CAP,
 ) -> dict[str, IdentityReport]:
     """Kramers-Wannier duality between a map and its dual, three ways.
 
@@ -386,8 +360,8 @@ def kw_duality_check(
         "modified_duality", mod_err, 0.0, tol=edge_tol
     )
 
-    lhs = _normalized_ratio(m, j, d, max_spins)
-    rhs = _normalized_ratio(dm, js, dstar, max_spins)
+    lhs = _normalized_ratio(m, j, d)
+    rhs = _normalized_ratio(dm, js, dstar)
     reports["correlator_duality"] = compare(
         "correlator_duality",
         lhs,

@@ -39,11 +39,13 @@ from .errors import (
     SingularMatrix,
     TooLarge,
 )
-from .ising import CouplingAssignment, modify_couplings, partition_function
+from .ising import STATE_CAP, CouplingAssignment, modify_couplings, partition_function
 from .planar_map import CombinatorialMap, DefectSet, _assemble, dual
 from .polygon import PolygonPair, enumerate_polygons, pair_polygon_sum
 from .reports import IdentityReport, compare
 
+# The largest G_Q (in vertices) that the "auto" route sums by the matching
+# sweep; larger ones go to the determinant.
 DIMER_CAP = 36
 # Distinct maps whose GraphContext stays cached; the seeded suites draw
 # from fewer than ten.
@@ -270,7 +272,7 @@ def all_ones(gq: QuadDimerGraph) -> DimerWeights:
 
 
 def _matching_sweep(
-    gq: QuadDimerGraph, max_vertices: int, weights: Sequence, toggles: Sequence[int]
+    gq: QuadDimerGraph, weights: Sequence, toggles: Sequence[int]
 ) -> dict[int, float]:
     """Sums over G_Q's perfect matchings of their weight products, keyed by
     the XOR of their edges' toggles, from one pass over gq.sweep_order.  A
@@ -278,10 +280,9 @@ def _matching_sweep(
     toggle XOR above bit n; at vertex v it drops v from the mask or matches
     v to a free later neighbour, and equal states merge.  Zero weights are
     skipped, integer weights give exact counts, and no orientation is read.
+    Raises TooLarge when a step leaves more than STATE_CAP states.
     """
     n = gq.vertex_count
-    if n > max_vertices:
-        raise TooLarge(f"{n} G_Q vertices exceeds matching cap {max_vertices}")
     states: dict[int, float] = {0: 1}
     for v, later in gq.sweep_order:
         bit = 1 << v
@@ -301,17 +302,15 @@ def _matching_sweep(
                 if not key & u_bit:
                     nxt = key ^ flip
                     new[nxt] = get(nxt, 0) + z * w
+        if len(new) > STATE_CAP:
+            raise TooLarge(f"matching sweep holds {len(new)} states, cap is {STATE_CAP}")
         states = new
     return {key >> n: z for key, z in states.items()}
 
 
-def brute_force_dimer_Z(
-    gq: QuadDimerGraph,
-    weights: DimerWeights,
-    max_vertices: int = DIMER_CAP,
-) -> float:
+def brute_force_dimer_Z(gq: QuadDimerGraph, weights: DimerWeights) -> float:
     """Signed matching sum over all perfect matchings, by the sweep."""
-    sums = _matching_sweep(gq, max_vertices, weights, (0,) * gq.edge_count)
+    sums = _matching_sweep(gq, weights, (0,) * gq.edge_count)
     return float(sums.get(0, 0.0))
 
 
@@ -482,17 +481,15 @@ def dimer_partition_function(
     ctx: GraphContext,
     weights: DimerWeights,
     route: str = "auto",
-    max_vertices: int = DIMER_CAP,
 ) -> tuple[float, str]:
     """Signed dimer partition function of G_Q under ``weights``, and the
-    route that computed it: "brute" (the matching sweep, at most
-    ``max_vertices`` vertices), "determinant" (sign-calibrated Kasteleyn
-    determinant), or "auto", which is brute when G_Q is within
-    ``max_vertices`` and the determinant otherwise."""
+    route that computed it: "brute" (the matching sweep), "determinant"
+    (sign-calibrated Kasteleyn determinant), or "auto", which is brute when
+    G_Q has at most DIMER_CAP vertices and the determinant otherwise."""
     if route == "auto":
-        route = "brute" if ctx.gq.vertex_count <= max_vertices else "determinant"
+        route = "brute" if ctx.gq.vertex_count <= DIMER_CAP else "determinant"
     if route == "brute":
-        return brute_force_dimer_Z(ctx.gq, weights, max_vertices=max_vertices), route
+        return brute_force_dimer_Z(ctx.gq, weights), route
     if route == "determinant":
         return ctx.sign * dimer_Z_det(ctx.gq, weights, ctx.orientation), route
     raise ValueError(f"unknown dimer route {route!r}")
@@ -555,9 +552,7 @@ def polygon_to_dimer_count(gq: QuadDimerGraph, pair: PolygonPair) -> int:
     return (1 << uniform[0]) + (1 << uniform[1])
 
 
-def matching_pair_histogram(
-    gq: QuadDimerGraph, max_vertices: int = DIMER_CAP
-) -> dict[tuple[int, int], int]:
+def matching_pair_histogram(gq: QuadDimerGraph) -> dict[tuple[int, int], int]:
     """Matching counts grouped by induced pair, keyed (primal mask, dual
     mask), from the sweep with unit weights; checks polygon_to_dimer_count.
 
@@ -571,7 +566,7 @@ def matching_pair_histogram(
         0 if kind == LEG else 1 << e + shift[kind]
         for kind, e in zip(gq.edge_kind, gq.edge_primal_edge)
     ]
-    sums = _matching_sweep(gq, max_vertices, (1,) * gq.edge_count, toggles)
+    sums = _matching_sweep(gq, (1,) * gq.edge_count, toggles)
     hist = {}
     for key, count in sums.items():
         pm, dm = key & ((1 << E) - 1), key >> E
@@ -587,16 +582,13 @@ def verify_bipartite_dimer_identity(
     j: CouplingAssignment,
     d: DefectSet,
     tol: float = 1e-9,
-    max_vertices: int = DIMER_CAP,
 ) -> IdentityReport:
     """Bare pair-polygon sum = (1/2) * Z_dimer(G_Q, nu(J_bar))."""
     ctx = graph_context(m)
     gq = ctx.gq
     jbar = modify_couplings(j, d)
     lhs = pair_polygon_sum(m, m.dual, jbar, include_constant=False)
-    zd, route = dimer_partition_function(
-        ctx, nu_from_couplings(gq, jbar), max_vertices=max_vertices
-    )
+    zd, route = dimer_partition_function(ctx, nu_from_couplings(gq, jbar))
     report = compare(
         "pair_polygon_vs_half_dimer",
         lhs,
@@ -680,14 +672,16 @@ def matching_count_report(
     m: CombinatorialMap,
     dual_map: CombinatorialMap,
     gq: QuadDimerGraph | None = None,
-    max_vertices: int = 48,
+    max_vertices: int | None = None,
 ) -> IdentityReport:
     """Exact integer check of the grouped-matching count: for every
     compatible polygon pair, the predicted number of matchings inducing it
     equals the matching sweep's count.  Weight-independent, so one run
-    covers a graph for all couplings.  ``dual_map`` is ``m.dual``."""
+    covers a graph for all couplings.  ``dual_map`` is ``m.dual``.
+    ``max_vertices`` is accepted and ignored, since the sweep's STATE_CAP
+    bounds the work; callers that still pass a size cap keep working."""
     gq = gq or graph_context(m).gq
-    hist = matching_pair_histogram(gq, max_vertices=max_vertices)
+    hist = matching_pair_histogram(gq)
     total = sum(hist.values())
     remaining = dict(hist)
     mismatches = 0

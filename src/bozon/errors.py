@@ -54,10 +54,14 @@ class NonPositiveCoupling(BozonError):
     """An operation requires strictly positive base couplings."""
 
 
+class CouplingUnderflow(BozonError):
+    """A derived coupling underflows to 0 in floating point."""
+
+
 # --- enumeration limits ----------------------------------------------------
 
 class TooLarge(BozonError):
-    """Instance exceeds the exact-enumeration cap."""
+    """A frontier sweep (or polygon listing) would exceed STATE_CAP states."""
 
 
 # --- dimers ----------------------------------------------------------------

@@ -81,7 +81,6 @@ def random_defects(
     m: CombinatorialMap,
     rng: random.Random,
     profile: str = "mixed",
-    max_edges: int = MAX_DEFECT_EDGES,
     tries: int = 200,
 ) -> DefectSet:
     """Disjoint order/disorder paths by rejection; empty set when the
@@ -101,7 +100,7 @@ def random_defects(
         total = sum(len(p.edges) for p in order) + sum(
             len(p.edges) for p in disorder
         )
-        if total > max_edges:
+        if total > MAX_DEFECT_EDGES:
             continue
         try:
             return validate_defects(m, order, disorder)

@@ -18,13 +18,18 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
-from .errors import LengthMismatch, NonPositiveCoupling, OverlapError, TooLarge
+from .errors import (
+    CouplingUnderflow,
+    LengthMismatch,
+    NonPositiveCoupling,
+    OverlapError,
+    TooLarge,
+)
 from .planar_map import CombinatorialMap, DefectSet
 
-# A size gate on the free spins, kept so that --caps keeps its meaning;
-# the sweep's cost follows the frontier width, not this count.
-SPIN_CAP = 24
-EDGE_CAP = 24
+# The most live states a frontier sweep may hold after a step (and the most
+# polygons polygon_masks lists); a sweep's time and memory follow this count.
+STATE_CAP = 1 << 16
 
 # exact powers of i
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -117,7 +122,7 @@ def modify_couplings(j: CouplingAssignment, d: DefectSet) -> CouplingAssignment:
 
 def _spin_sum(
     m: CombinatorialMap, j: CouplingAssignment, fixed: Mapping[int, int] | None,
-    obs: Collection[int], max_vertices: int,
+    obs: Collection[int],
 ) -> float:
     """Z over its exact phase i**k, with the spins in obs multiplied in, by
     one frontier sweep.  A state is the mask of live vertices with spin -1,
@@ -126,16 +131,14 @@ def _spin_sum(
     earlier neighbour: e^a if the spins agree, else e^-a, negated on a
     flagged edge, as exp((a + i*pi/2)x) = i*x*e^(ax).  A vertex in obs flips
     the sign at spin -1.  Vertices with no later neighbour leave the mask,
-    so equal states merge.  A self-loop contributes e^a once."""
+    so equal states merge.  A self-loop contributes e^a once.  Raises
+    TooLarge when a step leaves more than STATE_CAP states."""
     if j.edge_count != m.edge_count:
         raise LengthMismatch("coupling count differs from edge count")
     fixed = dict(fixed or {})
     for v, s in fixed.items():
         if s not in (-1, 1):
             raise ValueError(f"fixed spin at {v} must be +-1, got {s}")
-    free = sum(1 for v in range(m.vertex_count) if v not in fixed)
-    if free > max_vertices:
-        raise TooLarge(f"{free} free spins exceeds enumeration cap {max_vertices}")
     loops, steps = m.vertex_plan
     same = [math.exp(a) for a in j.real]
     differ = [-math.exp(-a) if f else math.exp(-a) for a, f in zip(j.real, j.half_pi)]
@@ -154,6 +157,8 @@ def _spin_sum(
                     w *= if_down if key & bit else if_up
                 nxt = (key | down) & keep
                 new[nxt] = get(nxt, 0.0) + w
+        if len(new) > STATE_CAP:
+            raise TooLarge(f"spin sweep holds {len(new)} states, cap is {STATE_CAP}")
         states = new
     return sum(states.values())
 
@@ -162,7 +167,6 @@ def partition_function(
     m: CombinatorialMap,
     j: CouplingAssignment,
     fixed: Mapping[int, int] | None = None,
-    max_vertices: int = SPIN_CAP,
 ) -> complex:
     """Spin sum of exp(sum_e J_e s_u s_v) over all configurations of the
     free spins, by the frontier sweep.
@@ -170,7 +174,7 @@ def partition_function(
     The result is exactly i**k times the sweep's real sum, k = number of
     flagged edges; the phase is applied from the exact table.
     """
-    return i_power(j.phase_power) * _spin_sum(m, j, fixed, (), max_vertices)
+    return i_power(j.phase_power) * _spin_sum(m, j, fixed, ())
 
 
 def spin_expectation(
@@ -178,7 +182,6 @@ def spin_expectation(
     j: CouplingAssignment,
     vertices: Sequence[int],
     fixed: Mapping[int, int] | None = None,
-    max_vertices: int = SPIN_CAP,
 ) -> float:
     """E[prod_{v in vertices} s_v] under the (possibly fixed-spin) measure:
     the sweep with the observable spins inserted over the sweep without.
@@ -189,8 +192,8 @@ def spin_expectation(
     odd: set[int] = set()
     for v in vertices:
         odd ^= {v}
-    den = _spin_sum(m, j, fixed, (), max_vertices)
-    return _spin_sum(m, j, fixed, odd, max_vertices) / den
+    den = _spin_sum(m, j, fixed, ())
+    return _spin_sum(m, j, fixed, odd) / den
 
 
 @dataclass(frozen=True)
@@ -212,11 +215,10 @@ def order_disorder_correlation(
     m: CombinatorialMap,
     j: CouplingAssignment,
     d: DefectSet,
-    max_vertices: int = SPIN_CAP,
 ) -> IsingCorrelator:
     jbar = modify_couplings(j, d)
-    z_bar = partition_function(m, jbar, max_vertices=max_vertices)
-    z = partition_function(m, j, max_vertices=max_vertices)
+    z_bar = partition_function(m, jbar)
+    z = partition_function(m, j)
     return IsingCorrelator(
         value=z_bar / z,
         gamma_size=len(d.gamma),
@@ -227,8 +229,6 @@ def order_disorder_correlation(
 def high_temp_expansion_check(
     m: CombinatorialMap,
     k: CouplingAssignment,
-    max_vertices: int = SPIN_CAP,
-    max_edges: int = EDGE_CAP,
 ) -> tuple[complex, complex]:
     """Spin sum vs 2^|V| (prod_e cosh K_e) sum_{polygons} prod tanh K_e,
     the polygon sum taken by the pair sweep with no dual polygons.
@@ -238,7 +238,7 @@ def high_temp_expansion_check(
     """
     from .polygon import _polygon_sweep
 
-    lhs = partition_function(m, k, max_vertices=max_vertices)
+    lhs = partition_function(m, k)
     # cosh(a + i*pi/2) = i sinh a keeps the phase exact: prod cosh = i^k * real
     cosh_prod = 1.0
     tanh = []
@@ -249,19 +249,26 @@ def high_temp_expansion_check(
         else:
             cosh_prod *= math.cosh(k.real[e])
             tanh.append(math.tanh(k.real[e]))
-    poly_sum = _polygon_sweep(m, tanh, None, max_edges)
+    poly_sum = _polygon_sweep(m, tanh, None)
     rhs = i_power(k.phase_power) * (2**m.vertex_count) * cosh_prod * poly_sum
     return lhs, rhs
 
 
 def dual_couplings(j: CouplingAssignment) -> CouplingAssignment:
     """Kramers-Wannier dual couplings J* = -(1/2) ln tanh J, indexed by the
-    identity edge bijection of the dual map."""
+    identity edge bijection of the dual map.  With x = e^{-2J} that is
+    (1/2) ln(1 + 2x/(1 - x)), which keeps full precision at strong
+    coupling, where tanh J rounds to 1; raises CouplingUnderflow where J*
+    underflows to 0."""
     out = []
     for e in range(j.edge_count):
-        if j.half_pi[e] or not j.real[e] > 0:
+        a = j.real[e]
+        if j.half_pi[e] or not a > 0:
             raise NonPositiveCoupling(
                 f"J_{e} = {j.value(e)} is not a base coupling"
             )
-        out.append(-0.5 * math.log(math.tanh(j.real[e])))
+        js = 0.5 * math.log1p(2 * math.exp(-2 * a) / -math.expm1(-2 * a))
+        if js == 0.0:
+            raise CouplingUnderflow(f"dual coupling of J_{e} = {a} underflows to 0")
+        out.append(js)
     return base_couplings(out)

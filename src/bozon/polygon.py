@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import OverlapError, TooLarge
-from .ising import EDGE_CAP, CouplingAssignment, partition_function
+from .ising import STATE_CAP, CouplingAssignment, partition_function
 from .planar_map import CombinatorialMap, DefectSet
 from .reports import IdentityReport, compare
 
@@ -97,12 +97,12 @@ def cycle_basis_masks(m: CombinatorialMap) -> list[int]:
     return out
 
 
-def polygon_masks(m: CombinatorialMap, max_edges: int = EDGE_CAP) -> list[int]:
+def polygon_masks(m: CombinatorialMap) -> list[int]:
     """All even-subgraph bitmasks via Gray-code walk over the cycle basis;
-    count is 2^(|E|-|V|+1)."""
-    if m.edge_count > max_edges:
-        raise TooLarge(f"{m.edge_count} edges exceeds polygon cap {max_edges}")
+    count is 2^(|E|-|V|+1), at most STATE_CAP."""
     basis = cycle_basis_masks(m)
+    if 1 << len(basis) > STATE_CAP:
+        raise TooLarge(f"{1 << len(basis)} polygons exceeds cap {STATE_CAP}")
     out = [0]
     cur = 0
     for i in range(1, 1 << len(basis)):
@@ -112,10 +112,10 @@ def polygon_masks(m: CombinatorialMap, max_edges: int = EDGE_CAP) -> list[int]:
 
 
 def enumerate_polygons(
-    m: CombinatorialMap, side: str = "primal", max_edges: int = EDGE_CAP
+    m: CombinatorialMap, side: str = "primal"
 ) -> list[PolygonConfig]:
     polys = []
-    for mask in polygon_masks(m, max_edges=max_edges):
+    for mask in polygon_masks(m):
         edges = tuple(e for e in range(m.edge_count) if (mask >> e) & 1)
         polys.append(PolygonConfig(graph_side=side, edges=edges, mask=mask))
     return polys
@@ -163,7 +163,6 @@ def _polygon_sweep(
     m: CombinatorialMap,
     primal: Sequence[float],
     dual: Sequence[float] | None,
-    max_edges: int,
 ) -> float:
     """Sum over edge-disjoint pairs (P, P*) of even subgraphs of m and
     m.dual of prod_{e in P} primal[e] * prod_{e in P*} dual[e]; over P
@@ -172,9 +171,8 @@ def _polygon_sweep(
     Each edge is skipped, put in P (its endpoints flip) or put in P* (its
     faces flip), never both, so the pair cannot cross.  A vertex or face
     whose last edge has passed must be even: states where it is odd are
-    dropped, so equal states merge and only the empty state is left."""
-    if m.edge_count > max_edges:
-        raise TooLarge(f"{m.edge_count} edges exceeds polygon cap {max_edges}")
+    dropped, so equal states merge and only the empty state is left.
+    Raises TooLarge when a step leaves more than STATE_CAP states."""
     states = {0: 1.0}
     for e, ends, faces, gone in m.edge_plan:
         branches = [(0, 1.0), (ends, primal[e])]
@@ -187,6 +185,8 @@ def _polygon_sweep(
                 nxt = key ^ flip
                 if not nxt & gone:
                     new[nxt] = get(nxt, 0.0) + z * w
+        if len(new) > STATE_CAP:
+            raise TooLarge(f"pair sweep holds {len(new)} states, cap is {STATE_CAP}")
         states = new
     (total,) = states.values()
     return total
@@ -196,7 +196,6 @@ def pair_polygon_sum(
     m: CombinatorialMap,
     dual_map: CombinatorialMap,
     jbar: CouplingAssignment,
-    max_edges: int = EDGE_CAP,
     include_constant: bool = True,
 ) -> float:
     """C * sum over non-crossing pairs (P, P*) of
@@ -207,7 +206,7 @@ def pair_polygon_sum(
     itself.  With include_constant=False the bare pair sum is returned (the
     form the dimer identity halves)."""
     w = polygon_weights(m, jbar)
-    total = _polygon_sweep(m, w.primal, w.dual, max_edges)
+    total = _polygon_sweep(m, w.primal, w.dual)
     return (w.constant * total) if include_constant else total
 
 
@@ -216,7 +215,6 @@ def verify_squared_partition(
     j: CouplingAssignment,
     d: DefectSet,
     tol: float = 1e-9,
-    max_edges: int = EDGE_CAP,
 ) -> IdentityReport:
     """[Z(J_bar)]^2 against the pair-polygon sum; raises on violation."""
     from .ising import modify_couplings
@@ -224,7 +222,7 @@ def verify_squared_partition(
     jbar = modify_couplings(j, d)
     z = partition_function(m, jbar)
     lhs = z * z
-    rhs = pair_polygon_sum(m, m.dual, jbar, max_edges=max_edges)
+    rhs = pair_polygon_sum(m, m.dual, jbar)
     report = compare(
         "squared_partition_pair_polygon",
         lhs,

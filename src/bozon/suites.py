@@ -24,9 +24,9 @@ from .dimer import (
     theorem_reports,
     verify_bipartite_dimer_identity,
 )
-from .errors import BozonError, IdentityViolation
+from .errors import BozonError, IdentityViolation, TooLarge
 from .graphs import builtin
-from .instances import FAMILY, Instance, random_instances
+from .instances import Instance, random_instances
 from .ising import (
     CouplingAssignment,
     base_couplings,
@@ -72,7 +72,8 @@ def _record(
 ) -> dict[str, Any]:
     """A suite record: ``fields`` (suite, scope and provenance), then the
     checks ``thunk`` returns and the verdict.  An identity violation that
-    carries a report becomes a failed check; any other bozon error, or a
+    carries a report becomes a failed check; TooLarge propagates, since
+    the input is too large to verify at all; any other bozon error, or a
     float overflow, leaves no checks and an ``error`` entry."""
     error = None
     try:
@@ -83,6 +84,8 @@ def _record(
             reports, error = [], str(exc)
         else:
             reports = [exc.report]
+    except TooLarge:
+        raise
     except (BozonError, OverflowError) as exc:
         reports, error = [], f"{type(exc).__name__}: {exc}"
     rec = dict(fields)
@@ -356,9 +359,6 @@ _MAGNETIZATION_SITES = (
     ("grid_3_3", 4),  # center of the 3x3 patch
     ("wheel_5", 0),
 )
-
-# Every builtin map a seeded suite can draw.
-SEEDED_GRAPHS = tuple(dict.fromkeys(FAMILY + tuple(n for n, _ in _MAGNETIZATION_SITES)))
 
 
 def run_magnetization(

@@ -88,13 +88,6 @@ def test_verify_is_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_verify_random_applies_caps(capsys):
-    code, out, err = run_cli(capsys, "verify", "--random", "3", "--caps", "V=4")
-    assert code == 2
-    assert out == ""
-    assert "grid_2_3 has 6 vertices, cap is 4" in err
-
-
 def test_verify_violation_exits_1(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "theorem1", "--random", "2", "--tol", "0"
@@ -141,22 +134,32 @@ def test_verify_missing_file_exits_2(capsys):
     assert code == 2
 
 
-def test_verify_caps_gate(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "builtin", "grid_3_3")
-    path = tmp_path / "g33.json"
-    path.write_text(out)
-    code, _, err = run_cli(
-        capsys, "verify", "--suite", "theorem1", "--graph", str(path),
-        "--caps", "V=8,E=24",
-    )
+def builtin_file(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    assert run_cli(capsys, "builtin", name, "--out", str(path))[0] == 0
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "suite, name",
+    [("all", "grid_3_4"), ("theorem1", "grid_5_5")],
+)
+def test_verify_maps_past_the_old_size_caps(tmp_path, capsys, suite, name):
+    """grid_3_4's grouped count holds 17,691 sweep states and grid_5_5 has
+    25 vertices and 40 edges; both fit STATE_CAP."""
+    graph = builtin_file(tmp_path, capsys, name)
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--graph", graph)
+    assert code == 0
+    assert json.loads(out)["summary"]["pass"]
+
+
+def test_verify_too_large_exits_2(tmp_path, capsys):
+    """grid_17_17's spin sweep needs 2^17 states, past STATE_CAP."""
+    graph = builtin_file(tmp_path, capsys, "grid_17_17")
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--graph", graph)
     assert code == 2
-    assert "cap" in err
-
-
-def test_verify_bad_caps_syntax(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--random", "2", "--caps", "Q=9"])
-    assert exc.value.code == 2
+    assert out == ""
+    assert "TooLarge" in err and "Traceback" not in err
 
 
 def test_verify_explicit_magnetization_exits_2(capsys, c4_file):

@@ -23,7 +23,8 @@ from bozon import (
     uniform_couplings,
     validate_defects,
 )
-from bozon.errors import EndpointMismatch
+import bozon.consequences
+from bozon.errors import EndpointMismatch, IdentityViolation
 
 from conftest import oracle_expectation, random_j
 
@@ -106,19 +107,34 @@ def test_dimer_ratio_method_switches_at_cap(maps, rng):
     assert method_big == "determinant"  # 48 quad vertices exceed the brute cap
 
 
+# both C4 faces touch every vertex, so any (vertex, face) pair is incident
+C4_SPINOR = SpinorSpec(
+    pairs=((0, 0), (1, 1)),
+    order_paths=(PathSpec((0, 1), (0,)),),
+    disorder_paths=(PathSpec((0, 1), (2,)),),
+)
+
+
 def test_spinor_correlation_c4(maps, rng):
-    m = maps["c4"]
     j = base_couplings(random_j(rng, 4))
-    # both C4 faces touch every vertex, so any (vertex, face) pair is incident
-    spec = SpinorSpec(
-        pairs=((0, 0), (1, 1)),
-        order_paths=(PathSpec((0, 1), (0,)),),
-        disorder_paths=(PathSpec((0, 1), (2,)),),
-    )
-    rep = spinor_correlation_squared(m, j, spec)
-    assert rep.sign in (-1, 1)
-    assert rep.squared_value == pytest.approx(rep.sign * rep.dimer_ratio, rel=1e-9)
+    rep = spinor_correlation_squared(maps["c4"], j, C4_SPINOR)
+    assert rep.sign == 1
+    assert rep.squared_value == pytest.approx(rep.dimer_ratio, rel=1e-9)
     assert rep.gamma_size == 1
+
+
+def test_spinor_fails_a_negated_dimer_ratio(maps, rng, monkeypatch):
+    """The sign is predicted (+1), not fitted: a negated ratio must fail."""
+    real = bozon.consequences.dimer_correlation_ratio
+
+    def negated(*args, **kwargs):
+        ratio, method = real(*args, **kwargs)
+        return -ratio, method
+
+    monkeypatch.setattr(bozon.consequences, "dimer_correlation_ratio", negated)
+    j = base_couplings(random_j(rng, 4))
+    with pytest.raises(IdentityViolation, match="spinor_squared_vs_dimer_ratio"):
+        spinor_correlation_squared(maps["c4"], j, C4_SPINOR)
 
 
 def test_spinor_requires_incidence(maps, rng):

@@ -26,6 +26,7 @@ from bozon import (
     uniform_couplings,
 )
 from bozon.errors import (
+    CouplingUnderflow,
     LengthMismatch,
     NonPositiveCoupling,
     OverlapError,
@@ -119,8 +120,8 @@ def test_partition_function_phase_is_exact(maps, rng):
 
 
 def test_partition_function_cap():
-    m = builtin("grid_5_6")
-    with pytest.raises(TooLarge):
+    m = builtin("grid_17_17")  # a 17-spin frontier: 2^17 states
+    with pytest.raises(TooLarge, match="spin sweep holds"):
         partition_function(m, uniform_couplings(m.edge_count, 0.5))
 
 
@@ -188,6 +189,19 @@ def test_dual_couplings_reject_modified():
     j = CouplingAssignment(real=(0.5,), half_pi=(True,))
     with pytest.raises(NonPositiveCoupling):
         dual_couplings(j)
+
+
+def test_dual_couplings_keep_precision_at_strong_coupling():
+    # -(1/2) ln tanh 20 = 4.2483542552915889953e-18 (50-digit reference);
+    # evaluated as written it gives -0.0, since tanh 20 rounds to 1
+    js = dual_couplings(base_couplings([20.0]))
+    assert math.isclose(js.real[0], 4.2483542552915889953e-18, rel_tol=1e-12)
+
+
+def test_dual_couplings_underflow_is_typed():
+    assert dual_couplings(base_couplings([372.0])).real[0] > 0
+    with pytest.raises(CouplingUnderflow, match="underflows"):
+        dual_couplings(base_couplings([0.5, 400.0]))
 
 
 # ------------------------------------------------- the frontier sweep
