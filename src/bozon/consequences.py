@@ -118,6 +118,18 @@ def spin_correlation(
     order defect.  The value is cross-checked against the direct spin
     average, so a silent defect-bookkeeping bug cannot survive here.
     """
+    return _checked_spin_correlation(m, j, vertices, paths, tol)[0]
+
+
+def _checked_spin_correlation(
+    m: CombinatorialMap,
+    j: CouplingAssignment,
+    vertices: Sequence[int],
+    paths: Sequence[PathSpec],
+    tol: float,
+) -> tuple[float, float, DefectSet]:
+    """spin_correlation's value, the direct spin average it was checked
+    against, and the order defect of the paths."""
     if len(vertices) % 2:
         raise EndpointMismatch("spin insertions must come in pairs")
     want = Counter(vertices)
@@ -131,7 +143,7 @@ def spin_correlation(
     value = _normalized_ratio(m, j, d)
     direct = spin_expectation(m, j, vertices)
     compare("spin_correlation_vs_direct", value, direct, tol=tol).require()
-    return value
+    return value, direct, d
 
 
 def spin_correlation_squared_dimer(
@@ -143,8 +155,18 @@ def spin_correlation_squared_dimer(
 ) -> CorrelationReport:
     """Squared multi-spin correlation as a dimer ratio, with no sign:
     E[s...]^2 = Z_dimer(nu(Jbar)) / Z_dimer(nu(J))."""
-    value = spin_correlation(m, j, vertices, paths, tol=tol)
-    d = validate_defects(m, paths, ())
+    value, _direct, d = _checked_spin_correlation(m, j, vertices, paths, tol)
+    return _squared_vs_dimer(m, j, d, value, tol)
+
+
+def _squared_vs_dimer(
+    m: CombinatorialMap,
+    j: CouplingAssignment,
+    d: DefectSet,
+    value: float,
+    tol: float,
+) -> CorrelationReport:
+    """Checks value^2 against the dimer ratio of the order defect d."""
     ratio, method = dimer_correlation_ratio(m, j, d)
     compare("squared_spin_vs_dimer_ratio", value * value, ratio, tol=tol).require()
     return CorrelationReport(
@@ -257,7 +279,7 @@ def magnetization_report(
             )
         spec = PathSpec((u_new, b), spec.edges)
 
-    pair = spin_correlation(gp, jp, (u_new, b), (spec,), tol=tol)
+    pair, _direct, d = _checked_spin_correlation(gp, jp, (u_new, b), (spec,), tol)
     reports = [
         compare(
             "magnetization_pair_reduction",
@@ -268,7 +290,7 @@ def magnetization_report(
         )
     ]
     if check_dimer and not gp.has_bridge():
-        rep = spin_correlation_squared_dimer(gp, jp, (u_new, b), (spec,), tol=tol)
+        rep = _squared_vs_dimer(gp, jp, d, pair, tol)
         reports.append(
             compare(
                 "magnetization_squared_vs_dimer",

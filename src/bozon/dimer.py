@@ -41,7 +41,7 @@ from .errors import (
 )
 from .ising import STATE_CAP, CouplingAssignment, modify_couplings, partition_function
 from .planar_map import CombinatorialMap, DefectSet, _assemble, dual
-from .polygon import PolygonPair, enumerate_polygons, pair_polygon_sum
+from .polygon import _polygon_sweep, pair_polygon_sum
 from .reports import IdentityReport, compare
 
 # The largest G_Q (in vertices) that the "auto" route sums by the matching
@@ -495,8 +495,9 @@ def dimer_partition_function(
     raise ValueError(f"unknown dimer route {route!r}")
 
 
-def polygon_to_dimer_count(gq: QuadDimerGraph, pair: PolygonPair) -> int:
-    """Number of perfect matchings of G_Q inducing the given pair.
+def polygon_to_dimer_count(gq: QuadDimerGraph, pm: int, dm: int) -> int:
+    """Number of perfect matchings of G_Q inducing the pair of even
+    subgraphs with edge masks pm (primal) and dm (dual).
 
     The leg in/out states satisfy parity relations per quadrangle (legs
     across a used parallel edge agree, the two sides disagree; all four
@@ -513,9 +514,9 @@ def polygon_to_dimer_count(gq: QuadDimerGraph, pair: PolygonPair) -> int:
         links[b].append((a, rel))
 
     for q in gq.quads:
-        if (pair.primal.mask >> q.edge) & 1:
+        if (pm >> q.edge) & 1:
             parallel = q.primal_parallel
-        elif (pair.dual.mask >> q.edge) & 1:
+        elif (dm >> q.edge) & 1:
             parallel = q.dual_parallel
         else:
             legs = q.corner_legs
@@ -670,38 +671,38 @@ def verify_theorem_main(
 
 def matching_count_report(
     m: CombinatorialMap,
-    dual_map: CombinatorialMap,
+    _dual: object = None,
     gq: QuadDimerGraph | None = None,
     max_vertices: int | None = None,
 ) -> IdentityReport:
-    """Exact integer check of the grouped-matching count: for every
-    compatible polygon pair, the predicted number of matchings inducing it
-    equals the matching sweep's count.  Weight-independent, so one run
-    covers a graph for all couplings.  ``dual_map`` is ``m.dual``.
-    ``max_vertices`` is accepted and ignored, since the sweep's STATE_CAP
-    bounds the work; callers that still pass a size cap keep working."""
+    """Exact integer check of the grouped-matching count: every pair (P, P*)
+    the matching sweep groups by is a pair of even subgraphs induced by
+    exactly polygon_to_dimer_count matchings, and the pairs number all the
+    non-crossing pairs, which the pair sweep counts with unit weights.  A
+    bad count, an odd key and a pair with no matching each count as one
+    mismatch.  Weight-independent, so one run covers a graph for all
+    couplings.  The ignored second argument (the dual, which the sweep
+    reads from ``m``) and ``max_vertices`` (STATE_CAP bounds the work) keep
+    older callers working."""
     gq = gq or graph_context(m).gq
     hist = matching_pair_histogram(gq)
-    total = sum(hist.values())
-    remaining = dict(hist)
-    mismatches = 0
-    pairs = 0
-    duals = list(enumerate_polygons(dual_map, side="dual"))
-    for p in enumerate_polygons(m, side="primal"):
-        for q in duals:
-            if p.mask & q.mask:
-                continue
-            pairs += 1
-            predicted = polygon_to_dimer_count(gq, PolygonPair(p, q))
-            if remaining.pop((p.mask, q.mask), 0) != predicted:
-                mismatches += 1
-    mismatches += len(remaining)  # matchings inducing an unlisted pair
+    ones = (1,) * m.edge_count
+    pairs = int(_polygon_sweep(m, ones, ones))
+    mismatches = pairs  # less one per key that is an even pair with the right count
+    for (pm, dm), count in hist.items():
+        odd = 0
+        for e, ends, faces, _gone in m.edge_plan:
+            odd ^= (ends if pm >> e & 1 else 0) ^ (faces if dm >> e & 1 else 0)
+        if odd:
+            mismatches += 1
+        elif polygon_to_dimer_count(gq, pm, dm) == count:
+            mismatches -= 1
     return compare(
         "matching_count_grouping",
         float(mismatches),
         0.0,
         tol=0.0,
-        extra={"pairs": pairs, "matchings": total},
+        extra={"pairs": pairs, "matchings": sum(hist.values())},
     )
 
 

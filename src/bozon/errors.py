@@ -61,7 +61,7 @@ class CouplingUnderflow(BozonError):
 # --- enumeration limits ----------------------------------------------------
 
 class TooLarge(BozonError):
-    """A frontier sweep (or polygon listing) would exceed STATE_CAP states."""
+    """A frontier sweep would hold more than STATE_CAP states."""
 
 
 # --- dimers ----------------------------------------------------------------

@@ -27,8 +27,8 @@ from .errors import (
 )
 from .planar_map import CombinatorialMap, DefectSet
 
-# The most live states a frontier sweep may hold after a step (and the most
-# polygons polygon_masks lists); a sweep's time and memory follow this count.
+# The most live states a frontier sweep may hold after a step; a sweep's
+# time and memory follow this count.
 STATE_CAP = 1 << 16
 
 # exact powers of i
@@ -131,15 +131,26 @@ def _spin_sum(
     earlier neighbour: e^a if the spins agree, else e^-a, negated on a
     flagged edge, as exp((a + i*pi/2)x) = i*x*e^(ax).  A vertex in obs flips
     the sign at spin -1.  Vertices with no later neighbour leave the mask,
-    so equal states merge.  A self-loop contributes e^a once.  Raises
-    TooLarge when a step leaves more than STATE_CAP states."""
+    so equal states merge.  A self-loop contributes e^a once.  A step
+    leaves 2^(live free spins) states, so the plan alone tells, before any
+    state is made, whether one would leave more than STATE_CAP: then it
+    raises TooLarge."""
     if j.edge_count != m.edge_count:
         raise LengthMismatch("coupling count differs from edge count")
     fixed = dict(fixed or {})
     for v, s in fixed.items():
         if s not in (-1, 1):
             raise ValueError(f"fixed spin at {v} must be +-1, got {s}")
+        if not 0 <= v < m.vertex_count:
+            raise ValueError(f"fixed spin at {v} is not a vertex")
     loops, steps = m.vertex_plan
+    pinned = sum(1 << v for v in fixed)
+    live = 0
+    for v, _back, keep in steps:
+        live = (live | 1 << v) & keep
+        held = 1 << (live & ~pinned).bit_count()
+        if held > STATE_CAP:
+            raise TooLarge(f"spin sweep holds {held} states, cap is {STATE_CAP}")
     same = [math.exp(a) for a in j.real]
     differ = [-math.exp(-a) if f else math.exp(-a) for a, f in zip(j.real, j.half_pi)]
     states = {0: math.prod((same[e] for e in loops), start=1.0)}
@@ -157,8 +168,6 @@ def _spin_sum(
                     w *= if_down if key & bit else if_up
                 nxt = (key | down) & keep
                 new[nxt] = get(nxt, 0.0) + w
-        if len(new) > STATE_CAP:
-            raise TooLarge(f"spin sweep holds {len(new)} states, cap is {STATE_CAP}")
         states = new
     return sum(states.values())
 

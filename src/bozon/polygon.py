@@ -1,5 +1,5 @@
-"""Polygon (even-subgraph) enumeration and the pair-polygon form of the
-squared modified partition function.
+"""Polygon (even-subgraph) sums and the pair-polygon form of the squared
+modified partition function.
 
 A polygon configuration is an edge subset with even degree at every
 vertex.  Pairs (P on G, P* on G*) are non-intersecting when no primal
@@ -9,116 +9,20 @@ edge ids, that means P and P* share no edge.
 The pair sum never lists polygons: one frontier sweep over the edges
 keeps one summed weight per parity pattern of the vertices and faces it
 has touched, and each edge goes to P, to P*, or to neither.  The same
-sweep without the P* branch gives the high-temperature polygon sum.
-Enumeration stays for the matching counts and for tests.
+sweep without the P* branch gives the high-temperature polygon sum, and
+with unit weights it counts the pairs for the grouped matching count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import OverlapError, TooLarge
+from .errors import TooLarge
 from .ising import STATE_CAP, CouplingAssignment, partition_function
 from .planar_map import CombinatorialMap, DefectSet
 from .reports import IdentityReport, compare
-
-
-@dataclass(frozen=True)
-class PolygonConfig:
-    graph_side: str  # "primal" | "dual"
-    edges: tuple[int, ...]
-    mask: int
-
-    @classmethod
-    def from_edges(
-        cls, carrier: CombinatorialMap, side: str, edges: Iterable[int]
-    ) -> "PolygonConfig":
-        edges = tuple(sorted(set(edges)))
-        deg = [0] * carrier.vertex_count
-        for e in edges:
-            u, v = carrier.edge_endpoints(e)
-            deg[u] += 1
-            deg[v] += 1
-        odd = [v for v, k in enumerate(deg) if k % 2]
-        if odd:
-            raise OverlapError(f"odd degree at vertices {odd}: not a polygon")
-        mask = 0
-        for e in edges:
-            mask |= 1 << e
-        return cls(graph_side=side, edges=edges, mask=mask)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class PolygonPair:
-    primal: PolygonConfig
-    dual: PolygonConfig
-
-    def __post_init__(self) -> None:
-        if self.primal.mask & self.dual.mask:
-            shared = [
-                e for e in self.primal.edges if (self.dual.mask >> e) & 1
-            ]
-            raise OverlapError(f"pair crosses on edges {shared}")
-
-
-def _spanning_tree_masks(m: CombinatorialMap) -> tuple[list[int], list[int]]:
-    """BFS spanning tree; returns (root-path edge mask per vertex,
-    non-tree edge list).  Deterministic: neighbors visited in rotation
-    order from vertex 0."""
-    root_mask = [0] * m.vertex_count
-    seen = [False] * m.vertex_count
-    seen[0] = True
-    in_tree = [False] * m.edge_count
-    queue = [0]
-    adj = m.adjacency()
-    for u in queue:
-        for e, w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                in_tree[e] = True
-                root_mask[w] = root_mask[u] | (1 << e)
-                queue.append(w)
-    chords = [e for e in range(m.edge_count) if not in_tree[e]]
-    return root_mask, chords
-
-
-def cycle_basis_masks(m: CombinatorialMap) -> list[int]:
-    """Fundamental-cycle bitmasks, one per non-tree edge."""
-    root_mask, chords = _spanning_tree_masks(m)
-    out = []
-    for e in chords:
-        u, v = m.edge_endpoints(e)
-        out.append(root_mask[u] ^ root_mask[v] ^ (1 << e))
-    return out
-
-
-def polygon_masks(m: CombinatorialMap) -> list[int]:
-    """All even-subgraph bitmasks via Gray-code walk over the cycle basis;
-    count is 2^(|E|-|V|+1), at most STATE_CAP."""
-    basis = cycle_basis_masks(m)
-    if 1 << len(basis) > STATE_CAP:
-        raise TooLarge(f"{1 << len(basis)} polygons exceeds cap {STATE_CAP}")
-    out = [0]
-    cur = 0
-    for i in range(1, 1 << len(basis)):
-        cur ^= basis[(i & -i).bit_length() - 1]
-        out.append(cur)
-    return out
-
-
-def enumerate_polygons(
-    m: CombinatorialMap, side: str = "primal"
-) -> list[PolygonConfig]:
-    polys = []
-    for mask in polygon_masks(m):
-        edges = tuple(e for e in range(m.edge_count) if (mask >> e) & 1)
-        polys.append(PolygonConfig(graph_side=side, edges=edges, mask=mask))
-    return polys
 
 
 @dataclass(frozen=True)
@@ -132,7 +36,6 @@ class PolygonWeights:
     dual: tuple[float, ...]
     constant: float
     constant_factored: float
-    flag_count: int
 
     def free_fermion_residual(self, e: int) -> float:
         return abs(self.primal[e] ** 2 + self.dual[e] ** 2 - 1.0)
@@ -148,14 +51,12 @@ def polygon_weights(
     for e in range(m.edge_count):
         prod_signed *= jbar.cosh2(e)
         prod_plain *= math.cosh(2 * jbar.real[e])
-    k = jbar.phase_power
     scale = float(2 ** (m.vertex_count + 1))
     return PolygonWeights(
         primal=primal,
         dual=dual_w,
         constant=scale * prod_signed,
-        constant_factored=scale * (-1) ** k * prod_plain,
-        flag_count=k,
+        constant_factored=scale * (-1) ** jbar.phase_power * prod_plain,
     )
 
 

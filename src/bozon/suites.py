@@ -14,10 +14,11 @@ from typing import Any, Callable, Sequence
 
 from .boundary import reduce_dobrushin, reduce_plus, reduce_plus_free
 from .consequences import (
+    _checked_spin_correlation,
+    _squared_vs_dimer,
     kw_duality_check,
     magnetization_report,
     spin_correlation,
-    spin_correlation_squared_dimer,
 )
 from .dimer import (
     matching_count_report,
@@ -32,7 +33,6 @@ from .ising import (
     base_couplings,
     modify_couplings,
     partition_function,
-    spin_expectation,
     uniform_couplings,
 )
 from .planar_map import (
@@ -124,13 +124,12 @@ def _bipartitedimer_checks(inst: Instance, tol: float) -> IdentityReport:
 
 
 def _corollary_checks(inst: Instance, tol: float) -> IdentityReport:
-    vertices = tuple(x for p in inst.defects.order_paths for x in p.endpoints)
+    m, j, paths = inst.map, inst.couplings, inst.defects.order_paths
+    vertices = tuple(x for p in paths for x in p.endpoints)
     if not vertices:
         return compare("direct_squared_vs_dimer_ratio", 1.0, 1.0, tol=tol)
-    rep = spin_correlation_squared_dimer(
-        inst.map, inst.couplings, vertices, inst.defects.order_paths, tol=tol
-    )
-    direct = spin_expectation(inst.map, inst.couplings, vertices)
+    value, direct, d = _checked_spin_correlation(m, j, vertices, paths, tol)
+    rep = _squared_vs_dimer(m, j, d, value, tol)
     return compare(
         "direct_squared_vs_dimer_ratio",
         direct * direct,
@@ -262,7 +261,7 @@ def _instance_record(suite: str, inst: Instance, tol: float) -> dict:
 def _count_record(name: str, m: CombinatorialMap) -> dict:
     """The exact grouped-matching count of one graph (coupling-free)."""
     fields = {"suite": "bipartitedimer", "scope": "graph", "graph": name}
-    return _record(fields, lambda: matching_count_report(m, m.dual))
+    return _record(fields, lambda: matching_count_report(m))
 
 
 def _run_stream(

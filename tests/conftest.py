@@ -1,9 +1,9 @@
 """Shared fixtures and test-local oracles.
 
 The oracles here are deliberately primitive: plain-Python loops over all
-spin states, all edge subsets, or all matchings.  They never call the
-library's own enumeration code, so every identity gets checked by two
-independent routes.
+spin states, all edge subsets, all matchings, or a Gray-code walk over a
+cycle basis.  They never call the library's own sweeps, so every identity
+gets checked by two independent routes.
 """
 
 from __future__ import annotations
@@ -79,6 +79,38 @@ def oracle_even_subgraphs(m):
                 deg[v] += 1
         if all(d % 2 == 0 for d in deg):
             out.append(mask)
+    return out
+
+
+def oracle_cycle_basis(m):
+    """Fundamental-cycle bitmasks of the breadth-first spanning tree from
+    vertex 0, one per non-tree edge."""
+    root = [None] * m.vertex_count  # edge mask of each vertex's tree path
+    root[0] = 0
+    tree = set()
+    queue = [0]
+    adj = m.adjacency()
+    for u in queue:
+        for e, w in adj[u]:
+            if root[w] is None:
+                root[w] = root[u] | 1 << e
+                tree.add(e)
+                queue.append(w)
+    out = []
+    for e in range(m.edge_count):
+        if e not in tree:
+            u, v = m.edge_endpoints(e)
+            out.append(root[u] ^ root[v] ^ 1 << e)
+    return out
+
+
+def oracle_polygon_masks(m):
+    """All even subgraphs as bitmasks, in Gray-code order over the cycle
+    basis: 2^(E-V+1) of them, on maps past oracle_even_subgraphs' reach."""
+    basis = oracle_cycle_basis(m)
+    out = [0]
+    for i in range(1, 1 << len(basis)):
+        out.append(out[-1] ^ basis[(i & -i).bit_length() - 1])
     return out
 
 

@@ -31,7 +31,7 @@ from bozon import (
     validate_defects,
 )
 from bozon.instances import random_instances
-from bozon.polygon import polygon_masks
+from bozon.polygon import _polygon_sweep
 from bozon.suites import (
     run_boundary,
     run_corollary,
@@ -218,7 +218,7 @@ def test_criterion_9_structural_invariants(capfd):
             assert s["edges"] == 6 * m.edge_count
             assert s["legs_perfect_matching"] and s["quads_well_formed"]
             dim = m.edge_count - m.vertex_count + 1
-            assert len(polygon_masks(m)) == 1 << dim
+            assert _polygon_sweep(m, (1,) * m.edge_count, None) == 1 << dim
             j = base_couplings([0.3 + 0.07 * e for e in range(m.edge_count)])
             for d in (
                 DefectSet.empty(),

@@ -142,11 +142,12 @@ def builtin_file(tmp_path, capsys, name):
 
 @pytest.mark.parametrize(
     "suite, name",
-    [("all", "grid_3_4"), ("theorem1", "grid_5_5")],
+    [("all", "grid_3_4"), ("theorem1", "grid_5_5"), ("bipartitedimer", "wheel_8")],
 )
 def test_verify_maps_past_the_old_size_caps(tmp_path, capsys, suite, name):
-    """grid_3_4's grouped count holds 17,691 sweep states and grid_5_5 has
-    25 vertices and 40 edges; both fit STATE_CAP."""
+    """grid_3_4's grouped count holds 17,691 sweep states, grid_5_5 has
+    25 vertices and 40 edges, and wheel_8's grouped count covers 2,208
+    pairs on a 64-vertex G_Q; all fit STATE_CAP."""
     graph = builtin_file(tmp_path, capsys, name)
     code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--graph", graph)
     assert code == 0

@@ -268,33 +268,19 @@ def test_histogram_keys_are_disjoint_polygon_pairs(maps, duals, gqs):
             assert pmask & dmask == 0
 
 
-def test_polygon_to_dimer_count_matches_histogram(maps, duals, gqs):
+def test_polygon_to_dimer_count_matches_histogram(gqs):
     for name in ("k3", "c4"):
         gq = gqs[name]
         hist = matching_pair_histogram(gq)
         assert sum(hist.values()) == len(gq_oracle_matchings(gq))
-        from bozon.polygon import PolygonConfig, PolygonPair
-
         for (pmask, dmask), count in hist.items():
-            p_edges = [e for e in range(gq.primal.edge_count) if pmask >> e & 1]
-            d_edges = [e for e in range(gq.primal.edge_count) if dmask >> e & 1]
-            pair = PolygonPair(
-                primal=PolygonConfig.from_edges(gq.primal, "primal", p_edges),
-                dual=PolygonConfig.from_edges(duals[name], "dual", d_edges),
-            )
-            assert polygon_to_dimer_count(gq, pair) == count
+            assert polygon_to_dimer_count(gq, pmask, dmask) == count
 
 
 def test_polygon_to_dimer_count_rejects_odd_subgraph(gqs):
-    from bozon.polygon import PolygonConfig, PolygonPair
-
     # a lone edge is not a polygon; its leg parities contradict each other
-    pair = PolygonPair(
-        primal=PolygonConfig("primal", (0,), 1),
-        dual=PolygonConfig("dual", (), 0),
-    )
     with pytest.raises(InconsistentPair):
-        polygon_to_dimer_count(gqs["c4"], pair)
+        polygon_to_dimer_count(gqs["c4"], 1, 0)
 
 
 def test_matching_count_report_passes(maps, duals):
@@ -313,12 +299,45 @@ def test_matching_count_report_passes(maps, duals):
         ("wheel_4", 48, 769),
         ("wheel_5", 124, 3653),
         ("grid_3_3", 434, 25416),
+        ("grid_3_4", 4616, 1249330),
+        ("wheel_8", 2208, 434657),
     ],
 )
-def test_matching_count_report_exact_counts(maps, duals, name, pairs, matchings):
-    rep = matching_count_report(maps[name], duals[name])
+def test_matching_count_report_exact_counts(name, pairs, matchings):
+    rep = matching_count_report(builtin(name))
     assert rep.passed
     assert (rep.extra["pairs"], rep.extra["matchings"]) == (pairs, matchings)
+
+
+def _drop_a_key(hist):
+    del hist[max(hist)]
+
+
+def _shift_a_count(hist):
+    hist[max(hist)] += 1
+
+
+def _add_an_odd_key(hist):
+    hist[1, 0] = 2  # edge 0 alone: odd degree at both its ends
+
+
+@pytest.mark.parametrize("corrupt", [_drop_a_key, _shift_a_count, _add_an_odd_key])
+def test_matching_count_report_counts_one_mismatch(monkeypatch, gqs, corrupt):
+    """Each corruption of the matching sweep's histogram is exactly one
+    mismatch; the pair total still comes from the pair sweep."""
+    true_hist = bozon.dimer.matching_pair_histogram
+
+    def corrupted(gq):
+        hist = true_hist(gq)
+        corrupt(hist)
+        return hist
+
+    monkeypatch.setattr(bozon.dimer, "matching_pair_histogram", corrupted)
+    m = gqs["grid_2_3"].primal
+    rep = matching_count_report(m, gq=gqs["grid_2_3"])
+    assert not rep.passed
+    assert rep.lhs == 1.0
+    assert rep.extra["pairs"] == 41
 
 
 def test_bipartite_dimer_identity(maps, rng):

@@ -120,9 +120,26 @@ def test_partition_function_phase_is_exact(maps, rng):
 
 
 def test_partition_function_cap():
-    m = builtin("grid_17_17")  # a 17-spin frontier: 2^17 states
-    with pytest.raises(TooLarge, match="spin sweep holds"):
+    """The plan alone shows the 17-spin frontier, so the sweep raises
+    before it makes a state."""
+    m = builtin("grid_17_17")
+    with pytest.raises(TooLarge, match=r"^spin sweep holds 131072 states, cap is 65536$"):
         partition_function(m, uniform_couplings(m.edge_count, 0.5))
+
+
+@pytest.mark.parametrize("v", [-1, 4])
+def test_fixed_spin_off_the_map_is_rejected(maps, v):
+    m = maps["c4"]
+    with pytest.raises(ValueError, match="is not a vertex"):
+        partition_function(m, uniform_couplings(m.edge_count, 0.5), fixed={v: 1})
+
+
+def test_fixed_spins_do_not_count_toward_the_cap():
+    m = builtin("grid_17_17")
+    j = uniform_couplings(m.edge_count, 0.5)
+    fixed = dict.fromkeys(range(m.vertex_count), 1)
+    z = partition_function(m, j, fixed=fixed)
+    assert z == pytest.approx(math.exp(0.5 * m.edge_count), rel=1e-12)
 
 
 def test_partition_function_length_check(maps):

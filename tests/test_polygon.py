@@ -1,6 +1,6 @@
-"""Even-subgraph enumeration and the pair-polygon identity, checked
-against a 2^|E| subset filter, the spin-sum oracle and a loop over all
-disjoint pairs of polygon masks."""
+"""Even-subgraph sums and the pair-polygon identity, checked against a
+2^|E| subset filter, the spin-sum oracle and a loop over all disjoint pairs
+of polygon masks."""
 
 from __future__ import annotations
 
@@ -12,83 +12,82 @@ import pytest
 from bozon import (
     CouplingAssignment,
     DefectSet,
-    PolygonPair,
     base_couplings,
     build_map,
     builtin,
-    cycle_basis_masks,
     dual,
-    enumerate_polygons,
     modify_couplings,
     pair_polygon_sum,
     polygon_weights,
     verify_squared_partition,
 )
-from bozon.errors import OverlapError, TooLarge
-from bozon.polygon import PolygonConfig, polygon_masks
+from bozon.errors import TooLarge
+from bozon.polygon import _polygon_sweep
 
-from conftest import modified_values, oracle_even_subgraphs, oracle_partition, random_j
+from conftest import (
+    modified_values,
+    oracle_cycle_basis,
+    oracle_even_subgraphs,
+    oracle_partition,
+    oracle_polygon_masks,
+    random_j,
+)
+
+
+def is_even(m, mask):
+    deg = [0] * m.vertex_count
+    for e in range(m.edge_count):
+        if mask >> e & 1:
+            for v in m.edge_endpoints(e):
+                deg[v] += 1
+    return all(k % 2 == 0 for k in deg)
+
+
+# The oracle lister rests on its cycle basis: dim(cycle space) even masks,
+# independent since each holds its own non-tree edge.  Then its Gray-code
+# walk lists the whole cycle space, also where the subset filter cannot.
 
 
 def test_cycle_basis_size(maps):
     for m in maps.values():
         dim = m.edge_count - m.vertex_count + 1
-        assert len(cycle_basis_masks(m)) == dim
+        assert len(oracle_cycle_basis(m)) == dim
 
 
-def test_basis_masks_are_polygons(maps):
-    m = maps["grid_3_3"]
-    for mask in cycle_basis_masks(m):
-        edges = [e for e in range(m.edge_count) if mask >> e & 1]
-        PolygonConfig.from_edges(m, "primal", edges)  # raises if odd degree
-
-
-def test_polygon_count_is_power_of_two(maps):
-    for m in maps.values():
-        dim = m.edge_count - m.vertex_count + 1
-        assert len(polygon_masks(m)) == 1 << dim
+def test_basis_masks_are_polygons():
+    for name in SWEEP_MAPS:
+        m = builtin(name)
+        assert all(is_even(m, mask) for mask in oracle_cycle_basis(m)), name
 
 
 def test_polygon_masks_match_subset_filter(maps):
     for name in ("k3", "c4", "grid_2_3", "wheel_4", "grid_3_3"):
         m = maps[name]
-        assert sorted(polygon_masks(m)) == oracle_even_subgraphs(m)
+        assert sorted(oracle_polygon_masks(m)) == oracle_even_subgraphs(m)
 
 
 def test_dual_polygons_match_subset_filter(maps, duals):
     for name in ("k3", "c4", "grid_2_3"):
         dm = duals[name]
-        assert sorted(polygon_masks(dm)) == oracle_even_subgraphs(dm)
+        assert sorted(oracle_polygon_masks(dm)) == oracle_even_subgraphs(dm)
 
 
-def test_polygon_masks_cap():
-    from bozon import grid
-
-    m = grid(5, 6)  # 2^20 polygons
-    with pytest.raises(TooLarge, match="1048576 polygons"):
-        polygon_masks(m)
-
-
-def test_polygon_config_rejects_odd_degree(maps):
-    with pytest.raises(OverlapError):
-        PolygonConfig.from_edges(maps["c4"], "primal", [0])
+def test_polygon_count_is_power_of_two():
+    """With unit weights and no dual side the sweep counts the even
+    subgraphs: 2^(E-V+1), the size of the cycle space."""
+    for name in CARRIERS:
+        m = carrier(name)
+        count = _polygon_sweep(m, (1,) * m.edge_count, None)
+        assert count == 1 << m.edge_count - m.vertex_count + 1, name
 
 
-def test_polygon_pair_rejects_crossing(maps, duals):
-    m = maps["c4"]
-    p = PolygonConfig.from_edges(m, "primal", [0, 1, 2, 3])
-    q = PolygonConfig.from_edges(duals["c4"], "dual", [0, 1])
-    with pytest.raises(OverlapError):
-        PolygonPair(primal=p, dual=q)
-
-
-def test_enumerate_polygons_edges_match_masks(maps):
-    m = maps["c4"]
-    for p in enumerate_polygons(m):
-        mask = 0
-        for e in p.edges:
-            mask |= 1 << e
-        assert mask == p.mask
+def test_unit_pair_sweep_counts_disjoint_pairs(maps):
+    """With both sides it counts the edge-disjoint pairs (P, P*)."""
+    for name, m in maps.items():
+        duals = oracle_even_subgraphs(m.dual)
+        want = sum(p & q == 0 for p in oracle_even_subgraphs(m) for q in duals)
+        ones = (1,) * m.edge_count
+        assert _polygon_sweep(m, ones, ones) == want, name
 
 
 def test_polygon_weights_free_fermion(maps, rng):
@@ -164,7 +163,7 @@ def oracle_pair_sum(m, primal, dual_w):
     """(sum, sum of |terms|) over every pair of a primal and a dual polygon
     mask that share no edge, each mask weighted by its own product."""
     def products(g, w):
-        masks = polygon_masks(g)
+        masks = oracle_polygon_masks(g)
         prods = [math.prod(w[e] for e in range(g.edge_count) if mask >> e & 1)
                  for mask in masks]
         return masks, np.array(prods)

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import bozon.consequences
 import bozon.dimer
 import bozon.graphs
 import bozon.planar_map
@@ -96,6 +97,39 @@ def test_gq_built_once_per_distinct_map(monkeypatch):
     assert len(names) > 1
     assert len(built) == len(names)
     assert len(set(built)) == len(built)
+
+
+def _doubled_ratio(real):
+    def doubled(*args):
+        ratio, method = real(*args)
+        return 2 * ratio, method
+
+    return doubled
+
+
+def _doubled_value(real):
+    return lambda *args, **kwargs: 2 * real(*args, **kwargs)
+
+
+@pytest.mark.parametrize("suite", ["corollary", "magnetization"])
+@pytest.mark.parametrize(
+    "patched, wrong, check",
+    [
+        ("dimer_correlation_ratio", _doubled_ratio, "squared_spin_vs_dimer_ratio"),
+        ("spin_expectation", _doubled_value, "spin_correlation_vs_direct"),
+    ],
+)
+def test_failed_spin_check_lands_in_the_record(monkeypatch, suite, patched, wrong, check):
+    """The spin sums the corollary and magnetization checks share are
+    still checked: a wrong dimer ratio or direct average fails the record
+    with the check that caught it."""
+    real = getattr(bozon.consequences, patched)
+    monkeypatch.setattr(bozon.consequences, patched, wrong(real))
+    records = run_suite(suite, count=10, seed=1)
+    failed = [r for r in records if not r["pass"]]
+    assert failed
+    for r in failed:
+        assert [(c["name"], c["pass"]) for c in r["checks"]] == [(check, False)]
 
 
 def test_dual_built_once_per_distinct_map(monkeypatch):
