@@ -2,10 +2,10 @@
 face to free-boundary models on a contracted map.
 
 All three reductions contract fixed-spin vertices into a single vertex by
-repeated edge contraction.  Every removed edge leaves the factor
-exp(J_e s_u s_v) of its frozen endpoint spins in the scalar prefactor,
-and fixing the one merged vertex versus leaving it free costs the global
-spin-flip factor 1/2, so
+edge contraction, in one pass over the edge ids.  Every removed edge
+leaves the factor exp(J_e s_u s_v) of its frozen endpoint spins in the
+scalar prefactor, and fixing the one merged vertex versus leaving it free
+costs the global spin-flip factor 1/2, so
 
     Z_bc(G, couplings) = scalar * Z_free(G', carried couplings).
 
@@ -184,25 +184,21 @@ def _contract_fixed(
     """Contract every edge joining two fixed vertices (chords included),
     absorbing the loops that appear; each removal contributes the factor
     of its frozen endpoint spins.  Returns the merged vertex, or None if
-    no edge was inside the set."""
+    no edge was inside the set.  One pass in edge-id order suffices: a
+    contraction merges two fixed vertices into one of them, so it never
+    changes whether another edge joins two fixed vertices."""
     merged = None
-    while True:
-        candidate = None
-        for e in range(len(surgeon.alive_edge)):
-            if not surgeon.alive_edge[e]:
-                continue
-            u, v = surgeon.endpoints(e)
-            if u in fixed_vertices and v in fixed_vertices:
-                candidate = e
-                break
-        if candidate is None:
-            break
-        u, v = surgeon.endpoints(candidate)
+    for e in range(len(surgeon.alive_edge)):
+        if not surgeon.alive_edge[e]:
+            continue
+        u, v = surgeon.endpoints(e)
+        if u not in fixed_vertices or v not in fixed_vertices:
+            continue
         s = spin[u] * spin[v]
         if u == v:
-            surgeon.absorb_loop(candidate, s)
+            surgeon.absorb_loop(e, s)
         else:
-            merged = surgeon.contract(candidate, s)
+            merged = surgeon.contract(e, s)
     return merged
 
 

@@ -92,6 +92,11 @@ class IdentityViolation(BozonError):
         self.report = report
 
 
+class NonFiniteValue(BozonError):
+    """A side of a checked identity is inf or NaN, typically a float
+    overflow at extreme couplings; no tolerance can judge it."""
+
+
 # --- boundary reductions ---------------------------------------------------
 
 class DefectOnBoundary(BozonError):

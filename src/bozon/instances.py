@@ -4,12 +4,15 @@ An instance is a builtin map, i.i.d. couplings J ~ Uniform(0.1, 2.0), and
 defect paths found by rejection sampling of disjoint BFS shortest paths
 (primal for order, dual for disorder).  The seed fully determines the
 stream, and every instance carries enough provenance to replay it.
+Instances are immutable, so each stream is drawn once per process and
+shared by every suite that runs it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Sequence
 
 from .errors import BozonError
@@ -28,6 +31,8 @@ FAMILY = ("k3", "c4", "grid_2_3", "grid_3_3", "wheel_4")
 J_LOW = 0.1
 J_HIGH = 2.0
 MAX_DEFECT_EDGES = 4
+# Distinct (count, seed, families, profile) streams kept drawn.
+STREAM_CACHE_SIZE = 16
 
 # (order path count, disorder path count) draws per defect profile; the
 # mixed profile repeats (1, 1) to favor genuinely mixed instances.
@@ -128,9 +133,17 @@ def random_instances(
     seed: int,
     families: Sequence[str] = FAMILY,
     profile: str = "mixed",
-) -> list[Instance]:
+) -> tuple[Instance, ...]:
+    """The seeded stream of ``count`` instances, drawn once per process."""
+    return _stream(count, seed, tuple(families), profile)
+
+
+@lru_cache(maxsize=STREAM_CACHE_SIZE)
+def _stream(
+    count: int, seed: int, families: tuple[str, ...], profile: str
+) -> tuple[Instance, ...]:
     rng = random.Random(seed)
-    return [
+    return tuple(
         random_instance(i, rng, seed, families=families, profile=profile)
         for i in range(count)
-    ]
+    )

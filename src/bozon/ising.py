@@ -134,7 +134,8 @@ def _spin_sum(
     so equal states merge.  A self-loop contributes e^a once.  A step
     leaves 2^(live free spins) states, so the plan alone tells, before any
     state is made, whether one would leave more than STATE_CAP: then it
-    raises TooLarge."""
+    raises TooLarge.  No step holds more than 2^(free spins) states, so the
+    plan is walked only when that exceeds STATE_CAP."""
     if j.edge_count != m.edge_count:
         raise LengthMismatch("coupling count differs from edge count")
     fixed = dict(fixed or {})
@@ -144,13 +145,14 @@ def _spin_sum(
         if not 0 <= v < m.vertex_count:
             raise ValueError(f"fixed spin at {v} is not a vertex")
     loops, steps = m.vertex_plan
-    pinned = sum(1 << v for v in fixed)
-    live = 0
-    for v, _back, keep in steps:
-        live = (live | 1 << v) & keep
-        held = 1 << (live & ~pinned).bit_count()
-        if held > STATE_CAP:
-            raise TooLarge(f"spin sweep holds {held} states, cap is {STATE_CAP}")
+    if 1 << (m.vertex_count - len(fixed)) > STATE_CAP:
+        pinned = sum(1 << v for v in fixed)
+        live = 0
+        for v, _back, keep in steps:
+            live = (live | 1 << v) & keep
+            held = 1 << (live & ~pinned).bit_count()
+            if held > STATE_CAP:
+                raise TooLarge(f"spin sweep holds {held} states, cap is {STATE_CAP}")
     same = [math.exp(a) for a in j.real]
     differ = [-math.exp(-a) if f else math.exp(-a) for a, f in zip(j.real, j.half_pi)]
     states = {0: math.prod((same[e] for e in loops), start=1.0)}

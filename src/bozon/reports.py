@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import IdentityViolation
+from .errors import IdentityViolation, NonFiniteValue
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,13 @@ def compare(
     """Build a report for lhs == rhs with relative tolerance ``tol``.
 
     The relative error is measured against max(|lhs|, |rhs|, 1e-300) so a
-    true zero on both sides passes cleanly.
+    true zero on both sides passes cleanly.  Raises NonFiniteValue when
+    either side is inf or NaN.
     """
     lhs = complex(lhs)
     rhs = complex(rhs)
+    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+        raise NonFiniteValue(f"{name}: lhs={lhs} rhs={rhs} is not finite")
     abs_err = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     rel_err = abs_err / scale

@@ -14,6 +14,10 @@ import random
 
 import pytest
 
+import bozon.dimer
+import bozon.graphs
+import bozon.instances
+import bozon.planar_map
 from bozon import builtin, dual
 
 
@@ -142,6 +146,40 @@ def oracle_matchings(n_vertices, edge_ends):
 
 def random_j(rng, count, low=0.1, high=2.0):
     return [rng.uniform(low, high) for _ in range(count)]
+
+
+def rescanning_contract_fixed(surgeon, fixed_vertices, spin):
+    """Reference for ``boundary._contract_fixed``: after each contraction,
+    rescan every edge from id 0 for one that joins two fixed vertices."""
+    merged = None
+    while True:
+        candidate = None
+        for e in range(len(surgeon.alive_edge)):
+            if not surgeon.alive_edge[e]:
+                continue
+            u, v = surgeon.endpoints(e)
+            if u in fixed_vertices and v in fixed_vertices:
+                candidate = e
+                break
+        if candidate is None:
+            break
+        u, v = surgeon.endpoints(candidate)
+        s = spin[u] * spin[v]
+        if u == v:
+            surgeon.absorb_loop(candidate, s)
+        else:
+            merged = surgeon.contract(candidate, s)
+    return merged
+
+
+def clear_caches():
+    """Forget every per-process cache: builtin maps, interned maps (and
+    with them their memoized duals and plans), graph contexts and drawn
+    instance streams."""
+    bozon.graphs.builtin.cache_clear()
+    bozon.planar_map._intern.cache_clear()
+    bozon.dimer.graph_context.cache_clear()
+    bozon.instances._stream.cache_clear()
 
 
 # ----------------------------------------------------------- fixtures

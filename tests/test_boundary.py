@@ -3,7 +3,14 @@ scalar * Z_free of the contracted graph, by double enumeration."""
 
 from __future__ import annotations
 
+import dataclasses
+import random
+from collections import Counter
+from functools import cached_property
+
 import pytest
+
+import bozon.boundary
 
 from bozon import (
     DefectSet,
@@ -16,12 +23,22 @@ from bozon import (
     reduce_dobrushin,
     reduce_plus,
     reduce_plus_free,
+    run_suite,
     validate_defects,
     walk_path,
 )
+from bozon.boundary import ReductionResult
+from bozon.instances import FAMILY, random_instances
+from bozon.planar_map import CombinatorialMap
 from bozon.errors import BadArcSplit, BozonError, DefectOnBoundary, NonContiguousArc
 
-from conftest import modified_values, oracle_partition, random_j
+from conftest import (
+    clear_caches,
+    modified_values,
+    oracle_partition,
+    random_j,
+    rescanning_contract_fixed,
+)
 
 
 def reduced_z(res):
@@ -204,3 +221,113 @@ def test_vertex_and_edge_maps_are_consistent(maps, rng):
         nu_, nv = res.new_map.edge_endpoints(ne)
         assert {res.vertex_map[u], res.vertex_map[v]} == {nu_, nv}
         assert res.new_couplings.real[ne] == j.real[e]
+
+
+def _reductions(m, j):
+    """Every reduction the boundary suite can draw on ``m``: reduce_plus,
+    each contiguous plus-free arc and each Dobrushin split, on every face,
+    as (label, thunk) pairs."""
+    d = DefectSet.empty()
+    for face in range(m.face_count):
+        cycle = list(m.face_edges(face))
+        length = len(cycle)
+        yield ("plus", face), lambda: reduce_plus(m, j, d, face)
+        for start in range(length):
+            for span in range(1, length + 1):
+                arc = [cycle[(start + i) % length] for i in range(span)]
+                yield ("plus_free", face, start, span), (
+                    lambda arc=arc: reduce_plus_free(m, j, d, arc, face=face)
+                )
+        for a in range(length - 1):
+            for b in range(a + 1, length):
+                yield ("dobrushin", face, a, b), (
+                    lambda a=a, b=b: reduce_dobrushin(m, j, d, face, (a, b))
+                )
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except BozonError as exc:
+        return type(exc)
+
+
+ORACLE_MAPS = (*FAMILY, "wheel_8", "grid_3_4")
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_one_pass_contraction_matches_rescanning_reference(name, rng, monkeypatch):
+    m = builtin(name)
+    j = base_couplings(random_j(rng, m.edge_count))
+    cases = list(_reductions(m, j))
+    fast = [_outcome(thunk) for _label, thunk in cases]
+    monkeypatch.setattr(bozon.boundary, "_contract_fixed", rescanning_contract_fixed)
+    for (label, thunk), got in zip(cases, fast):
+        want = _outcome(thunk)
+        if isinstance(want, ReductionResult):
+            assert got.new_map == want.new_map, label
+            assert got.scalar == want.scalar, label
+            assert got.vertex_map == want.vertex_map, label
+            assert got.edge_map == want.edge_map, label
+        assert got == want, label
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_whole_face_plus_free_is_reduce_plus(name, rng):
+    m = builtin(name)
+    j = base_couplings(random_j(rng, m.edge_count))
+    d = DefectSet.empty()
+    for face in range(m.face_count):
+        plus = reduce_plus(m, j, d, face)
+        cycle = list(m.face_edges(face))
+        for start in range(len(cycle)):
+            whole = reduce_plus_free(m, j, d, cycle[start:] + cycle[:start], face=face)
+            for field in dataclasses.fields(ReductionResult):
+                assert getattr(whole, field.name) == getattr(plus, field.name), (
+                    face, start, field.name,
+                )
+
+
+def test_reduced_maps_build_their_vertex_plan_once(monkeypatch):
+    builds = Counter()
+    plan = CombinatorialMap.vertex_plan.func
+
+    def counting_plan(m):
+        builds[m] += 1
+        return plan(m)
+
+    counting = cached_property(counting_plan)
+    counting.__set_name__(CombinatorialMap, "vertex_plan")
+    monkeypatch.setattr(CombinatorialMap, "vertex_plan", counting)
+    clear_caches()  # no map object holds a plan yet
+    try:
+        run_suite("boundary", 100, seed=1)
+    finally:
+        clear_caches()
+    assert len(builds) > len(FAMILY)  # the reduced maps were counted too
+    assert max(builds.values()) == 1, [
+        (m.vertex_count, m.edge_count, n) for m, n in builds.items() if n > 1
+    ]
+
+
+def test_plus_free_check_fixes_exactly_its_arc():
+    """Replay each seeded arc and recompute both sides of its check from
+    scratch: a whole-face shortcut taken on a partial arc would differ."""
+    records = run_suite("boundary", 100, seed=1)
+    insts = random_instances(100, 1, profile="none")
+    partial = 0
+    for rec, inst in zip(records, insts):
+        m, j, d = inst.map, inst.couplings, inst.defects
+        rng = random.Random(f"{inst.seed}-boundary-{inst.index}")
+        face = rng.randrange(m.face_count)
+        cycle = list(m.face_edges(face))
+        start = rng.randrange(len(cycle))
+        span = rng.randint(1, len(cycle))
+        arc = [cycle[(start + i) % len(cycle)] for i in range(span)]
+        (check,) = [c for c in rec["checks"] if c["name"] == "reduce_plus_free"]
+        assert (check["face"], check["arc_edges"]) == (face, span)
+        lhs = partition_function(m, j, fixed=fixed_plus(m, arc))
+        rhs = reduced_z(reduce_plus_free(m, j, d, arc, face=face))
+        assert (check["lhs"], check["rhs"]) == (lhs.real, rhs.real)
+        partial += span < len(cycle)
+    assert partial > 50

@@ -229,7 +229,11 @@ def test_verify_overflow_exits_1_with_report(tmp_path, capsys):
     )
     assert code == 1
     assert "Traceback" not in err
-    records = json.loads(out)["records"]
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    records = json.loads(out, parse_constant=reject)["records"]
     errors = {r["suite"]: r["error"] for r in records if "error" in r}
     for suite in ("theorem1", "pairpolygon", "bipartitedimer"):
         assert errors[suite].startswith("OverflowError")

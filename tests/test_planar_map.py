@@ -68,6 +68,21 @@ def test_euler_formula(maps):
         assert m.vertex_count - m.edge_count + m.face_count == 2
 
 
+def test_equal_inputs_give_one_interned_map():
+    m = build_map(K4_PLANAR, K4_EDGES)
+    again = build_map([tuple(r) for r in K4_PLANAR], [list(p) for p in K4_EDGES])
+    assert again is m
+    assert dual(m) is m.dual
+    turned = build_map([r[1:] + r[:1] for r in K4_PLANAR], K4_EDGES)
+    assert turned is not m and turned.sigma == m.sigma
+
+
+def test_interning_keeps_rejecting_non_int_darts():
+    build_map(K4_PLANAR, K4_EDGES)
+    with pytest.raises(MalformedRotation):
+        build_map([[float(d) for d in r] for r in K4_PLANAR], K4_EDGES)
+
+
 def test_dart_out_of_range_rejected():
     with pytest.raises(MalformedRotation):
         build_map([[0, 99], [1]], [(0, 1)])

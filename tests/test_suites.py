@@ -3,13 +3,13 @@ explicit-instance entry points."""
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
 
 import bozon.consequences
 import bozon.dimer
-import bozon.graphs
 import bozon.planar_map
 from bozon import (
     PathSpec,
@@ -26,6 +26,8 @@ from bozon import (
 from bozon.instances import FAMILY, random_instances
 from bozon.suites import SUITE_NAMES, closed_form_records
 
+from conftest import clear_caches
+
 
 def test_suite_names_cover_all_runners():
     assert SUITE_NAMES == (
@@ -41,6 +43,7 @@ def test_suite_names_cover_all_runners():
 
 def test_random_instances_are_reproducible():
     a = random_instances(6, 42)
+    clear_caches()  # a fresh draw, not the memoized stream
     b = random_instances(6, 42)
     assert len(a) == 6
     for x, y in zip(a, b):
@@ -141,17 +144,29 @@ def test_dual_built_once_per_distinct_map(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(bozon.planar_map, "dual", counting_dual)
-    bozon.graphs.builtin.cache_clear()  # fresh maps, no dual memoized yet
+    clear_caches()  # fresh (uninterned) maps, no dual memoized yet
     try:
         records = run_suite("all", 30, seed=11)
     finally:
-        bozon.graphs.builtin.cache_clear()
+        clear_caches()
     drawn = {builtin(r["graph"]) for r in records if r["graph"] in FAMILY}
     assert len(drawn) > 1
     assert drawn <= set(calls)
     assert max(calls.values()) == 1, [
         (m.vertex_count, m.edge_count, n) for m, n in calls.items() if n > 1
     ]
+
+
+def test_warm_rerun_is_byte_identical():
+    """A second run in one process reads interned maps and the memoized
+    stream; its report must equal the cold run's byte for byte."""
+    clear_caches()
+
+    def report():
+        suites = ("theorem1", "pairpolygon", "duality", "boundary")
+        return canonical_json([r for s in suites for r in run_suite(s, 50, seed=1)])
+
+    assert report() == report()
 
 
 def test_tight_tolerance_yields_failed_records():
@@ -259,6 +274,33 @@ def test_float_overflow_is_a_failed_record():
         assert rec["checks"] == []
         assert rec["pass"] is False
         assert rec["error"].startswith("OverflowError")
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+@pytest.mark.parametrize(
+    "j, typed",
+    [
+        (40.0, {"theorem1", "pairpolygon"}),
+        (100.0, {"theorem1", "pairpolygon", "duality", "corollary", "boundary"}),
+        (400.0, {"corollary", "boundary"}),
+    ],
+)
+def test_non_finite_check_values_are_typed_errors(j, typed):
+    """Past float range a check side turns inf or NaN: the record fails
+    with a NonFiniteValue error entry, never a check judged on inf/NaN,
+    and the report stays strict JSON."""
+    inst = _grid_3_3_order_path(j)
+    for suite in ("theorem1", "pairpolygon", "duality", "corollary", "boundary"):
+        (rec,) = run_explicit(suite, inst)
+        json.loads(canonical_json(rec), parse_constant=_reject_constant)
+        if suite in typed:
+            assert rec["pass"] is False and rec["checks"] == []
+            assert rec["error"].startswith("NonFiniteValue"), rec["error"]
+        else:
+            assert rec["pass"] or "error" in rec, (suite, rec)
 
 
 @pytest.mark.xfail(
