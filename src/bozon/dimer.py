@@ -17,6 +17,15 @@ Signed weight sums (modified couplings) are the signed matching sums; the
 determinant reproduces them after a one-time global sign calibration at
 all-ones weights.
 
+The determinant is a pure-Python sparse Gaussian elimination: G_Q is
+cubic, so the Kasteleyn matrix has three nonzeros per row, kept as row
+dicts.  Columns are taken in a minimum-degree order computed once per G_Q
+(``gq.kasteleyn_layout``) and each pivot is the shortest row whose entry
+is at least PIVOT_THRESHOLD times the column's largest, which bounds
+growth while keeping fill low.  The drawings' Tutte layout solves its
+Laplacian with the same elimination, so the package needs no numerical
+library.
+
 G_Q, its orientation and its calibration sign do not depend on the
 couplings, so each map gets one memoized GraphContext that owns them, and
 dimer_partition_function is the one place that picks a route.  The map's
@@ -28,9 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from heapq import heapify, heappop, heappush
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     BridgeUnsupported,
@@ -50,6 +59,11 @@ DIMER_CAP = 36
 # Distinct maps whose GraphContext stays cached; the seeded suites draw
 # from fewer than ten.
 CONTEXT_CACHE_SIZE = 64
+# Threshold partial pivoting: a pivot may be any entry at least this
+# fraction of its column's largest, so each step multiplies entries by at
+# most 1/PIVOT_THRESHOLD; among those the shortest row wins, to keep fill
+# low.
+PIVOT_THRESHOLD = 0.5
 
 LEG = "leg"
 PRIMAL_PARALLEL = "primal_parallel"
@@ -119,6 +133,52 @@ class QuadDimerGraph:
         return tuple(
             (v, tuple((k, u) for k, u in adj[v] if pos[u] > pos[v])) for v in order
         )
+
+    @cached_property
+    def nu_index(self) -> tuple[int, ...]:
+        """Edge k's weight in nu_from_couplings is entry nu_index[k] of
+        [1, tanh2 of primal edges 0..E-1, sech2 of primal edges 0..E-1]."""
+        E = self.primal.edge_count
+        return tuple(
+            0 if kind == LEG else 1 + e + (E if kind == DUAL_PARALLEL else 0)
+            for kind, e in zip(self.edge_kind, self.edge_primal_edge)
+        )
+
+    @cached_property
+    def kasteleyn_layout(
+        self,
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[frozenset[int], ...], int]:
+        """Where dimer_Z_det puts each edge.  Rows are the black vertices
+        and columns the white ones, numbered in the minimum-degree
+        elimination order of the pattern.  Returns, per row, its three
+        (column, edge) pairs flattened; per column, the rows it meets; and
+        the sign of the column numbering."""
+        m = self.map
+        blacks, whites = self.blacks, self.whites
+        if len(blacks) != len(whites):
+            raise OrientationFailure("unbalanced bipartition")
+        index = {v: i for part in (blacks, whites) for i, v in enumerate(part)}
+        slots: list[list[int]] = [[] for _ in blacks]  # (column, edge) pairs
+        for e, (d1, d2) in enumerate(m.edge_darts):
+            b, w = m.dart_vertex[d1], m.dart_vertex[d2]
+            if self.color[b]:
+                b, w = w, b
+            slots[index[b]] += (index[w], e)
+        pattern = [set(r[0::2]) for r in slots]
+        if any(len(r) != 3 for r in pattern):
+            raise OrientationFailure("G_Q is not a simple cubic graph")
+        order = _min_degree_order([set(r) for r in pattern], len(whites))
+        position = [0] * len(order)
+        for k, c in enumerate(order):
+            position[c] = k
+        meets: list[set[int]] = [set() for _ in whites]
+        for i, r in enumerate(pattern):
+            for c in r:
+                meets[position[c]].add(i)
+        layout = tuple(
+            (position[a], x, position[b], y, position[c], z) for a, x, b, y, c, z in slots
+        )
+        return layout, tuple(map(frozenset, meets)), _permutation_sign(position)
 
 
 def _overlay_map(m: CombinatorialMap) -> CombinatorialMap:
@@ -255,16 +315,9 @@ def nu_from_couplings(gq: QuadDimerGraph, jbar: CouplingAssignment) -> DimerWeig
     tanh(2J_bar_e) parallel to e, sech(2J_bar_e) parallel to e*.  The
     closed forms carry the defect signs: a disorder-crossed edge negates
     the tanh, an order edge negates the sech."""
-    out = []
-    for k in range(gq.edge_count):
-        kind = gq.edge_kind[k]
-        if kind == LEG:
-            out.append(1.0)
-        elif kind == PRIMAL_PARALLEL:
-            out.append(jbar.tanh2(gq.edge_primal_edge[k]))
-        else:
-            out.append(jbar.sech2(gq.edge_primal_edge[k]))
-    return tuple(out)
+    E = gq.primal.edge_count
+    table = [1.0, *map(jbar.tanh2, range(E)), *map(jbar.sech2, range(E))]
+    return tuple(map(table.__getitem__, gq.nu_index))
 
 
 def all_ones(gq: QuadDimerGraph) -> DimerWeights:
@@ -317,10 +370,13 @@ def brute_force_dimer_Z(gq: QuadDimerGraph, weights: DimerWeights) -> float:
 @dataclass(frozen=True)
 class KasteleynOrientation:
     """Per-edge direction given as the dart whose origin is the tail; the
-    orientation is clockwise-odd on every face except root_face."""
+    orientation is clockwise-odd on every face except root_face.  signs[e]
+    is the sign of edge e's Kasteleyn matrix entry: 1.0 when e points from
+    black to white, -1.0 otherwise."""
 
     direction: tuple[int, ...]
     root_face: int
+    signs: tuple[float, ...]
 
 
 def _face_clockwise_parity(
@@ -396,33 +452,196 @@ def kasteleyn_orientation(
     for f in range(m.face_count):
         if f != root_face and _face_clockwise_parity(m, f, direction) != 1:
             raise OrientationFailure(f"face {f} is not clockwise-odd")
-    return KasteleynOrientation(direction=tuple(direction), root_face=root_face)
+    signs = tuple(1.0 if gq.color[m.dart_vertex[d]] == 0 else -1.0 for d in direction)
+    return KasteleynOrientation(tuple(direction), root_face, signs)
 
 
 def kasteleyn_matrix(
     gq: QuadDimerGraph,
     weights: DimerWeights,
     orientation: KasteleynOrientation,
-) -> np.ndarray:
-    """Black-by-white signed adjacency matrix; entry +nu when the edge is
-    directed black to white."""
+) -> list[list[float]]:
+    """Black-by-white signed adjacency matrix as dense row lists; entry
+    +nu when the edge is directed black to white."""
     blacks = gq.blacks
     whites = gq.whites
     if len(blacks) != len(whites):
         raise OrientationFailure("unbalanced bipartition")
     row = {v: i for i, v in enumerate(blacks)}
     col = {v: i for i, v in enumerate(whites)}
-    K = np.zeros((len(blacks), len(whites)))
+    K = [[0.0] * len(whites) for _ in blacks]
     m = gq.map
     for e in range(m.edge_count):
         d_tail = orientation.direction[e]
         tail = m.dart_vertex[d_tail]
         head = m.dart_vertex[m.alpha[d_tail]]
         if gq.color[tail] == 0:
-            K[row[tail], col[head]] += weights[e]
+            K[row[tail]][col[head]] += weights[e]
         else:
-            K[row[head], col[tail]] -= weights[e]
+            K[row[head]][col[tail]] -= weights[e]
     return K
+
+
+def _min_degree_order(rows: list[set[int]], n: int) -> list[int]:
+    """Columns 0..n-1 in the order a symbolic elimination of the sparsity
+    pattern ``rows`` (consumed) takes them: each step takes the column with
+    the fewest nonzeros left (lowest id on a tie), pivots on its shortest
+    row (likewise) and merges that row's pattern into the column's other
+    rows."""
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for i, r in enumerate(rows):
+        for c in r:
+            cols[c].add(i)
+    heap = [(len(s), c) for c, s in enumerate(cols)]
+    heapify(heap)
+    done = [False] * n
+    order = []
+    while heap:
+        count, c = heappop(heap)
+        below = cols[c]
+        if done[c] or count != len(below):
+            continue  # a stale entry: the column's count changed since
+        done[c] = True
+        order.append(c)
+        if not below:
+            continue  # structurally singular; the numeric elimination says so
+        p = -1
+        for i in below:
+            size = len(rows[i])
+            if p < 0 or size < shortest or (size == shortest and i < p):
+                p, shortest = i, size
+        pivot = rows[p]
+        pivot.discard(c)
+        below.discard(p)
+        for k in pivot:
+            s = cols[k]
+            before = len(s)
+            s.discard(p)
+            s |= below
+            if len(s) != before:
+                heappush(heap, (len(s), k))
+        for i in below:
+            row = rows[i]
+            row.discard(c)
+            row |= pivot
+    return order
+
+
+def _permutation_sign(perm: Sequence[int]) -> int:
+    """Sign of the permutation i -> perm[i], from its cycle lengths."""
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            if j != i:
+                sign = -sign
+    return sign
+
+
+def _eliminate(
+    rows: list[dict[int, float]], n: int, cols: list[set[int]] | None = None
+) -> tuple[list[int], list[float]] | None:
+    """Gaussian elimination, in place, of sparse rows (column -> value),
+    taking columns 0..n-1 in turn; columns from n on ride along as
+    right-hand sides.  Each step pivots on the shortest row whose entry is
+    at least PIVOT_THRESHOLD times the column's largest (lowest row id on
+    a tie), takes the pivot entry out of that row and removes the column
+    from the other rows.  Returns each column's pivot row and pivot value,
+    or None when a column has no nonzero left: the matrix is singular.
+    ``cols`` (consumed), when given, holds the rows each column meets."""
+    if cols is None:
+        width = max((1 + max(r) for r in rows if r), default=0)
+        cols = [set() for _ in range(max(n, width))]
+        for i, r in enumerate(rows):
+            for c in r:
+                cols[c].add(i)
+    order = []
+    values = []
+    for c in range(n):
+        below = cols[c]
+        if len(below) == 1:
+            p = below.pop()
+        else:
+            # the column's largest entry and its shortest row; a second
+            # pass is needed only when that row's entry is too small
+            big = 0.0
+            p = shortest = -1
+            for i in below:
+                row = rows[i]
+                a = abs(row[c])
+                if a > big:
+                    big = a
+                size = len(row)
+                if p < 0 or size < shortest or (size == shortest and i < p):
+                    p, shortest, pa = i, size, a
+            if not big > 0.0:
+                return None
+            bar = PIVOT_THRESHOLD * big
+            if pa < bar:
+                p = shortest = -1
+                for i in below:
+                    row = rows[i]
+                    if abs(row[c]) >= bar:
+                        size = len(row)
+                        if p < 0 or size < shortest or (size == shortest and i < p):
+                            p, shortest = i, size
+            below.discard(p)
+        pivot = rows[p]
+        value = pivot.pop(c)
+        if value == 0.0:
+            return None
+        order.append(p)
+        values.append(value)
+        items = pivot.items()
+        for i in below:
+            row = rows[i]
+            f = row.pop(c) / value
+            for k, v in items:
+                if k in row:
+                    row[k] -= f * v
+                else:
+                    row[k] = -f * v
+        for k in pivot:
+            s = cols[k]
+            s.discard(p)
+            s |= below
+    return order, values
+
+
+def _det(rows: list[dict[int, float]], cols: list[set[int]] | None = None) -> float:
+    """Determinant of the square matrix with these sparse rows (consumed):
+    the pivots' product times the sign of the row order they came in."""
+    pivots = _eliminate(rows, len(rows), cols)
+    if pivots is None:
+        return 0.0
+    order, values = pivots
+    det = float(_permutation_sign(order))
+    for value in values:
+        det *= value
+    return det
+
+
+def _solve(rows: list[dict[int, float]], n: int, rhs: int) -> list[list[float]]:
+    """Solutions of the n x n sparse system whose rows (consumed) carry
+    ``rhs`` right-hand sides in columns n, n+1, ...: one list per
+    right-hand side.  Back substitution follows the pivots in reverse."""
+    pivots = _eliminate(rows, n)
+    if pivots is None:
+        raise SingularMatrix("linear system is singular")
+    order, values = pivots
+    xs = [[0.0] * n for _ in range(rhs)]
+    for c in reversed(range(n)):
+        row = rows[order[c]]
+        for j, x in enumerate(xs):
+            acc = row.get(n + j, 0.0)
+            for k, v in row.items():
+                if k < n:
+                    acc -= v * x[k]
+            x[c] = acc / values[c]
+    return xs
 
 
 def dimer_Z_det(
@@ -430,9 +649,13 @@ def dimer_Z_det(
     weights: DimerWeights,
     orientation: KasteleynOrientation,
 ) -> float:
-    """Signed determinant of the Kasteleyn matrix (LU with partial
-    pivoting); |det| is the absolute dimer partition function."""
-    return float(np.linalg.det(kasteleyn_matrix(gq, weights, orientation)))
+    """Signed determinant of the Kasteleyn matrix, by sparse elimination in
+    ``gq.kasteleyn_layout``'s column order; a singular matrix gives
+    exactly 0.0.  |det| is the absolute dimer partition function."""
+    layout, meets, sign = gq.kasteleyn_layout
+    w = list(map(mul, orientation.signs, weights))
+    rows = [{a: w[x], b: w[y], c: w[z]} for a, x, b, y, c, z in layout]
+    return sign * _det(rows, [set(s) for s in meets])
 
 
 def calibration_sign(

@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .dimer import DUAL_PARALLEL, LEG, PRIMAL_PARALLEL, QuadDimerGraph
+from .dimer import DUAL_PARALLEL, LEG, PRIMAL_PARALLEL, QuadDimerGraph, _solve
 from .planar_map import CombinatorialMap, quad_graph
 
 Point = tuple[float, float]
@@ -35,32 +33,37 @@ def tutte_layout(m: CombinatorialMap, outer_face: int | None = None) -> list[Poi
         if v not in walk:
             walk.append(v)
     n = len(walk)
-    pos = np.zeros((m.vertex_count, 2))
-    pinned = np.zeros(m.vertex_count, dtype=bool)
+    pos = [(0.0, 0.0)] * m.vertex_count
     # face walks go counterclockwise seen from inside the face, so the
     # clockwise circle keeps the rest of the map inside the disk
     for i, v in enumerate(walk):
         theta = -2 * math.pi * i / n + math.pi / 2
         pos[v] = (math.cos(theta), math.sin(theta))
-        pinned[v] = True
-    free = np.flatnonzero(~pinned)
-    if len(free):
+    pinned = set(walk)
+    free = [v for v in range(m.vertex_count) if v not in pinned]
+    if free:
+        # one Laplacian row per free vertex; the pinned neighbours' x and y
+        # sums are its two right-hand sides, in columns len(free) and +1
         index = {v: k for k, v in enumerate(free)}
-        lap = np.zeros((len(free), len(free)))
-        rhs = np.zeros((len(free), 2))
+        x_col, y_col = len(free), len(free) + 1
+        rows = []
         adj = m.adjacency()
         for v in free:
-            k = index[v]
+            row = {index[v]: 0.0}
             for _e, w in adj[v]:
                 if w == v:
                     continue
-                lap[k, k] += 1.0
-                if pinned[w]:
-                    rhs[k] += pos[w]
+                row[index[v]] += 1.0
+                if w in pinned:
+                    row[x_col] = row.get(x_col, 0.0) + pos[w][0]
+                    row[y_col] = row.get(y_col, 0.0) + pos[w][1]
                 else:
-                    lap[k, index[w]] -= 1.0
-        pos[free] = np.linalg.solve(lap, rhs)
-    return [tuple(p) for p in pos]
+                    row[index[w]] = row.get(index[w], 0.0) - 1.0
+            rows.append(row)
+        xs, ys = _solve(rows, len(free), 2)
+        for k, v in enumerate(free):
+            pos[v] = (xs[k], ys[k])
+    return pos
 
 
 def face_positions(

@@ -1,0 +1,191 @@
+"""The sparse Kasteleyn elimination: the determinant against numpy's dense
+LU (an oracle that only the tests import) and against the sign-calibrated
+matching sweep, hand-built matrices that need row exchanges or are
+singular, and a run of the package with numpy made unimportable."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bozon
+import bozon.dimer
+from bozon import (
+    DefectSet,
+    base_couplings,
+    brute_force_dimer_Z,
+    builtin,
+    calibration_sign,
+    dimer_Z_det,
+    graph_context,
+    kasteleyn_matrix,
+    modify_couplings,
+    nu_from_couplings,
+    theorem_reports,
+)
+from bozon.cli import main
+from bozon.dimer import _det, _solve, all_ones
+from bozon.errors import SingularMatrix, TooLarge
+
+from conftest import random_j
+
+ORACLE_MAPS = (
+    "k3", "c4", "grid_2_3", "grid_3_3", "grid_3_4", "grid_2_8", "grid_3_5",
+    "grid_4_4", "grid_5_5", "wheel_4", "wheel_5", "wheel_8", "wheel_10", "wheel_12",
+)
+REL = 1e-13
+
+
+def _weight_cases(m, gq, rng):
+    """(label, weights) pairs: plain random couplings, the same with order
+    and disorder defects, a third of the weights zeroed, and couplings
+    near 1e-3 and near 8."""
+    j = base_couplings(random_j(rng, m.edge_count))
+    d = DefectSet.from_edge_sets({0}, {m.edge_count - 1})
+    zeroed = list(nu_from_couplings(gq, j))
+    for k in range(0, gq.edge_count, 3):
+        zeroed[k] = 0.0
+    return [
+        ("random", nu_from_couplings(gq, j)),
+        ("defects", nu_from_couplings(gq, modify_couplings(j, d))),
+        ("zeros", tuple(zeroed)),
+        ("weak", nu_from_couplings(gq, base_couplings(random_j(rng, m.edge_count, 5e-4, 2e-3)))),
+        ("strong", nu_from_couplings(gq, base_couplings(random_j(rng, m.edge_count, 7.5, 8.5)))),
+    ]
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_determinant_matches_numpy(name, rng):
+    np = pytest.importorskip("numpy")
+    m = builtin(name)
+    ctx = graph_context(m)
+
+    def oracle(weights):
+        return float(np.linalg.det(np.array(kasteleyn_matrix(ctx.gq, weights, ctx.orientation))))
+
+    for label, w in _weight_cases(m, ctx.gq, rng):
+        det = dimer_Z_det(ctx.gq, w, ctx.orientation)
+        want = oracle(w)
+        # signed weights can cancel: bound them by the determinant of
+        # |weights|, the sum of the matchings' absolute weights
+        scale = abs(want) if min(w) >= 0 else abs(oracle([abs(x) for x in w]))
+        assert abs(det - want) <= REL * scale, (name, label, det, want)
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_calibrated_determinant_matches_sweep(name, rng):
+    m = builtin(name)
+    ctx = graph_context(m)
+    for label, w in _weight_cases(m, ctx.gq, rng):
+        try:
+            sweep = brute_force_dimer_Z(ctx.gq, w)
+        except TooLarge:
+            pytest.skip(f"{name}: G_Q is past the matching sweep's state cap")
+        det = ctx.sign * dimer_Z_det(ctx.gq, w, ctx.orientation)
+        scale = brute_force_dimer_Z(ctx.gq, [abs(x) for x in w])
+        assert abs(det - sweep) <= 1e-12 * scale, (name, label, det, sweep)
+
+
+def test_row_exchanges_and_permutation_sign():
+    assert _det([{1: 1.0}, {0: 1.0}]) == -1.0
+    # a 3-cycle is even, a 4-cycle odd
+    assert _det([{1: 2.0}, {2: 3.0}, {0: 5.0}]) == 30.0
+    assert _det([{1: 1.0}, {2: 1.0}, {3: 1.0}, {0: 1.0}]) == -1.0
+    # det = eps; pivoting on eps (the first and a shortest row) swamps the
+    # 1s and gives 0
+    eps = 1e-17
+    rows = [{0: eps, 1: 1.0}, {0: 1.0, 1: 1.0, 2: 1.0}, {0: 1.0, 2: 1.0}]
+    assert _det(rows) == pytest.approx(eps, rel=1e-12, abs=0)
+
+
+def test_solve_needs_row_exchange():
+    # x + y = 3, 2x = 2 (no entry at (1, 1)), and a second right-hand side
+    rows = [{0: 1.0, 1: 1.0, 2: 3.0, 3: 1.0}, {0: 2.0, 2: 2.0, 3: 4.0}]
+    xs, ys = _solve(rows, 2, 2)
+    assert xs == [1.0, 2.0]
+    assert ys == [2.0, -1.0]
+
+
+def test_singular_matrix_gives_exact_zero():
+    assert _det([{0: 1.0, 1: 2.0}, {0: 2.0, 1: 4.0}]) == 0.0
+    assert _det([{0: 1.0}, {0: 3.0}]) == 0.0  # column 1 is empty
+    assert _det([{0: 0.0, 1: 0.0}, {0: 1.0, 1: 1.0}]) == 0.0
+    with pytest.raises(SingularMatrix):
+        _solve([{0: 1.0, 1: 1.0, 2: 1.0}, {0: 1.0, 1: 1.0, 2: 2.0}], 2, 1)
+
+
+def _dead_vertex(gq, weights):
+    """The weights with every edge at one black vertex zeroed: no perfect
+    matching survives, so the Kasteleyn matrix has a zero row."""
+    black = gq.blacks[0]
+    out = list(weights)
+    for e in range(gq.edge_count):
+        if black in gq.map.edge_endpoints(e):
+            out[e] = 0.0
+    return tuple(out)
+
+
+def test_singular_kasteleyn_matrix_raises(monkeypatch, rng):
+    m = builtin("grid_2_3")
+    ctx = graph_context(m)
+    gq = ctx.gq
+    assert dimer_Z_det(gq, _dead_vertex(gq, all_ones(gq)), ctx.orientation) == 0.0
+
+    monkeypatch.setattr(bozon.dimer, "all_ones", lambda g: _dead_vertex(g, (1.0,) * g.edge_count))
+    with pytest.raises(SingularMatrix, match="all-ones"):
+        calibration_sign(gq, ctx.orientation)
+    monkeypatch.undo()
+
+    real_nu = bozon.dimer.nu_from_couplings
+    monkeypatch.setattr(
+        bozon.dimer, "nu_from_couplings", lambda g, j: _dead_vertex(g, real_nu(g, j))
+    )
+    j = base_couplings(random_j(rng, m.edge_count))
+    with pytest.raises(SingularMatrix, match="vanished"):
+        theorem_reports(m, j, DefectSet.from_edge_sets({0}, set()))
+
+
+NO_NUMPY_RUN = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from bozon.cli import main
+out = sys.argv[1]
+assert main(["verify", "--suite", "all", "--random", "100", "--seed", "1", "--out", out + "/report.json"]) == 0
+assert main(["export", "--builtin", "grid_3_3", "--svg", "--out", out + "/svg"]) == 0
+"""
+
+
+def _src_env() -> dict[str, str]:
+    src = str(Path(bozon.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_runs_without_numpy(tmp_path, capsys):
+    (tmp_path / "bare").mkdir()
+    subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RUN, str(tmp_path / "bare")],
+        env=_src_env(), check=True, capture_output=True,
+    )
+    assert main(["verify", "--suite", "all", "--random", "100", "--seed", "1",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert main(["export", "--builtin", "grid_3_3", "--svg", "--out", str(tmp_path / "svg")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "bare" / "report.json").read_bytes() == (tmp_path / "report.json").read_bytes()
+    svgs = sorted(p.name for p in (tmp_path / "svg").iterdir())
+    assert svgs == sorted(p.name for p in (tmp_path / "bare" / "svg").iterdir())
+    for svg in svgs:
+        assert (tmp_path / "bare" / "svg" / svg).read_bytes() == (tmp_path / "svg" / svg).read_bytes()
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    probe = "import sys, bozon.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=_src_env(), check=True, capture_output=True, text=True
+    )
+    assert out.stdout.strip() == "False"
