@@ -18,15 +18,10 @@ from .boundary import (
     reduce_plus_free,
 )
 from .consequences import (
-    CorrelationReport,
-    SpinorSpec,
     dimer_correlation_ratio,
     kw_duality_check,
-    magnetization,
     magnetization_report,
     spin_correlation,
-    spin_correlation_squared_dimer,
-    spinor_correlation_squared,
 )
 from .dimer import (
     DIMER_CAP,
@@ -38,28 +33,23 @@ from .dimer import (
     dimer_partition_function,
     dimer_Z_det,
     graph_context,
-    kasteleyn_matrix,
     kasteleyn_orientation,
     matching_count_report,
     matching_pair_histogram,
     nu_from_couplings,
     polygon_to_dimer_count,
-    structure_check,
     theorem_reports,
     verify_bipartite_dimer_identity,
-    verify_theorem_main,
 )
 from .errors import BozonError, IdentityViolation
 from .graphs import BUILTIN_EXAMPLES, builtin, c4, grid, k3, wheel
 from .ising import (
     STATE_CAP,
     CouplingAssignment,
-    IsingCorrelator,
     base_couplings,
     dual_couplings,
     high_temp_expansion_check,
     modify_couplings,
-    order_disorder_correlation,
     partition_function,
     spin_expectation,
     uniform_couplings,
@@ -70,7 +60,6 @@ from .planar_map import (
     PathSpec,
     build_map,
     dual,
-    path_spec_from_edges,
     quad_graph,
     shortest_path,
     validate_defects,
@@ -85,7 +74,6 @@ from .polygon import (
 from .reports import IdentityReport, compare, flatten_check
 from .serialize import (
     canonical_json,
-    correlator_to_dict,
     couplings_from_dict,
     couplings_to_dict,
     defect_paths_from_dict,
@@ -107,20 +95,17 @@ __all__ = [
     "BUILTIN_EXAMPLES",
     "BozonError",
     "CombinatorialMap",
-    "CorrelationReport",
     "CouplingAssignment",
     "DIMER_CAP",
     "DefectSet",
     "GraphContext",
     "IdentityReport",
     "IdentityViolation",
-    "IsingCorrelator",
     "PathSpec",
     "QuadDimerGraph",
     "ReductionResult",
     "STATE_CAP",
     "SUITE_NAMES",
-    "SpinorSpec",
     "base_couplings",
     "brute_force_dimer_Z",
     "build_gq",
@@ -130,7 +115,6 @@ __all__ = [
     "calibration_sign",
     "canonical_json",
     "compare",
-    "correlator_to_dict",
     "couplings_from_dict",
     "couplings_to_dict",
     "defect_paths_from_dict",
@@ -147,10 +131,8 @@ __all__ = [
     "grid",
     "high_temp_expansion_check",
     "k3",
-    "kasteleyn_matrix",
     "kasteleyn_orientation",
     "kw_duality_check",
-    "magnetization",
     "magnetization_report",
     "map_from_dict",
     "map_to_dict",
@@ -158,10 +140,8 @@ __all__ = [
     "matching_pair_histogram",
     "modify_couplings",
     "nu_from_couplings",
-    "order_disorder_correlation",
     "pair_polygon_sum",
     "partition_function",
-    "path_spec_from_edges",
     "polygon_to_dimer_count",
     "polygon_weights",
     "quad_graph",
@@ -172,17 +152,13 @@ __all__ = [
     "run_suite",
     "shortest_path",
     "spin_correlation",
-    "spin_correlation_squared_dimer",
     "spin_expectation",
-    "spinor_correlation_squared",
-    "structure_check",
     "suite_summary",
     "theorem_reports",
     "uniform_couplings",
     "validate_defects",
     "verify_bipartite_dimer_identity",
     "verify_squared_partition",
-    "verify_theorem_main",
     "vertex_to_dual_face",
     "walk_path",
     "wheel",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -133,6 +134,8 @@ def _input_defects(args: argparse.Namespace):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InputProblem(f"--tol needs a finite value >= 0, got {args.tol}")
     config: dict[str, Any] = {
         "command": "verify",
         "suite": args.suite,

@@ -1,29 +1,22 @@
-"""Spin and spinor correlation consequences of the dimer correspondence.
+"""Spin correlation consequences of the dimer correspondence.
 
 Squared multi-spin correlations equal ratios of dimer partition functions
-on the quad graph; mixed order/disorder (spinor) correlations obey the
-same identity with the predicted sign +1, which is asserted; boundary
-magnetization reduces to a pair correlation after contracting the plus
-boundary; and a planar graph with its dual satisfies the Kramers-Wannier
-coupling duality edge by edge, for modified couplings, and at the
-correlator level.
+on the quad graph; boundary magnetization reduces to a pair correlation
+after contracting the plus boundary; and a planar graph with its dual
+satisfies the Kramers-Wannier coupling duality edge by edge, for modified
+couplings, and at the correlator level.  Mixed order/disorder correlators
+are checked by dimer.theorem_reports.
 """
 
 from __future__ import annotations
 
 import cmath
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 from .boundary import reduce_plus
 from .dimer import dimer_partition_function, graph_context, nu_from_couplings
-from .errors import (
-    DefectOnBoundary,
-    EndpointMismatch,
-    IdentityViolation,
-    SingularMatrix,
-)
+from .errors import EndpointMismatch, IdentityViolation, SingularMatrix
 from .ising import (
     CouplingAssignment,
     dual_couplings,
@@ -36,35 +29,11 @@ from .planar_map import (
     CombinatorialMap,
     DefectSet,
     PathSpec,
-    path_spec_from_edges,
     shortest_path,
     validate_defects,
     vertex_to_dual_face,
 )
 from .reports import IdentityReport, compare
-
-
-@dataclass(frozen=True)
-class SpinorSpec:
-    """Incident (vertex, face) insertion pairs for a mixed correlator.
-
-    The order paths must pair up the vertices of the pairs and the
-    disorder paths the faces; each vertex must lie on the boundary walk
-    of the face it is paired with.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    order_paths: tuple[PathSpec, ...]
-    disorder_paths: tuple[PathSpec, ...]
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    squared_value: float
-    dimer_ratio: float
-    sign: int
-    gamma_size: int
-    method: str  # "brute" | "determinant" | "none"
 
 
 def dimer_correlation_ratio(
@@ -146,85 +115,18 @@ def _checked_spin_correlation(
     return value, direct, d
 
 
-def spin_correlation_squared_dimer(
-    m: CombinatorialMap,
-    j: CouplingAssignment,
-    vertices: Sequence[int],
-    paths: Sequence[PathSpec],
-    tol: float = 1e-9,
-) -> CorrelationReport:
-    """Squared multi-spin correlation as a dimer ratio, with no sign:
-    E[s...]^2 = Z_dimer(nu(Jbar)) / Z_dimer(nu(J))."""
-    value, _direct, d = _checked_spin_correlation(m, j, vertices, paths, tol)
-    return _squared_vs_dimer(m, j, d, value, tol)
-
-
 def _squared_vs_dimer(
     m: CombinatorialMap,
     j: CouplingAssignment,
     d: DefectSet,
     value: float,
     tol: float,
-) -> CorrelationReport:
-    """Checks value^2 against the dimer ratio of the order defect d."""
+) -> tuple[float, str]:
+    """Checks value^2 against the dimer ratio of the order defect d and
+    returns dimer_correlation_ratio's (ratio, method)."""
     ratio, method = dimer_correlation_ratio(m, j, d)
     compare("squared_spin_vs_dimer_ratio", value * value, ratio, tol=tol).require()
-    return CorrelationReport(
-        squared_value=value * value,
-        dimer_ratio=ratio,
-        sign=1,
-        gamma_size=len(d.gamma),
-        method=method,
-    )
-
-
-def spinor_correlation_squared(
-    m: CombinatorialMap,
-    j: CouplingAssignment,
-    spec: SpinorSpec,
-    tol: float = 1e-9,
-) -> CorrelationReport:
-    """Squared mixed order/disorder correlation at incident (vertex, face)
-    pairs, compared against the dimer ratio.  With the (-i)^{|Gamma|}
-    normalization the theorem predicts sign +1, and it is asserted: a ratio
-    of the wrong sign fails."""
-    if not spec.pairs:
-        return CorrelationReport(1.0, 1.0, 1, 0, "none")
-    if len(spec.pairs) % 2:
-        raise EndpointMismatch("spinor insertions must come in pairs")
-    for u, f in spec.pairs:
-        if u not in m.face_vertices(f):
-            raise EndpointMismatch(
-                f"vertex {u} is not on the boundary walk of face {f}"
-            )
-    want_u = Counter(u for u, _ in spec.pairs)
-    want_f = Counter(f for _, f in spec.pairs)
-    got_u = Counter(x for p in spec.order_paths for x in p.endpoints)
-    got_f = Counter(x for p in spec.disorder_paths for x in p.endpoints)
-    if want_u != got_u:
-        raise EndpointMismatch("order paths do not pair up the spinor vertices")
-    if want_f != got_f:
-        raise EndpointMismatch("disorder paths do not pair up the spinor faces")
-    d = validate_defects(m, spec.order_paths, spec.disorder_paths)
-
-    value = _normalized_ratio(m, j, d)
-    squared = value * value
-    ratio, method = dimer_correlation_ratio(m, j, d)
-    compare(
-        "spinor_squared_vs_dimer_ratio",
-        squared,
-        ratio,
-        tol=tol,
-        sign=1,
-        extra={"gamma": len(d.gamma), "gamma_star": len(d.gamma_star)},
-    ).require()
-    return CorrelationReport(
-        squared_value=squared,
-        dimer_ratio=ratio,
-        sign=1,
-        gamma_size=len(d.gamma),
-        method=method,
-    )
+    return ratio, method
 
 
 def magnetization_report(
@@ -232,20 +134,16 @@ def magnetization_report(
     j: CouplingAssignment,
     face: int,
     u: int,
-    path_edges: Sequence[int] | None = None,
     tol: float = 1e-9,
-    check_dimer: bool = True,
 ) -> tuple[float, list[IdentityReport]]:
     """Magnetization at ``u`` with the boundary of ``face`` fixed to +1,
     with the comparison reports of the two computation routes.
 
     Route (a) is the direct fixed-boundary spin average; route (b) is the
     pair correlation E[s_u s_b] on the contracted graph, b the merged
-    boundary vertex.  When the contracted graph is bridge-free the squared
-    value is additionally checked against its dimer ratio.
-
-    ``path_edges`` optionally reroutes the correlation path; it is given
-    in original edge ids and must avoid the boundary of ``face``.
+    boundary vertex, along a shortest path.  When the contracted graph is
+    bridge-free the squared value is additionally checked against its
+    dimer ratio.
     """
     boundary_vertices = set(m.face_vertices(face))
     if u in boundary_vertices:
@@ -257,27 +155,11 @@ def magnetization_report(
     b = res.merged_vertex
     assert b is not None
     u_new = res.vertex_map[u]
-    if path_edges is None:
-        spec = shortest_path(gp, u_new, b)
-        if spec is None:
-            raise EndpointMismatch(
-                f"no correlation path from vertex {u} to the boundary of face {face}"
-            )
-    else:
-        mapped = []
-        for e in path_edges:
-            if res.edge_map[e] < 0:
-                raise DefectOnBoundary(
-                    f"path edge {e} lies on the boundary of face {face}"
-                )
-            mapped.append(res.edge_map[e])
-        spec = path_spec_from_edges(gp, mapped)
-        if set(spec.endpoints) != {u_new, b}:
-            raise EndpointMismatch(
-                f"rerouted path joins {spec.endpoints}, expected vertex {u} "
-                f"to the merged boundary vertex"
-            )
-        spec = PathSpec((u_new, b), spec.edges)
+    spec = shortest_path(gp, u_new, b)
+    if spec is None:
+        raise EndpointMismatch(
+            f"no correlation path from vertex {u} to the boundary of face {face}"
+        )
 
     pair, _direct, d = _checked_spin_correlation(gp, jp, (u_new, b), (spec,), tol)
     reports = [
@@ -289,43 +171,18 @@ def magnetization_report(
             extra={"path_edges": len(spec.edges)},
         )
     ]
-    if check_dimer and not gp.has_bridge():
-        rep = _squared_vs_dimer(gp, jp, d, pair, tol)
+    if not gp.has_bridge():
+        ratio, method = _squared_vs_dimer(gp, jp, d, pair, tol)
         reports.append(
             compare(
                 "magnetization_squared_vs_dimer",
                 direct * direct,
-                rep.dimer_ratio,
+                ratio,
                 tol=tol,
-                extra={"method": rep.method},
+                extra={"method": method},
             )
         )
     return direct, reports
-
-
-def magnetization(
-    m: CombinatorialMap,
-    j: CouplingAssignment,
-    face: int,
-    u: int,
-    path_edges: Sequence[int] | None = None,
-    tol: float = 1e-9,
-    check_dimer: bool = True,
-) -> float:
-    """Magnetization value alone; raises IdentityViolation when the two
-    routes of magnetization_report disagree."""
-    value, reports = magnetization_report(
-        m,
-        j,
-        face,
-        u,
-        path_edges=path_edges,
-        tol=tol,
-        check_dimer=check_dimer,
-    )
-    for r in reports:
-        r.require()
-    return value
 
 
 def kw_duality_check(

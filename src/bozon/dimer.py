@@ -456,32 +456,6 @@ def kasteleyn_orientation(
     return KasteleynOrientation(tuple(direction), root_face, signs)
 
 
-def kasteleyn_matrix(
-    gq: QuadDimerGraph,
-    weights: DimerWeights,
-    orientation: KasteleynOrientation,
-) -> list[list[float]]:
-    """Black-by-white signed adjacency matrix as dense row lists; entry
-    +nu when the edge is directed black to white."""
-    blacks = gq.blacks
-    whites = gq.whites
-    if len(blacks) != len(whites):
-        raise OrientationFailure("unbalanced bipartition")
-    row = {v: i for i, v in enumerate(blacks)}
-    col = {v: i for i, v in enumerate(whites)}
-    K = [[0.0] * len(whites) for _ in blacks]
-    m = gq.map
-    for e in range(m.edge_count):
-        d_tail = orientation.direction[e]
-        tail = m.dart_vertex[d_tail]
-        head = m.dart_vertex[m.alpha[d_tail]]
-        if gq.color[tail] == 0:
-            K[row[tail]][col[head]] += weights[e]
-        else:
-            K[row[head]][col[tail]] -= weights[e]
-    return K
-
-
 def _min_degree_order(rows: list[set[int]], n: int) -> list[int]:
     """Columns 0..n-1 in the order a symbolic elimination of the sparsity
     pattern ``rows`` (consumed) takes them: each step takes the column with
@@ -880,18 +854,6 @@ def theorem_reports(
     return [r_plain, r_mod, r_main]
 
 
-def verify_theorem_main(
-    m: CombinatorialMap,
-    j: CouplingAssignment,
-    d: DefectSet,
-    tol: float = 1e-9,
-) -> IdentityReport:
-    reports = theorem_reports(m, j, d, tol=tol)
-    for r in reports:
-        r.require()
-    return reports[-1]
-
-
 def matching_count_report(
     m: CombinatorialMap,
     _dual: object = None,
@@ -927,32 +889,3 @@ def matching_count_report(
         tol=0.0,
         extra={"pairs": pairs, "matchings": sum(hist.values())},
     )
-
-
-def structure_check(gq: QuadDimerGraph) -> dict[str, int | bool]:
-    """Structural invariants of G_Q, used by tests and export."""
-    m = gq.map
-    E = gq.primal.edge_count
-    legs = gq.legs()
-    legs_cover = sorted(
-        m.dart_vertex[d] for k in legs for d in m.edge_darts[k]
-    )
-    ok_quads = all(
-        len(set(q.vertices)) == 4
-        and all(gq.edge_kind[k] == PRIMAL_PARALLEL for k in q.primal_parallel)
-        and all(gq.edge_kind[k] == DUAL_PARALLEL for k in q.dual_parallel)
-        for q in gq.quads
-    )
-    return {
-        "vertices": m.vertex_count,
-        "edges": m.edge_count,
-        "faces": m.face_count,
-        "vertices_expected": 4 * E,
-        "edges_expected": 6 * E,
-        "legs": len(legs),
-        "legs_expected": 2 * E,
-        "bipartite_balanced": len(gq.blacks) == len(gq.whites),
-        "legs_perfect_matching": legs_cover == list(range(m.vertex_count)),
-        "quads_well_formed": ok_quads,
-        "euler_ok": m.vertex_count - m.edge_count + m.face_count == 2,
-    }

@@ -62,10 +62,6 @@ class CouplingAssignment:
     def value(self, e: int) -> complex:
         return self.real[e] + (1j * math.pi / 2 if self.half_pi[e] else 0)
 
-    @property
-    def values(self) -> tuple[complex, ...]:
-        return tuple(self.value(e) for e in range(self.edge_count))
-
     # closed forms for functions of 2*J, exact in the iota*pi/2 shift:
     # tanh(2a + i*pi) = tanh(2a), cosh(2a + i*pi) = -cosh(2a).
     def tanh2(self, e: int) -> float:
@@ -78,18 +74,6 @@ class CouplingAssignment:
     def sech2(self, e: int) -> float:
         s = 1.0 / math.cosh(2 * self.real[e])
         return -s if self.half_pi[e] else s
-
-    # single-angle closed forms: cosh(a + i*pi/2) = i*sinh(a),
-    # tanh(a + i*pi/2) = coth(a).
-    def cosh1(self, e: int) -> complex:
-        if self.half_pi[e]:
-            return 1j * math.sinh(self.real[e])
-        return complex(math.cosh(self.real[e]))
-
-    def tanh1(self, e: int) -> complex:
-        if self.half_pi[e]:
-            return complex(1.0 / math.tanh(self.real[e]))
-        return complex(math.tanh(self.real[e]))
 
 
 def base_couplings(values: Sequence[float]) -> CouplingAssignment:
@@ -205,36 +189,6 @@ def spin_expectation(
         odd ^= {v}
     den = _spin_sum(m, j, fixed, ())
     return _spin_sum(m, j, fixed, odd) / den
-
-
-@dataclass(frozen=True)
-class IsingCorrelator:
-    """Raw order/disorder correlator Z(J_bar)/Z(J); multiply by
-    (-i)**gamma_size to land on the real expectation value when no
-    disorder defects are present."""
-
-    value: complex
-    gamma_size: int
-    gamma_star_size: int
-
-    @property
-    def normalized(self) -> complex:
-        return i_power(-self.gamma_size) * self.value
-
-
-def order_disorder_correlation(
-    m: CombinatorialMap,
-    j: CouplingAssignment,
-    d: DefectSet,
-) -> IsingCorrelator:
-    jbar = modify_couplings(j, d)
-    z_bar = partition_function(m, jbar)
-    z = partition_function(m, j)
-    return IsingCorrelator(
-        value=z_bar / z,
-        gamma_size=len(d.gamma),
-        gamma_star_size=len(d.gamma_star),
-    )
 
 
 def high_temp_expansion_check(

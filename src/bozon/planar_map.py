@@ -389,31 +389,6 @@ def walk_path(carrier: CombinatorialMap, spec: PathSpec) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def path_spec_from_edges(
-    carrier: CombinatorialMap, edges: Sequence[int]
-) -> PathSpec:
-    """Infer a PathSpec (endpoints included) from an edge sequence."""
-    edges = tuple(edges)
-    if not edges:
-        raise EndpointMismatch("cannot infer a path from zero edges")
-    if len(edges) == 1:
-        u, v = carrier.edge_endpoints(edges[0])
-        return PathSpec((u, v), edges)
-    a0, b0 = carrier.edge_endpoints(edges[0])
-    a1, b1 = carrier.edge_endpoints(edges[1])
-    if a0 in (a1, b1):
-        start = b0
-    elif b0 in (a1, b1):
-        start = a0
-    else:
-        raise EndpointMismatch("first two path edges do not share a vertex")
-    cur = start
-    for e in edges:
-        a, b = carrier.edge_endpoints(e)
-        cur = b if a == cur else a
-    return PathSpec((start, cur), edges)
-
-
 def shortest_path(
     carrier: CombinatorialMap,
     start: int,
@@ -458,12 +433,10 @@ class DefectSet:
     disorder_paths: tuple[PathSpec, ...]
     gamma: frozenset[int]
     gamma_star: frozenset[int]
-    order_vertices: tuple[int, ...]
-    disorder_faces: tuple[int, ...]
 
     @classmethod
     def empty(cls) -> "DefectSet":
-        return cls((), (), frozenset(), frozenset(), (), ())
+        return cls((), (), frozenset(), frozenset())
 
     @classmethod
     def from_edge_sets(
@@ -474,7 +447,7 @@ class DefectSet:
         g, gs = frozenset(gamma), frozenset(gamma_star)
         if g & gs:
             raise OverlapError(f"gamma and gamma_star overlap: {sorted(g & gs)}")
-        return cls((), (), g, gs, (), ())
+        return cls((), (), g, gs)
 
 
 def validate_defects(
@@ -492,22 +465,18 @@ def validate_defects(
     disorder_paths = tuple(PathSpec(tuple(p.endpoints), tuple(p.edges)) for p in disorder_paths)
 
     seen_vertices: set[int] = set()
-    order_vertices: list[int] = []
     for p in order_paths:
         seq = walk_path(m, p)
         if seen_vertices & set(seq):
             raise PathsIntersect(f"order paths share vertices: {p}")
         seen_vertices.update(seq)
-        order_vertices.extend(p.endpoints)
 
     seen_faces: set[int] = set()
-    disorder_faces: list[int] = []
     for p in disorder_paths:
         seq = walk_path(m.dual, p)
         if seen_faces & set(seq):
             raise PathsIntersect(f"disorder paths share faces: {p}")
         seen_faces.update(seq)
-        disorder_faces.extend(p.endpoints)
 
     gamma = frozenset(e for p in order_paths for e in p.edges)
     gamma_star = frozenset(e for p in disorder_paths for e in p.edges)
@@ -520,6 +489,4 @@ def validate_defects(
         disorder_paths=disorder_paths,
         gamma=gamma,
         gamma_star=gamma_star,
-        order_vertices=tuple(order_vertices),
-        disorder_faces=tuple(disorder_faces),
     )

@@ -66,11 +66,14 @@ def compare(
     sign: int | None = None,
     extra: dict[str, Any] | None = None,
 ) -> IdentityReport:
-    """Build a report for lhs == rhs with relative tolerance ``tol``.
+    """Build a report for lhs == rhs at tolerance ``tol``.
 
-    The relative error is measured against max(|lhs|, |rhs|, 1e-300) so a
-    true zero on both sides passes cleanly.  Raises NonFiniteValue when
-    either side is inf or NaN.
+    The check passes when abs_err <= tol * max(|lhs|, |rhs|, 1): relative
+    when a side is at least 1 in magnitude, and an absolute floor of
+    ``tol`` below that (ROADMAP item 1 plans to remove the floor).  The
+    recorded rel_err is measured against max(|lhs|, |rhs|, 1e-300), so a
+    true zero on both sides gives 0.  Raises NonFiniteValue when either
+    side is inf or NaN.
     """
     lhs = complex(lhs)
     rhs = complex(rhs)

@@ -12,7 +12,7 @@ from typing import Any, Mapping, Sequence
 
 from .dimer import QuadDimerGraph
 from .errors import LengthMismatch, MalformedRotation, NonPositiveCoupling
-from .ising import CouplingAssignment, IsingCorrelator, base_couplings
+from .ising import CouplingAssignment, base_couplings
 from .planar_map import CombinatorialMap, DefectSet, PathSpec, build_map
 
 
@@ -131,16 +131,7 @@ def defect_paths_from_dict(
     return order, disorder
 
 
-# ----------------------------------------------------- correlators, G_Q
-
-
-def correlator_to_dict(c: IsingCorrelator, d: DefectSet) -> dict[str, Any]:
-    return {
-        "value_re": c.value.real,
-        "value_im": c.value.imag,
-        "gamma": sorted(d.gamma),
-        "gamma_star": sorted(d.gamma_star),
-    }
+# -------------------------------------------------------------------- G_Q
 
 
 def gq_to_dict(

@@ -129,13 +129,13 @@ def _corollary_checks(inst: Instance, tol: float) -> IdentityReport:
     if not vertices:
         return compare("direct_squared_vs_dimer_ratio", 1.0, 1.0, tol=tol)
     value, direct, d = _checked_spin_correlation(m, j, vertices, paths, tol)
-    rep = _squared_vs_dimer(m, j, d, value, tol)
+    ratio, method = _squared_vs_dimer(m, j, d, value, tol)
     return compare(
         "direct_squared_vs_dimer_ratio",
         direct * direct,
-        rep.dimer_ratio,
+        ratio,
         tol=tol,
-        extra={"gamma": rep.gamma_size, "method": rep.method},
+        extra={"gamma": len(d.gamma), "method": method},
     )
 
 
@@ -459,8 +459,8 @@ def explicit_instance(
 def run_explicit(name: str, inst: Instance, tol: float = 1e-9) -> list[dict]:
     """Run one suite's checks on a single explicit instance.
 
-    The magnetization suite has no single-instance form here (it needs a
-    boundary face and a bulk vertex; see the magnetize entry point).  "all"
+    The magnetization suite has no single-instance form (it needs a
+    boundary face and a bulk vertex, which an instance does not name).  "all"
     also skips the boundary suite when no face is clear of defects, and the
     corollary suite when the instance has a disorder path.
     """

@@ -144,6 +144,55 @@ def oracle_matchings(n_vertices, edge_ends):
     return out
 
 
+def kasteleyn_matrix(gq, weights, orientation):
+    """Black-by-white signed adjacency matrix of G_Q as dense row lists;
+    entry +nu when the edge is directed black to white.  The dense input
+    of the numpy determinant oracle."""
+    assert len(gq.blacks) == len(gq.whites), "unbalanced bipartition"
+    row = {v: i for i, v in enumerate(gq.blacks)}
+    col = {v: i for i, v in enumerate(gq.whites)}
+    K = [[0.0] * len(gq.whites) for _ in gq.blacks]
+    m = gq.map
+    for e in range(m.edge_count):
+        d_tail = orientation.direction[e]
+        tail = m.dart_vertex[d_tail]
+        head = m.dart_vertex[m.alpha[d_tail]]
+        if gq.color[tail] == 0:
+            K[row[tail]][col[head]] += weights[e]
+        else:
+            K[row[head]][col[tail]] -= weights[e]
+    return K
+
+
+def structure_check(gq):
+    """Structural invariants of G_Q: counts against 4E vertices, 6E edges
+    and 2E legs, a balanced bipartition, legs forming a perfect matching,
+    well-formed quads and Euler's formula."""
+    m = gq.map
+    E = gq.primal.edge_count
+    legs = gq.legs()
+    legs_cover = sorted(m.dart_vertex[d] for k in legs for d in m.edge_darts[k])
+    ok_quads = all(
+        len(set(q.vertices)) == 4
+        and all(gq.edge_kind[k] == bozon.dimer.PRIMAL_PARALLEL for k in q.primal_parallel)
+        and all(gq.edge_kind[k] == bozon.dimer.DUAL_PARALLEL for k in q.dual_parallel)
+        for q in gq.quads
+    )
+    return {
+        "vertices": m.vertex_count,
+        "edges": m.edge_count,
+        "faces": m.face_count,
+        "vertices_expected": 4 * E,
+        "edges_expected": 6 * E,
+        "legs": len(legs),
+        "legs_expected": 2 * E,
+        "bipartite_balanced": len(gq.blacks) == len(gq.whites),
+        "legs_perfect_matching": legs_cover == list(range(m.vertex_count)),
+        "quads_well_formed": ok_quads,
+        "euler_ok": m.vertex_count - m.edge_count + m.face_count == 2,
+    }
+
+
 def random_j(rng, count, low=0.1, high=2.0):
     return [rng.uniform(low, high) for _ in range(count)]
 

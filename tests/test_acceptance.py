@@ -27,7 +27,6 @@ from bozon import (
     nu_from_couplings,
     polygon_weights,
     quad_graph,
-    structure_check,
     validate_defects,
 )
 from bozon.instances import random_instances
@@ -40,7 +39,7 @@ from bozon.suites import (
     run_suite,
 )
 
-from conftest import random_j
+from conftest import random_j, structure_check
 
 SEED = 1
 COUNT = 100

@@ -96,6 +96,16 @@ def test_verify_violation_exits_1(capsys):
     assert json.loads(out)["summary"]["failed"] == 2
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_verify_rejects_a_tol_that_is_not_finite_and_nonnegative(capsys, tol):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "theorem1", "--random", "3", "--tol", tol
+    )
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
 def test_verify_rejects_both_modes(capsys, c4_file):
     code, _, err = run_cli(
         capsys, "verify", "--graph", c4_file, "--random", "3"

@@ -10,21 +10,17 @@ import pytest
 from bozon import (
     DefectSet,
     PathSpec,
-    SpinorSpec,
     base_couplings,
     build_map,
     dimer_correlation_ratio,
     kw_duality_check,
-    magnetization,
     magnetization_report,
     spin_correlation,
-    spin_correlation_squared_dimer,
-    spinor_correlation_squared,
+    theorem_reports,
     uniform_couplings,
     validate_defects,
 )
-import bozon.consequences
-from bozon.errors import EndpointMismatch, IdentityViolation
+from bozon.errors import EndpointMismatch
 
 from conftest import oracle_expectation, random_j
 
@@ -87,12 +83,13 @@ def test_spin_correlation_rejects_unpaired_endpoints(maps, rng):
 def test_squared_correlation_equals_dimer_ratio(maps, rng):
     m = maps["k3"]
     j = base_couplings(random_j(rng, 3))
-    rep = spin_correlation_squared_dimer(m, j, (0, 1), (PathSpec((0, 1), (0,)),))
+    path = PathSpec((0, 1), (0,))
+    value = spin_correlation(m, j, (0, 1), (path,))
+    ratio, method = dimer_correlation_ratio(m, j, validate_defects(m, (path,), ()))
     want = oracle_expectation(m, list(j.real), (0, 1))
-    assert rep.squared_value == pytest.approx(abs(want) ** 2, rel=1e-10)
-    assert rep.dimer_ratio == pytest.approx(rep.squared_value, rel=1e-9)
-    assert rep.sign == 1
-    assert rep.method == "brute"
+    assert value * value == pytest.approx(abs(want) ** 2, rel=1e-10)
+    assert ratio == pytest.approx(value * value, rel=1e-9)
+    assert method == "brute"
 
 
 def test_dimer_ratio_method_switches_at_cap(maps, rng):
@@ -107,60 +104,19 @@ def test_dimer_ratio_method_switches_at_cap(maps, rng):
     assert method_big == "determinant"  # 48 quad vertices exceed the brute cap
 
 
-# both C4 faces touch every vertex, so any (vertex, face) pair is incident
-C4_SPINOR = SpinorSpec(
-    pairs=((0, 0), (1, 1)),
-    order_paths=(PathSpec((0, 1), (0,)),),
-    disorder_paths=(PathSpec((0, 1), (2,)),),
-)
-
-
 def test_spinor_correlation_c4(maps, rng):
+    """The mixed order/disorder correlator at (vertex, face) pairs (0, 0)
+    and (1, 1) of C4, where both faces touch every vertex: theorem_main
+    holds with the predicted sign +1.  A negated dimer ratio failing it is
+    test_theorem_main_fails_a_flipped_dimer_ratio, on the same edges."""
+    m = maps["c4"]
     j = base_couplings(random_j(rng, 4))
-    rep = spinor_correlation_squared(maps["c4"], j, C4_SPINOR)
-    assert rep.sign == 1
-    assert rep.squared_value == pytest.approx(rep.dimer_ratio, rel=1e-9)
-    assert rep.gamma_size == 1
-
-
-def test_spinor_fails_a_negated_dimer_ratio(maps, rng, monkeypatch):
-    """The sign is predicted (+1), not fitted: a negated ratio must fail."""
-    real = bozon.consequences.dimer_correlation_ratio
-
-    def negated(*args, **kwargs):
-        ratio, method = real(*args, **kwargs)
-        return -ratio, method
-
-    monkeypatch.setattr(bozon.consequences, "dimer_correlation_ratio", negated)
-    j = base_couplings(random_j(rng, 4))
-    with pytest.raises(IdentityViolation, match="spinor_squared_vs_dimer_ratio"):
-        spinor_correlation_squared(maps["c4"], j, C4_SPINOR)
-
-
-def test_spinor_requires_incidence(maps, rng):
-    m = maps["grid_2_3"]
-    j = base_couplings(random_j(rng, m.edge_count))
-    # vertex 0 paired with a face it does not touch
-    far_face = next(
-        f for f in range(m.face_count) if 0 not in m.face_vertices(f)
-    )
-    spec = SpinorSpec(
-        pairs=((0, far_face), (1, far_face)),
-        order_paths=(PathSpec((0, 1), (0,)),),
-        disorder_paths=(),
-    )
-    with pytest.raises(EndpointMismatch):
-        spinor_correlation_squared(m, j, spec)
-
-
-def test_spinor_empty_is_trivial(maps):
-    rep = spinor_correlation_squared(
-        maps["c4"],
-        uniform_couplings(4, 0.5),
-        SpinorSpec(pairs=(), order_paths=(), disorder_paths=()),
-    )
-    assert (rep.squared_value, rep.dimer_ratio, rep.sign) == (1.0, 1.0, 1)
-    assert rep.method == "none"
+    d = validate_defects(m, (PathSpec((0, 1), (0,)),), (PathSpec((0, 1), (2,)),))
+    main = theorem_reports(m, j, d)[-1]
+    assert main.name == "theorem_main"
+    assert main.passed
+    assert main.sign == 1
+    assert main.extra["gamma"] == 1
 
 
 def test_magnetization_matches_oracle(maps, rng):
@@ -168,7 +124,9 @@ def test_magnetization_matches_oracle(maps, rng):
     j = base_couplings(random_j(rng, m.edge_count))
     outer = max(range(m.face_count), key=lambda f: len(m.faces[f]))
     rim = {v for t in m.faces[outer] for v in (m.dart_vertex[t],)}
-    value = magnetization(m, j, outer, 0)
+    value, reports = magnetization_report(m, j, outer, 0)
+    for r in reports:
+        r.require()
     want = oracle_expectation(m, list(j.real), (0,), fixed={v: 1 for v in rim})
     assert value == pytest.approx(complex(want).real, rel=1e-10)
 
@@ -190,14 +148,20 @@ def test_magnetization_boundary_vertex_is_one(maps, rng):
     j = base_couplings(random_j(rng, m.edge_count))
     outer = max(range(m.face_count), key=lambda f: len(m.faces[f]))
     rim_vertex = m.dart_vertex[m.faces[outer][0]]
-    assert magnetization(m, j, outer, rim_vertex) == 1.0
+    value, reports = magnetization_report(m, j, outer, rim_vertex)
+    for r in reports:
+        r.require()
+    assert value == 1.0
 
 
 def test_magnetization_strong_coupling_saturates(maps):
     m = maps["wheel_4"]
     j = uniform_couplings(m.edge_count, 5.0)
     outer = max(range(m.face_count), key=lambda f: len(m.faces[f]))
-    assert magnetization(m, j, outer, 0) == pytest.approx(1.0, abs=1e-3)
+    value, reports = magnetization_report(m, j, outer, 0)
+    for r in reports:
+        r.require()
+    assert value == pytest.approx(1.0, abs=1e-3)
 
 
 def test_duality_per_edge_relation(maps, rng):

@@ -17,7 +17,6 @@ from bozon import (
     calibration_sign,
     dimer_partition_function,
     dimer_Z_det,
-    kasteleyn_matrix,
     kasteleyn_orientation,
     matching_count_report,
     matching_pair_histogram,
@@ -25,20 +24,20 @@ from bozon import (
     modify_couplings,
     nu_from_couplings,
     polygon_to_dimer_count,
-    structure_check,
     theorem_reports,
     verify_bipartite_dimer_identity,
-    verify_theorem_main,
 )
 from bozon.dimer import DUAL_PARALLEL, LEG, PRIMAL_PARALLEL, all_ones
 from bozon.errors import InconsistentPair, TooLarge
 
 from conftest import (
+    kasteleyn_matrix,
     modified_values,
     oracle_even_subgraphs,
     oracle_matchings,
     oracle_partition,
     random_j,
+    structure_check,
 )
 
 
@@ -391,11 +390,3 @@ def test_theorem_main_fails_a_flipped_dimer_ratio(maps, rng, monkeypatch):
     assert main.name == "theorem_main"
     assert not main.passed
     assert main.sign == 1
-
-
-def test_verify_theorem_main_returns_last_report(maps, rng):
-    m = maps["k3"]
-    j = base_couplings(random_j(rng, m.edge_count))
-    rep = verify_theorem_main(m, j, DefectSet.empty())
-    assert rep.name == "theorem_main"
-    assert rep.passed

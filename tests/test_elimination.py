@@ -22,7 +22,6 @@ from bozon import (
     calibration_sign,
     dimer_Z_det,
     graph_context,
-    kasteleyn_matrix,
     modify_couplings,
     nu_from_couplings,
     theorem_reports,
@@ -31,7 +30,7 @@ from bozon.cli import main
 from bozon.dimer import _det, _solve, all_ones
 from bozon.errors import SingularMatrix, TooLarge
 
-from conftest import random_j
+from conftest import kasteleyn_matrix, random_j
 
 ORACLE_MAPS = (
     "k3", "c4", "grid_2_3", "grid_3_3", "grid_3_4", "grid_2_8", "grid_3_5",

@@ -13,7 +13,6 @@ from bozon import (
     builtin,
     dual,
     grid,
-    path_spec_from_edges,
     quad_graph,
     shortest_path,
     validate_defects,
@@ -232,13 +231,6 @@ def test_walk_path_loop_rejected(maps):
         walk_path(m, PathSpec((0, 0), (0, 1, 2, 3)))
 
 
-def test_path_spec_from_edges(maps):
-    m = maps["c4"]
-    spec = path_spec_from_edges(m, (0, 1))
-    assert set(spec.endpoints) == {0, 2}
-    assert walk_path(m, spec)
-
-
 def test_shortest_path(maps):
     m = maps["grid_3_3"]
     spec = shortest_path(m, 0, 8)
@@ -265,7 +257,7 @@ def test_validate_defects_basic(maps):
     d = validate_defects(m, (PathSpec((3, 4), (2,)),), ())
     assert d.gamma == frozenset({2})
     assert d.gamma_star == frozenset()
-    assert d.order_vertices == (3, 4)
+    assert d.order_paths == (PathSpec((3, 4), (2,)),)
 
 
 def test_validate_defects_disorder_on_dual(maps, duals):

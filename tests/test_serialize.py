@@ -7,7 +7,6 @@ import json
 import pytest
 
 from bozon import (
-    DefectSet,
     PathSpec,
     base_couplings,
     build_gq,
@@ -20,12 +19,10 @@ from bozon import (
     map_from_dict,
     map_to_dict,
     nu_from_couplings,
-    order_disorder_correlation,
     validate_defects,
 )
 from bozon.errors import LengthMismatch, MalformedRotation, NonPositiveCoupling
 from bozon.reports import compare
-from bozon.serialize import correlator_to_dict
 
 from conftest import random_j
 
@@ -70,18 +67,6 @@ def test_defects_round_trip(maps):
     order, disorder = defect_paths_from_dict(obj)
     assert order == d.order_paths
     assert disorder == d.disorder_paths
-
-
-def test_correlator_dict_shape(maps, rng):
-    m = maps["c4"]
-    j = base_couplings(random_j(rng, 4))
-    d = DefectSet.from_edge_sets({0}, {2})
-    c = order_disorder_correlation(m, j, d)
-    obj = correlator_to_dict(c, d)
-    assert set(obj) == {"value_re", "value_im", "gamma", "gamma_star"}
-    assert obj["gamma"] == [0]
-    assert obj["gamma_star"] == [2]
-    assert complex(obj["value_re"], obj["value_im"]) == c.value
 
 
 def test_gq_dict_counts(maps, rng):
