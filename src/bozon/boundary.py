@@ -22,12 +22,7 @@ from typing import Sequence
 
 from .errors import BadArcSplit, DefectOnBoundary, NonContiguousArc
 from .ising import CouplingAssignment, base_couplings
-from .planar_map import (
-    CombinatorialMap,
-    DefectSet,
-    PathSpec,
-    build_map,
-)
+from .planar_map import CombinatorialMap, DefectSet, build_map
 
 
 @dataclass(frozen=True)
@@ -36,12 +31,11 @@ class ReductionResult:
     new_couplings: CouplingAssignment
     new_defects: DefectSet
     scalar: float
-    merged_vertex: int | None
+    merged_vertex: int
     vertex_map: tuple[int, ...]
     edge_map: tuple[int, ...]  # -1 for removed edges
+    fixed: dict[int, int]  # the boundary condition: vertex of m -> spin +-1
     disorder_line: tuple[int, ...] = ()  # new edge ids of the appended line
-    disorder_path: PathSpec | None = None
-    path_validated: bool = False
 
 
 class _Surgeon:
@@ -60,16 +54,9 @@ class _Surgeon:
         self.flags = list(couplings.half_pi)
         self.factor = 1.0
 
-    def rep_of(self, v: int) -> int:
-        return self.rep[v]
-
     def endpoints(self, e: int) -> tuple[int, int]:
         d1, d2 = self.edge_darts[e]
         return self.dart_vertex[d1], self.dart_vertex[d2]
-
-    def is_loop(self, e: int) -> bool:
-        u, v = self.endpoints(e)
-        return u == v
 
     def _remove_factor(self, e: int, spin_product: int) -> None:
         if self.flags[e]:
@@ -123,14 +110,6 @@ class _Surgeon:
                 touched.append(e)
         return touched
 
-    def incident_edges(self, v: int) -> list[int]:
-        seen = []
-        for d in self.rotations[v]:
-            e = self.dart_edge[d]
-            if e not in seen:
-                seen.append(e)
-        return seen
-
     def finalize(self) -> tuple[CombinatorialMap, CouplingAssignment, tuple, tuple]:
         """Compact ids and rebuild a validated map.  Couplings must be
         base (no flags, positive) at this point; sign bookkeeping is the
@@ -176,30 +155,26 @@ def _remap_defects(d: DefectSet, edge_map: tuple[int, ...]) -> DefectSet:
     return DefectSet.from_edge_sets(remap(d.gamma), remap(d.gamma_star))
 
 
-def _contract_fixed(
-    surgeon: _Surgeon,
-    fixed_vertices: set[int],
-    spin: dict[int, int],
-) -> int | None:
-    """Contract every edge joining two fixed vertices (chords included),
-    absorbing the loops that appear; each removal contributes the factor
-    of its frozen endpoint spins.  Returns the merged vertex, or None if
-    no edge was inside the set.  One pass in edge-id order suffices: a
-    contraction merges two fixed vertices into one of them, so it never
-    changes whether another edge joins two fixed vertices."""
-    merged = None
+def _contract_fixed(surgeon: _Surgeon, spin: dict[int, int]) -> int:
+    """Contract every edge joining two fixed vertices (the keys of
+    ``spin``, chords included), absorbing the loops that appear; each
+    removal contributes the factor of its frozen endpoint spins.  The fixed
+    vertices must be connected through such edges; returns the one vertex
+    they merge into.  One pass in edge-id order suffices: a contraction
+    merges two fixed vertices into one of them, so it never changes whether
+    another edge joins two fixed vertices."""
     for e in range(len(surgeon.alive_edge)):
         if not surgeon.alive_edge[e]:
             continue
         u, v = surgeon.endpoints(e)
-        if u not in fixed_vertices or v not in fixed_vertices:
+        if u not in spin or v not in spin:
             continue
         s = spin[u] * spin[v]
         if u == v:
             surgeon.absorb_loop(e, s)
         else:
-            merged = surgeon.contract(e, s)
-    return merged
+            surgeon.contract(e, s)
+    return surgeon.rep[min(spin)]
 
 
 def reduce_plus(
@@ -210,22 +185,16 @@ def reduce_plus(
 ) -> ReductionResult:
     """All boundary spins of ``face`` fixed +1: contract the face to one
     vertex; Z_plus(G) = scalar * Z_free(G')."""
-    boundary_edges = set(m.face_edges(face))
-    return reduce_plus_free(m, j, d, sorted(boundary_edges), face=face)
+    return reduce_plus_free(m, j, d, sorted(set(m.face_edges(face))), face)
 
 
 def _arc_contiguous(cycle: list[int], chosen: set[int]) -> bool:
-    """Do the chosen edges occupy consecutive positions of the cyclic edge
-    sequence?  The full cycle counts as contiguous."""
-    n = len(cycle)
+    """Do the chosen (non-empty) edges occupy consecutive positions of the
+    cyclic edge sequence?  The full cycle counts as contiguous."""
     flags = [e in chosen for e in cycle]
-    if all(flags) or not any(flags):
-        return True
     # count False->True transitions around the cycle; one block has one
-    rises = sum(
-        1 for i in range(n) if not flags[i - 1] and flags[i]
-    )
-    return rises == 1
+    rises = sum(1 for i in range(len(cycle)) if not flags[i - 1] and flags[i])
+    return all(flags) or rises == 1
 
 
 def reduce_plus_free(
@@ -233,61 +202,38 @@ def reduce_plus_free(
     j: CouplingAssignment,
     d: DefectSet,
     fixed_edges: Sequence[int],
-    face: int | None = None,
+    face: int,
 ) -> ReductionResult:
-    """Spins along one contiguous boundary arc (given by its edges) fixed
-    +1, the rest free.  With all boundary edges fixed this is reduce_plus;
-    with none it is the identity."""
-    fixed = set(fixed_edges)
-    if not fixed:
-        return ReductionResult(
-            new_map=m,
-            new_couplings=j,
-            new_defects=d,
-            scalar=1.0,
-            merged_vertex=None,
-            vertex_map=tuple(range(m.vertex_count)),
-            edge_map=tuple(range(m.edge_count)),
-        )
-    if face is None:
-        candidates = [
-            f
-            for f in range(m.face_count)
-            if fixed <= set(m.face_edges(f))
-        ]
-        if not candidates:
-            raise NonContiguousArc(
-                f"edges {sorted(fixed)} do not lie on one face boundary"
-            )
-        face = candidates[0]
+    """Spins along one non-empty contiguous arc of the boundary of
+    ``face`` (given by its edges) fixed +1, the rest free.  With all
+    boundary edges fixed this is reduce_plus."""
+    arc = set(fixed_edges)
     boundary_cycle = list(m.face_edges(face))
-    if not fixed <= set(boundary_cycle):
+    if not arc:
+        raise NonContiguousArc(f"empty arc on face {face}")
+    if not arc <= set(boundary_cycle):
         raise NonContiguousArc(
-            f"edges {sorted(fixed - set(boundary_cycle))} not on face {face}"
+            f"edges {sorted(arc - set(boundary_cycle))} not on face {face}"
         )
-    if not _arc_contiguous(boundary_cycle, fixed):
+    if not _arc_contiguous(boundary_cycle, arc):
         raise NonContiguousArc(
-            f"edges {sorted(fixed)} are not one arc of face {face}"
+            f"edges {sorted(arc)} are not one arc of face {face}"
         )
     _check_defects_clear(set(boundary_cycle), d)
 
-    fixed_vertices = set()
-    for e in fixed:
-        u, v = m.edge_endpoints(e)
-        fixed_vertices.update((u, v))
-
+    spin = {v: 1 for e in arc for v in m.edge_endpoints(e)}
     surgeon = _Surgeon(m, j)
-    spin = {v: 1 for v in fixed_vertices}
-    merged = _contract_fixed(surgeon, fixed_vertices, spin)
+    merged = _contract_fixed(surgeon, spin)
     new_map, new_j, vertex_map, edge_map = surgeon.finalize()
     return ReductionResult(
         new_map=new_map,
         new_couplings=new_j,
         new_defects=_remap_defects(d, edge_map),
         scalar=0.5 * surgeon.factor,
-        merged_vertex=vertex_map[merged] if merged is not None else None,
+        merged_vertex=vertex_map[merged],
         vertex_map=vertex_map,
         edge_map=edge_map,
+        fixed=spin,
     )
 
 
@@ -319,103 +265,51 @@ def reduce_dobrushin(
     _check_defects_clear(set(boundary_cycle), d)
 
     # walk edge i joins walk vertices i and i+1 (mod L)
-    plus_vertices = {walk_vertices[i % L] for i in range(a + 1, b + 1)}
-    minus_vertices = {walk_vertices[i % L] for i in range(b + 1, a + L + 1)}
+    plus = {walk_vertices[i % L]: 1 for i in range(a + 1, b + 1)}
+    minus = {walk_vertices[i % L]: -1 for i in range(b + 1, a + L + 1)}
     defect_touch = set()
     for e in d.gamma | d.gamma_star:
         defect_touch.update(m.edge_endpoints(e))
-    if defect_touch & minus_vertices:
+    if not defect_touch.isdisjoint(minus):
         raise DefectOnBoundary(
             "defect edges may not touch the minus arc (the gauge flip "
             "would reclassify them)"
         )
 
-    surgeon = _Surgeon(m, j)
-    spin = {v: 1 for v in plus_vertices}
-    spin.update({v: -1 for v in minus_vertices})
-
     # merge each arc separately (junction edges join the two arcs and are
     # left for the cross-arc stage)
-    v_plus = _contract_fixed(surgeon, plus_vertices, spin)
-    v_minus = _contract_fixed(surgeon, minus_vertices, spin)
-    if v_plus is None:
-        v_plus = surgeon.rep_of(next(iter(plus_vertices)))
-    if v_minus is None:
-        v_minus = surgeon.rep_of(next(iter(minus_vertices)))
+    surgeon = _Surgeon(m, j)
+    v_plus = _contract_fixed(surgeon, plus)
+    v_minus = _contract_fixed(surgeon, minus)
 
-    # gauge the minus vertex to +1; its surviving couplings flip sign
-    fan_old = surgeon.negate_at(v_minus)
-    spin = {v_plus: 1, v_minus: 1}
-    merged = _contract_fixed(surgeon, {v_plus, v_minus}, spin)
-    if merged is None:
-        raise BadArcSplit("junction edges disappeared before the final merge")
-    fan_old = [e for e in fan_old if surgeon.alive_edge[e]]
-
-    # a fan covering every edge at the merged vertex is a pure gauge of
-    # that vertex: drop it (the disorder line would be a closed dual loop)
-    incident = set(surgeon.incident_edges(merged))
-    loops_at = {e for e in incident if surgeon.is_loop(e)}
-    if set(fan_old) >= incident - loops_at:
-        for e in fan_old:
-            surgeon.real[e] = -surgeon.real[e]
-        fan_old = []
-
-    gamma_star_extra = set(fan_old)
-    for e in fan_old:
-        surgeon.real[e] = -surgeon.real[e]  # representation: base J + defect mark
+    # gauge the minus vertex to +1 (its couplings flip sign) and merge it
+    # across the junctions; the surviving flipped edges go back to base J
+    # and are carried as a disorder line across that fan instead
+    fan = surgeon.negate_at(v_minus)
+    merged = _contract_fixed(surgeon, {v_plus: 1, v_minus: 1})
+    fan = [e for e in fan if surgeon.alive_edge[e]]
+    for e in fan:
+        surgeon.real[e] = -surgeon.real[e]
+    # a fan covering every edge at the merged vertex (the merge left no
+    # loop there) is a pure gauge of that vertex: drop it (the disorder
+    # line would be a closed dual loop)
+    if set(fan) >= {surgeon.dart_edge[t] for t in surgeon.rotations[merged]}:
+        fan = []
 
     new_map, new_j, vertex_map, edge_map = surgeon.finalize()
     base = _remap_defects(d, edge_map)
-    fan_new = sorted(edge_map[e] for e in gamma_star_extra)
+    fan_new = sorted(edge_map[e] for e in fan)
     defects = DefectSet.from_edge_sets(
         base.gamma, set(base.gamma_star) | set(fan_new)
     )
-
-    v_new = vertex_map[merged]
-    path, validated = _fan_path(new_map, v_new, fan_new)
     return ReductionResult(
         new_map=new_map,
         new_couplings=new_j,
         new_defects=defects,
         scalar=0.5 * surgeon.factor,
-        merged_vertex=v_new,
+        merged_vertex=vertex_map[merged],
         vertex_map=vertex_map,
         edge_map=edge_map,
+        fixed=plus | minus,
         disorder_line=tuple(fan_new),
-        disorder_path=path,
-        path_validated=validated,
     )
-
-
-def _fan_path(
-    m: CombinatorialMap, v: int, fan: list[int]
-) -> tuple[PathSpec | None, bool]:
-    """Dual path crossing a consecutive fan of edges at one vertex: it
-    runs through the corners between them, from the face before the first
-    fan dart to the face after the last."""
-    if not fan:
-        return None, False
-    fan_set = set(fan)
-    rot = m.vertex_darts[v]
-    n = len(rot)
-    in_fan = [m.dart_edge[d] in fan_set for d in rot]
-    start = None
-    for i in range(n):
-        if in_fan[i] and not in_fan[i - 1]:
-            if start is not None:
-                return None, False  # fan not consecutive; edge set stands
-            start = i
-    if start is None:
-        return None, False
-    block = [rot[(start + k) % n] for k in range(len(fan))]
-    if any(m.dart_edge[d] not in fan_set for d in block):
-        return None, False
-    prev = rot[(start - 1) % n]
-    spec = PathSpec(
-        endpoints=(m.dart_face[prev], m.dart_face[block[-1]]),
-        edges=tuple(m.dart_edge[d] for d in block),
-    )
-    # the path's dual vertices are the corner faces, which chain by
-    # construction; it is a valid dual path unless it revisits a face
-    faces = [m.dart_face[prev]] + [m.dart_face[d] for d in block]
-    return spec, len(set(faces)) == len(faces)

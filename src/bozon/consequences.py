@@ -153,7 +153,6 @@ def magnetization_report(
     res = reduce_plus(m, j, DefectSet.empty(), face)
     gp, jp = res.new_map, res.new_couplings
     b = res.merged_vertex
-    assert b is not None
     u_new = res.vertex_map[u]
     spec = shortest_path(gp, u_new, b)
     if spec is None:

@@ -15,12 +15,16 @@ with unit weights it counts the pairs for the grouped matching count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import TooLarge
-from .ising import STATE_CAP, CouplingAssignment, partition_function
+from .ising import (
+    STATE_CAP,
+    CouplingAssignment,
+    modify_couplings,
+    partition_function,
+)
 from .planar_map import CombinatorialMap, DefectSet
 from .reports import IdentityReport, compare
 
@@ -29,16 +33,11 @@ from .reports import IdentityReport, compare
 class PolygonWeights:
     """Edge weights of the pair-polygon sum: tanh(2J_bar) on primal edges,
     sech(2J_bar) on dual edges, and the constant C = 2^{|V|+1} prod_e
-    cosh(2J_bar_e), also exposed in the factored form
-    2^{|V|+1} (-1)^{|Gamma|} prod_e cosh(2J_e)."""
+    cosh(2J_bar_e)."""
 
     primal: tuple[float, ...]
     dual: tuple[float, ...]
     constant: float
-    constant_factored: float
-
-    def free_fermion_residual(self, e: int) -> float:
-        return abs(self.primal[e] ** 2 + self.dual[e] ** 2 - 1.0)
 
 
 def polygon_weights(
@@ -46,17 +45,13 @@ def polygon_weights(
 ) -> PolygonWeights:
     primal = tuple(jbar.tanh2(e) for e in range(m.edge_count))
     dual_w = tuple(jbar.sech2(e) for e in range(m.edge_count))
-    prod_signed = 1.0
-    prod_plain = 1.0
+    prod = 1.0
     for e in range(m.edge_count):
-        prod_signed *= jbar.cosh2(e)
-        prod_plain *= math.cosh(2 * jbar.real[e])
-    scale = float(2 ** (m.vertex_count + 1))
+        prod *= jbar.cosh2(e)
     return PolygonWeights(
         primal=primal,
         dual=dual_w,
-        constant=scale * prod_signed,
-        constant_factored=scale * (-1) ** jbar.phase_power * prod_plain,
+        constant=float(2 ** (m.vertex_count + 1)) * prod,
     )
 
 
@@ -118,8 +113,6 @@ def verify_squared_partition(
     tol: float = 1e-9,
 ) -> IdentityReport:
     """[Z(J_bar)]^2 against the pair-polygon sum; raises on violation."""
-    from .ising import modify_couplings
-
     jbar = modify_couplings(j, d)
     z = partition_function(m, jbar)
     lhs = z * z

@@ -82,7 +82,7 @@ def compare(
     abs_err = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     rel_err = abs_err / scale
-    passed = abs_err <= tol * max(scale, 1.0) or rel_err <= tol
+    passed = abs_err <= tol * max(scale, 1.0)
     return IdentityReport(
         name=name,
         lhs=lhs,

@@ -49,16 +49,6 @@ from .serialize import couplings_to_dict
 DEFAULT_COUNT = 100
 DEFAULT_SEED = 1
 
-SUITE_NAMES = (
-    "theorem1",
-    "pairpolygon",
-    "bipartitedimer",
-    "corollary",
-    "magnetization",
-    "duality",
-    "boundary",
-)
-
 
 def worker_count() -> int:
     """Always 1: suites run serially.  Kept for the benchmark's environment
@@ -161,26 +151,23 @@ def _clear_faces(m: CombinatorialMap, d: DefectSet) -> list[int]:
 def _boundary_checks(inst: Instance, tol: float) -> list[IdentityReport]:
     m, j, d = inst.map, inst.couplings, inst.defects
     rng = random.Random(f"{inst.seed}-boundary-{inst.index}")
-    flagged = set(d.gamma) | set(d.gamma_star)
     faces = _clear_faces(m, d) or list(range(m.face_count))
     face = faces[rng.randrange(len(faces))]
     cycle = list(m.face_edges(face))
     length = len(cycle)
-
-    def reduced_z(res) -> complex:
-        jj = modify_couplings(res.new_couplings, res.new_defects)
-        return res.scalar * partition_function(res.new_map, jj)
-
-    reports = []
     jbar = modify_couplings(j, d)
 
-    res = reduce_plus(m, j, d, face)
-    fixed = {}
-    for e in cycle:
-        u, v = m.edge_endpoints(e)
-        fixed[u] = fixed[v] = 1
-    plus = partition_function(m, jbar, fixed=fixed), reduced_z(res)
-    reports.append(compare("reduce_plus", *plus, tol=tol, extra={"face": face}))
+    def sides(res) -> tuple[complex, complex]:
+        """Z(G) under the reduction's boundary condition, and
+        scalar * Z_free(G')."""
+        jj = modify_couplings(res.new_couplings, res.new_defects)
+        return (
+            partition_function(m, jbar, fixed=res.fixed),
+            res.scalar * partition_function(res.new_map, jj),
+        )
+
+    plus = sides(reduce_plus(m, j, d, face))
+    reports = [compare("reduce_plus", *plus, tol=tol, extra={"face": face})]
 
     start = rng.randrange(length)
     span = rng.randint(1, length)
@@ -189,21 +176,21 @@ def _boundary_checks(inst: Instance, tol: float) -> list[IdentityReport]:
         # reduce_plus is reduce_plus_free on the whole face: same sums
         plus_free = plus
     else:
-        res = reduce_plus_free(m, j, d, arc, face=face)
-        fixed = {}
-        for e in arc:
-            u, v = m.edge_endpoints(e)
-            fixed[u] = fixed[v] = 1
-        plus_free = partition_function(m, jbar, fixed=fixed), reduced_z(res)
+        plus_free = sides(reduce_plus_free(m, j, d, arc, face))
     reports.append(
         compare("reduce_plus_free", *plus_free, tol=tol,
                 extra={"face": face, "arc_edges": span})
     )
 
+    walk = [m.dart_vertex[t] for t in m.faces[face]]
+    if len(set(walk)) < length or len(set(cycle)) < length:
+        # the walk passes a cut vertex, so the face has no split into
+        # two arcs; the two checks above stand on their own
+        return reports
     a = rng.randrange(length)
     b = (a + rng.randrange(1, length)) % length
     a, b = min(a, b), max(a, b)
-    walk = [m.dart_vertex[t] for t in m.faces[face]]
+    flagged = d.gamma | d.gamma_star
     defect_touch = {v for e in flagged for v in m.edge_endpoints(e)}
 
     def minus_clear(x: int, y: int) -> bool:
@@ -226,14 +213,10 @@ def _boundary_checks(inst: Instance, tol: float) -> list[IdentityReport]:
             return reports
         a, b = found
     res = reduce_dobrushin(m, j, d, face, (a, b))
-    fixed = {walk[i % length]: 1 for i in range(a + 1, b + 1)}
-    fixed.update({walk[i % length]: -1 for i in range(b + 1, a + length + 1)})
-    lhs = partition_function(m, jbar, fixed=fixed)
     reports.append(
         compare(
             "reduce_dobrushin",
-            lhs,
-            reduced_z(res),
+            *sides(res),
             tol=tol,
             extra={
                 "face": face,
@@ -243,74 +226,6 @@ def _boundary_checks(inst: Instance, tol: float) -> list[IdentityReport]:
         )
     )
     return reports
-
-
-_INSTANCE_CHECKS: dict[str, Callable[[Instance, float], Any]] = {
-    "theorem1": _theorem1_checks,
-    "pairpolygon": _pairpolygon_checks,
-    "bipartitedimer": _bipartitedimer_checks,
-    "corollary": _corollary_checks,
-    "duality": _duality_checks,
-    "boundary": _boundary_checks,
-}
-
-
-def _instance_record(suite: str, inst: Instance, tol: float) -> dict:
-    fields = {"suite": suite, "scope": "instance", **inst.provenance()}
-    return _record(fields, lambda: _INSTANCE_CHECKS[suite](inst, tol))
-
-
-def _count_record(name: str, m: CombinatorialMap) -> dict:
-    """The exact grouped-matching count of one graph (coupling-free)."""
-    fields = {"suite": "bipartitedimer", "scope": "graph", "graph": name}
-    return _record(fields, lambda: matching_count_report(m))
-
-
-def _run_stream(
-    suite: str, count: int, seed: int, tol: float, profile: str = "mixed"
-) -> list[dict]:
-    instances = random_instances(count, seed, profile=profile)
-    return [_instance_record(suite, inst, tol) for inst in instances]
-
-
-# ------------------------------------------------------------ the suites
-
-
-def run_theorem1(
-    count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED, tol: float = 1e-9
-) -> list[dict]:
-    """Squared correlator vs dimer ratio (with both unsquared product
-    identities) on the mixed-defect instance stream."""
-    return _run_stream("theorem1", count, seed, tol)
-
-
-def run_pairpolygon(
-    count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED, tol: float = 1e-9
-) -> list[dict]:
-    """[Z(Jbar)]^2 = C * (pair-polygon sum) on the same instance stream."""
-    return _run_stream("pairpolygon", count, seed, tol)
-
-
-def run_bipartitedimer(
-    count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED, tol: float = 1e-9
-) -> list[dict]:
-    """Bare pair-polygon sum = half the dimer sum per instance, plus the
-    exact grouped-matching count once per distinct graph (the count is
-    coupling-independent)."""
-    records = _run_stream("bipartitedimer", count, seed, tol)
-    for name in sorted({rec["graph"] for rec in records}):
-        records.append(_count_record(name, builtin(name)))
-    return records
-
-
-def run_corollary(
-    count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED, tol: float = 1e-9
-) -> list[dict]:
-    """Squared multi-spin correlations (direct expectation) vs dimer
-    ratios on an order-only instance stream, plus the two closed forms."""
-    records = _run_stream("corollary", count, seed, tol, profile="order_only")
-    records.extend(closed_form_records(seed, tol=tol))
-    return records
 
 
 def closed_form_records(seed: int, tol: float = 1e-9) -> list[dict]:
@@ -362,14 +277,13 @@ _MAGNETIZATION_SITES = (
 )
 
 
-def run_magnetization(
-    count: int = 10, seed: int = DEFAULT_SEED, tol: float = 1e-9
-) -> list[dict]:
-    """Fixed-plus boundary magnetization on graphs with an interior
-    vertex: direct average vs contracted pair correlation vs dimer ratio."""
+def _magnetization_records(count: int, seed: int, tol: float) -> list[dict]:
+    """Fixed-plus boundary magnetization at 10 to 50 sites (``count``
+    clamped): direct average vs contracted pair correlation vs dimer
+    ratio."""
     rng = random.Random(f"{seed}-magnetization")
     records = []
-    for i in range(count):
+    for i in range(max(10, min(count, 50))):
         name, u = _MAGNETIZATION_SITES[i % len(_MAGNETIZATION_SITES)]
         m = builtin(name)
         face = max(range(m.face_count), key=lambda f: len(m.faces[f]))
@@ -390,32 +304,30 @@ def run_magnetization(
     return records
 
 
-def run_duality(
-    count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED, tol: float = 1e-9
-) -> list[dict]:
-    """Per-edge, modified, and correlator-level coupling duality between
-    each instance map and its dual."""
-    return _run_stream("duality", count, seed, tol)
-
-
-def run_boundary(
-    count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED, tol: float = 1e-9
-) -> list[dict]:
-    """Z_bc(G) = scalar * Z_free(G') by double enumeration for plus,
-    plus-free arc, and Dobrushin boundary conditions, faces and arcs drawn
-    per instance."""
-    return _run_stream("boundary", count, seed, tol, profile="none")
-
-
-_RUNNERS: dict[str, Callable[..., list[dict]]] = {
-    "theorem1": run_theorem1,
-    "pairpolygon": run_pairpolygon,
-    "bipartitedimer": run_bipartitedimer,
-    "corollary": run_corollary,
-    "magnetization": run_magnetization,
-    "duality": run_duality,
-    "boundary": run_boundary,
+# Each suite's per-instance check and the defect profile of its seeded
+# stream, in the order "all" runs them.  Magnetization draws its own
+# sites, so it has neither.
+_SUITES: dict[str, tuple[Callable[[Instance, float], Any] | None, str | None]] = {
+    "theorem1": (_theorem1_checks, "mixed"),
+    "pairpolygon": (_pairpolygon_checks, "mixed"),
+    "bipartitedimer": (_bipartitedimer_checks, "mixed"),
+    "corollary": (_corollary_checks, "order_only"),
+    "magnetization": (None, None),
+    "duality": (_duality_checks, "mixed"),
+    "boundary": (_boundary_checks, "none"),
 }
+SUITE_NAMES = tuple(_SUITES)
+
+
+def _instance_record(suite: str, inst: Instance, tol: float) -> dict:
+    fields = {"suite": suite, "scope": "instance", **inst.provenance()}
+    return _record(fields, lambda: _SUITES[suite][0](inst, tol))
+
+
+def _count_record(name: str, m: CombinatorialMap) -> dict:
+    """The exact grouped-matching count of one graph (coupling-free)."""
+    fields = {"suite": "bipartitedimer", "scope": "graph", "graph": name}
+    return _record(fields, lambda: matching_count_report(m))
 
 
 def run_suite(
@@ -424,16 +336,37 @@ def run_suite(
     seed: int = DEFAULT_SEED,
     tol: float = 1e-9,
 ) -> list[dict]:
+    """The records of one suite, or of every suite in turn for "all".
+    Each instance suite checks ``count`` instances of its seeded stream:
+
+    theorem1        squared correlator vs dimer ratio, with both unsquared
+                    product identities;
+    pairpolygon     [Z(Jbar)]^2 = C * (pair-polygon sum);
+    bipartitedimer  bare pair-polygon sum = half the dimer sum, then the
+                    exact grouped-matching count once per distinct graph;
+    corollary       squared multi-spin correlations (direct expectation)
+                    vs dimer ratios, then the two closed forms;
+    duality         per-edge, modified and correlator-level coupling
+                    duality between each map and its dual;
+    boundary        Z_bc(G) = scalar * Z_free(G') by double enumeration
+                    for plus, plus-free arc and Dobrushin boundaries.
+
+    magnetization checks its own boundary sites instead.
+    """
     if name == "all":
-        records = []
-        for n in SUITE_NAMES:
-            records.extend(run_suite(n, count=count, seed=seed, tol=tol))
-        return records
-    if name not in _RUNNERS:
+        return [rec for n in SUITE_NAMES for rec in run_suite(n, count, seed, tol)]
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     if name == "magnetization":
-        count = max(10, min(count, 50))
-    return _RUNNERS[name](count=count, seed=seed, tol=tol)
+        return _magnetization_records(count, seed, tol)
+    instances = random_instances(count, seed, profile=_SUITES[name][1])
+    records = [_instance_record(name, inst, tol) for inst in instances]
+    if name == "bipartitedimer":
+        for graph in sorted({rec["graph"] for rec in records}):
+            records.append(_count_record(graph, builtin(graph)))
+    elif name == "corollary":
+        records.extend(closed_form_records(seed, tol=tol))
+    return records
 
 
 # ------------------------------------------- explicit (user-supplied) inputs
@@ -475,7 +408,7 @@ def run_explicit(name: str, inst: Instance, tol: float = 1e-9) -> list[dict]:
             if n not in skip:
                 records.extend(run_explicit(n, inst, tol=tol))
         return records
-    if name not in _INSTANCE_CHECKS:
+    if name not in _SUITES or name == "magnetization":
         raise ValueError(f"suite {name!r} does not take an explicit instance")
     if name == "corollary" and inst.defects.disorder_paths:
         raise ValueError("corollary suite needs order-only defects")

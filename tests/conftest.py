@@ -197,28 +197,32 @@ def random_j(rng, count, low=0.1, high=2.0):
     return [rng.uniform(low, high) for _ in range(count)]
 
 
-def rescanning_contract_fixed(surgeon, fixed_vertices, spin):
+def free_fermion_residual(w, e):
+    """|tanh^2 + sech^2 - 1| of edge e's pair-polygon weights, which the
+    free-fermion condition makes 0."""
+    return abs(w.primal[e] ** 2 + w.dual[e] ** 2 - 1.0)
+
+
+def rescanning_contract_fixed(surgeon, spin):
     """Reference for ``boundary._contract_fixed``: after each contraction,
     rescan every edge from id 0 for one that joins two fixed vertices."""
-    merged = None
     while True:
         candidate = None
         for e in range(len(surgeon.alive_edge)):
             if not surgeon.alive_edge[e]:
                 continue
             u, v = surgeon.endpoints(e)
-            if u in fixed_vertices and v in fixed_vertices:
+            if u in spin and v in spin:
                 candidate = e
                 break
         if candidate is None:
-            break
+            return surgeon.rep[min(spin)]
         u, v = surgeon.endpoints(candidate)
         s = spin[u] * spin[v]
         if u == v:
             surgeon.absorb_loop(candidate, s)
         else:
-            merged = surgeon.contract(candidate, s)
-    return merged
+            surgeon.contract(candidate, s)
 
 
 def clear_caches():

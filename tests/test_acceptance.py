@@ -31,15 +31,9 @@ from bozon import (
 )
 from bozon.instances import random_instances
 from bozon.polygon import _polygon_sweep
-from bozon.suites import (
-    run_boundary,
-    run_corollary,
-    run_magnetization,
-    run_pairpolygon,
-    run_suite,
-)
+from bozon.suites import run_suite
 
-from conftest import random_j, structure_check
+from conftest import free_fermion_residual, random_j, structure_check
 
 SEED = 1
 COUNT = 100
@@ -87,7 +81,7 @@ def test_criterion_1_squared_correlator_vs_dimer_ratio(capfd):
 
 def test_criterion_2_pair_polygon_sum(capfd):
     with criterion(capfd, 2, "[Z(J_bar)]^2 = C * pair-polygon sum, same instance set"):
-        records = run_pairpolygon(count=COUNT, seed=SEED)
+        records = run_suite("pairpolygon", count=COUNT, seed=SEED)
         assert len(records) == COUNT
         assert all(r["pass"] for r in records)
         for r in records:
@@ -146,7 +140,7 @@ def test_criterion_5_kasteleyn_oracle(capfd):
 
 def test_criterion_6_multi_spin_corollary_and_closed_forms(capfd):
     with criterion(capfd, 6, "squared multi-spin correlations = dimer ratios; closed forms"):
-        records = run_corollary(count=COUNT, seed=SEED)
+        records = run_suite("corollary", count=COUNT, seed=SEED)
         assert all(r["pass"] for r in records)
         instance_recs = [r for r in records if r["scope"] == "instance"]
         closed = [r for r in records if r["scope"] == "closed_form"]
@@ -159,7 +153,7 @@ def test_criterion_6_multi_spin_corollary_and_closed_forms(capfd):
 
 def test_criterion_7_boundary_reductions_and_magnetization(capfd):
     with criterion(capfd, 7, "boundary reductions by double enumeration; magnetization lemma"):
-        records = run_boundary(count=COUNT, seed=SEED)
+        records = run_suite("boundary", count=COUNT, seed=SEED)
         assert len(records) == COUNT
         assert all(r["pass"] for r in records)
         for r in records:
@@ -168,7 +162,7 @@ def test_criterion_7_boundary_reductions_and_magnetization(capfd):
                 "reduce_plus_free",
                 "reduce_dobrushin",
             ]
-        mag = run_magnetization(count=10, seed=SEED)
+        mag = run_suite("magnetization", count=10, seed=SEED)
         assert len(mag) >= 10
         assert all(r["pass"] for r in mag)
         for r in mag:
@@ -225,4 +219,4 @@ def test_criterion_9_structural_invariants(capfd):
             ):
                 w = polygon_weights(m, modify_couplings(j, d))
                 for e in range(m.edge_count):
-                    assert w.free_fermion_residual(e) <= 1e-12
+                    assert free_fermion_residual(w, e) <= 1e-12

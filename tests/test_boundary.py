@@ -17,7 +17,6 @@ from bozon import (
     PathSpec,
     base_couplings,
     builtin,
-    dual,
     modify_couplings,
     partition_function,
     reduce_dobrushin,
@@ -25,7 +24,6 @@ from bozon import (
     reduce_plus_free,
     run_suite,
     validate_defects,
-    walk_path,
 )
 from bozon.boundary import ReductionResult
 from bozon.instances import FAMILY, random_instances
@@ -117,12 +115,11 @@ def test_reduce_plus_free_arcs(maps, rng):
         assert complex(reduced_z(res)) == pytest.approx(lhs, rel=1e-12)
 
 
-def test_reduce_plus_free_empty_is_identity(maps, rng):
+def test_reduce_plus_free_rejects_empty_arc(maps, rng):
     m = maps["c4"]
     j = base_couplings(random_j(rng, m.edge_count))
-    res = reduce_plus_free(m, j, DefectSet.empty(), [])
-    assert res.scalar == 1.0
-    assert res.new_map.vertex_count == m.vertex_count
+    with pytest.raises(NonContiguousArc):
+        reduce_plus_free(m, j, DefectSet.empty(), [], 0)
 
 
 def test_reduce_plus_free_rejects_gaps(maps, rng):
@@ -159,37 +156,6 @@ def test_reduce_dobrushin_appends_disorder_line(maps, rng):
     res = reduce_dobrushin(m, j, DefectSet.empty(), outer, (0, 2))
     assert res.disorder_line  # the +- interface crosses surviving spokes
     assert res.new_defects.gamma_star == frozenset(res.disorder_line)
-    if res.path_validated:
-        assert res.disorder_path is not None
-        # the declared dual path really walks the disorder line
-        seq = walk_path(dual(res.new_map), res.disorder_path)
-        assert len(seq) == len(res.disorder_path.edges) + 1
-        assert set(res.disorder_path.edges) == set(res.disorder_line)
-
-
-def test_dobrushin_path_validated_matches_dual_walk(rng):
-    """The fan path is validated without building the dual; the dual walk
-    is the reference, over every face and split."""
-    paths = loops = 0
-    for name in ("grid_2_8", "wheel_4"):
-        m = builtin(name)
-        j = base_couplings(random_j(rng, m.edge_count))
-        for face in range(m.face_count):
-            length = len(m.faces[face])
-            for a in range(length - 1):
-                for b in range(a + 1, length):
-                    res = reduce_dobrushin(m, j, DefectSet.empty(), face, (a, b))
-                    if res.disorder_path is None:
-                        continue
-                    try:
-                        walk_path(dual(res.new_map), res.disorder_path)
-                        walks = True
-                    except BozonError:
-                        walks = False
-                    assert res.path_validated == walks, (name, face, a, b)
-                    paths += 1
-                    loops += not walks
-    assert paths and loops  # both outcomes occur
 
 
 def test_reduce_dobrushin_bad_splits(maps, rng):
@@ -270,6 +236,45 @@ def test_one_pass_contraction_matches_rescanning_reference(name, rng, monkeypatc
             assert got.vertex_map == want.vertex_map, label
             assert got.edge_map == want.edge_map, label
         assert got == want, label
+
+
+def _hand_fixed(m, label):
+    """The spins a reduction's label fixes, derived from the face walk."""
+    kind, face, *where = label
+    cycle = list(m.face_edges(face))
+    length = len(cycle)
+    if kind == "plus":
+        return fixed_plus(m, cycle)
+    if kind == "plus_free":
+        start, span = where
+        return fixed_plus(m, [cycle[(start + i) % length] for i in range(span)])
+    a, b = where
+    walk = [m.dart_vertex[t] for t in m.faces[face]]
+    fixed = {walk[i % length]: 1 for i in range(a + 1, b + 1)}
+    fixed.update({walk[i % length]: -1 for i in range(b + 1, a + length + 1)})
+    return fixed
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_fixed_is_the_reduced_boundary_condition(name, rng):
+    """res.fixed is the boundary condition the reduction reduces: the
+    spins derived by hand from the face walk, under which the oracle spin
+    sum on m equals scalar times the oracle on the reduced map."""
+    m = builtin(name)
+    j = base_couplings(random_j(rng, m.edge_count))
+    reduced = 0
+    for label, thunk in _reductions(m, j):
+        res = _outcome(thunk)
+        if not isinstance(res, ReductionResult):
+            continue
+        assert res.fixed == _hand_fixed(m, label), label
+        d = res.new_defects
+        values = modified_values(res.new_couplings, d.gamma, d.gamma_star)
+        want = res.scalar * oracle_partition(res.new_map, values)
+        got = oracle_partition(m, list(j.real), fixed=res.fixed)
+        assert got == pytest.approx(want, rel=1e-11), label
+        reduced += 1
+    assert reduced
 
 
 @pytest.mark.parametrize("name", ORACLE_MAPS)

@@ -19,6 +19,7 @@ import bozon.polygon
 from bozon import (
     PathSpec,
     base_couplings,
+    build_map,
     builtin,
     canonical_json,
     couplings_from_dict,
@@ -279,6 +280,33 @@ def test_boundary_face_avoids_defect_chords():
     (rec,) = run_explicit("boundary", inst)
     assert rec["pass"] and "error" not in rec
     assert len(rec["checks"]) == 3
+
+
+def test_boundary_suite_on_a_face_through_a_cut_vertex():
+    """The bowtie's two triangles meet at cut vertex 0, which the walk of
+    the outer face passes twice, so that face has no split into a plus
+    and a minus arc: the suite skips only its Dobrushin check."""
+    bowtie = build_map(
+        [[0, 5, 6, 11], [1, 2], [3, 4], [7, 8], [9, 10]],
+        [(2 * e, 2 * e + 1) for e in range(6)],
+    )
+    outer = [f for f in range(bowtie.face_count) if len(bowtie.faces[f]) == 6]
+    assert len(outer) == 1
+    faces = set()
+    for seed in range(8):
+        inst = explicit_instance(
+            bowtie, uniform_couplings(6, 0.7), name="bowtie", seed=seed
+        )
+        (rec,) = run_explicit("boundary", inst)
+        assert rec["pass"] and "error" not in rec, (seed, rec.get("error"))
+        names = [c["name"] for c in rec["checks"]]
+        face = rec["checks"][0]["face"]
+        faces.add(face)
+        if face in outer:
+            assert names == ["reduce_plus", "reduce_plus_free"], seed
+        else:
+            assert names == ["reduce_plus", "reduce_plus_free", "reduce_dobrushin"]
+    assert faces == set(range(bowtie.face_count))
 
 
 def test_explicit_corollary_requires_order_only():
