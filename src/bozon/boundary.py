@@ -189,12 +189,20 @@ def reduce_plus(
 
 
 def _arc_contiguous(cycle: list[int], chosen: set[int]) -> bool:
-    """Do the chosen (non-empty) edges occupy consecutive positions of the
-    cyclic edge sequence?  The full cycle counts as contiguous."""
-    flags = [e in chosen for e in cycle]
-    # count False->True transitions around the cycle; one block has one
-    rises = sum(1 for i in range(len(cycle)) if not flags[i - 1] and flags[i])
-    return all(flags) or rises == 1
+    """Do the chosen (non-empty) edges fill one window of consecutive
+    positions of the cyclic edge walk?  A bridge is walked twice on its
+    face, so an arc may hold one traversal of it and leave the other
+    outside.  The full cycle counts as contiguous."""
+    n = len(cycle)
+    for start in range(n):
+        window: set[int] = set()
+        for i in range(start, start + n):
+            if cycle[i % n] not in chosen:
+                break
+            window.add(cycle[i % n])
+            if len(window) == len(chosen):
+                return True
+    return False
 
 
 def reduce_plus_free(

@@ -18,13 +18,6 @@ import sys
 from typing import Any, Sequence
 
 from .dimer import graph_context, nu_from_couplings
-from .drawing import (
-    draw_corner_overlay,
-    draw_dual,
-    draw_gq,
-    draw_map,
-    draw_polygon_pair,
-)
 from .errors import BozonError, IdentityViolation
 from .graphs import BUILTIN_EXAMPLES, builtin
 from .ising import uniform_couplings
@@ -231,6 +224,15 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     emit(f"{name}.gq.json", canonical_json(gq_to_dict(gq, weights)))
     if args.svg:
+        # imported here so that verify never loads the drawing code
+        from .drawing import (
+            draw_corner_overlay,
+            draw_dual,
+            draw_gq,
+            draw_map,
+            draw_polygon_pair,
+        )
+
         emit(f"{name}.map.svg", draw_map(m, gamma=gamma))
         emit(f"{name}.dual.svg", draw_dual(m, gamma_star=gamma_star))
         emit(f"{name}.corner.svg", draw_corner_overlay(m))

@@ -135,6 +135,32 @@ class QuadDimerGraph:
         )
 
     @cached_property
+    def leg_links(self) -> tuple[int, tuple[tuple, ...]]:
+        """polygon_to_dimer_count's tables: the leg count, and per quad
+        its primal edge, its corner legs and the parity links (leg, leg,
+        relation) among its legs when it is untouched, when it uses its
+        primal-parallel pair and when it uses its dual-parallel pair.  Legs
+        are numbered in legs() order."""
+        m = self.map
+        number = {leg: i for i, leg in enumerate(self.legs())}
+
+        def across(parallel: tuple[int, int]) -> tuple[tuple[int, int, int], ...]:
+            (a1, b1), (a2, b2) = (
+                [number[self.vertex_legs[m.dart_vertex[t]]] for t in m.edge_darts[k]]
+                for k in parallel
+            )
+            return (a1, b1, 0), (a2, b2, 0), (a1, a2, 1)
+
+        quads = []
+        for q in self.quads:
+            c = tuple(number[leg] for leg in q.corner_legs)
+            untouched = tuple((c[i], c[i + 1], 0) for i in range(3))
+            quads.append(
+                (q.edge, c, untouched, across(q.primal_parallel), across(q.dual_parallel))
+            )
+        return len(number), tuple(quads)
+
+    @cached_property
     def nu_index(self) -> tuple[int, ...]:
         """Edge k's weight in nu_from_couplings is entry nu_index[k] of
         [1, tanh2 of primal edges 0..E-1, sech2 of primal edges 0..E-1]."""
@@ -703,49 +729,31 @@ def polygon_to_dimer_count(gq: QuadDimerGraph, pm: int, dm: int) -> int:
     the labelling and its complement.  Each contributes 2^(number of
     quadrangles with all four legs out), those being completable by
     either parallel pair."""
-    m = gq.map
-    links: dict[int, list[tuple[int, int]]] = {leg: [] for leg in gq.legs()}
+    n, quads = gq.leg_links
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, _corners, untouched, primal, dual in quads:
+        for a, b, rel in primal if pm >> e & 1 else dual if dm >> e & 1 else untouched:
+            links[a].append((b, rel))
+            links[b].append((a, rel))
 
-    def link(a: int, b: int, rel: int) -> None:
-        links[a].append((b, rel))
-        links[b].append((a, rel))
-
-    for q in gq.quads:
-        if (pm >> q.edge) & 1:
-            parallel = q.primal_parallel
-        elif (dm >> q.edge) & 1:
-            parallel = q.dual_parallel
-        else:
-            legs = q.corner_legs
-            for i in range(3):
-                link(legs[i], legs[i + 1], 0)
-            continue
-        (a1, b1), (a2, b2) = (
-            [gq.vertex_legs[m.dart_vertex[t]] for t in m.edge_darts[k]]
-            for k in parallel
-        )
-        link(a1, b1, 0)
-        link(a2, b2, 0)
-        link(a1, a2, 1)
-
-    start = next(iter(links))
-    parity = {start: 0}
-    queue = [start]
+    parity = [-1] * n
+    parity[0] = 0
+    queue = [0]
     for a in queue:
         for b, rel in links[a]:
             p = parity[a] ^ rel
-            if b not in parity:
+            if parity[b] < 0:
                 parity[b] = p
                 queue.append(b)
             elif parity[b] != p:
                 raise InconsistentPair("leg parity constraints are contradictory")
-    if len(parity) != len(links):
+    if len(queue) != n:
         raise InconsistentPair("leg constraint graph is disconnected")
 
     uniform = [0, 0]  # quadrangles whose four legs all have parity 0 / 1
-    for q in gq.quads:
-        p = parity[q.corner_legs[0]]
-        if all(parity[leg] == p for leg in q.corner_legs):
+    for _e, (c0, c1, c2, c3), *_links in quads:
+        p = parity[c0]
+        if parity[c1] == p and parity[c2] == p and parity[c3] == p:
             uniform[p] += 1
     return (1 << uniform[0]) + (1 << uniform[1])
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 import bozon.dimer
 import bozon.graphs
 import bozon.instances
+import bozon.ising
 import bozon.planar_map
 from bozon import builtin, dual
 
@@ -69,6 +71,32 @@ def modified_values(j, gamma=(), gamma_star=()):
     for e in gamma_star:
         out[e] = -out[e]
     return out
+
+
+def generic_spin_sum(m, real, half_pi, fixed, obs):
+    """Reference for ``ising._sweep``: the frontier sweep with one generic
+    per-state loop over the back edges, the sign applied before the
+    factors.  The specialised loops must equal it bit for bit."""
+    loops, steps = m.vertex_plan
+    same = [math.exp(a) for a in real]
+    differ = [-math.exp(-a) if f else math.exp(-a) for a, f in zip(real, half_pi)]
+    states = {0: math.prod((same[e] for e in loops), start=1.0)}
+    for v, back, keep in steps:
+        new = {}
+        get = new.get
+        for s in (fixed[v],) if v in fixed else (1, -1):
+            down = 1 << v if s < 0 else 0
+            sign = -1.0 if s < 0 and v in obs else 1.0
+            f_down, f_up = (same, differ) if s < 0 else (differ, same)
+            factors = [(f_down[e], f_up[e], bit) for e, bit in back]
+            for key, z in states.items():
+                w = sign * z
+                for if_down, if_up, bit in factors:
+                    w *= if_down if key & bit else if_up
+                nxt = (key | down) & keep
+                new[nxt] = get(nxt, 0.0) + w
+        states = new
+    return sum(states.values())
 
 
 def oracle_even_subgraphs(m):
@@ -227,11 +255,12 @@ def rescanning_contract_fixed(surgeon, spin):
 
 def clear_caches():
     """Forget every per-process cache: builtin maps, interned maps (and
-    with them their memoized duals and plans), graph contexts and drawn
-    instance streams."""
+    with them their memoized duals and plans), graph contexts, memoized
+    spin sums and drawn instance streams."""
     bozon.graphs.builtin.cache_clear()
     bozon.planar_map._intern.cache_clear()
     bozon.dimer.graph_context.cache_clear()
+    bozon.ising._sweep.cache_clear()
     bozon.instances._stream.cache_clear()
 
 

@@ -16,6 +16,7 @@ from bozon import (
     DefectSet,
     PathSpec,
     base_couplings,
+    build_map,
     builtin,
     modify_couplings,
     partition_function,
@@ -127,6 +128,32 @@ def test_reduce_plus_free_rejects_gaps(maps, rng):
     j = base_couplings(random_j(rng, m.edge_count))
     with pytest.raises(NonContiguousArc):
         reduce_plus_free(m, j, DefectSet.empty(), [0, 2], face=0)
+
+
+def test_reduce_plus_free_takes_every_window_of_a_walk_through_bridges(rng):
+    """A triangle with a pendant path: the outer walk passes the bridges 3
+    and 4 twice each.  Every window of consecutive walk positions is an
+    arc, even where the other traversal of a bridge lies outside it, and
+    reduces to the oracle's fixed-spin sum."""
+    m = build_map(
+        [[0, 5, 6], [1, 2], [3, 4], [7, 8], [9]],
+        [(2 * e, 2 * e + 1) for e in range(5)],
+    )
+    j = base_couplings(random_j(rng, m.edge_count))
+    arcs = 0
+    for face in range(m.face_count):
+        walk = list(m.face_edges(face))
+        n = len(walk)
+        for start in range(n):
+            for span in range(1, n + 1):
+                arc = [walk[(start + i) % n] for i in range(span)]
+                res = reduce_plus_free(m, j, DefectSet.empty(), arc, face=face)
+                lhs = oracle_partition(m, list(j.real), fixed=fixed_plus(m, arc))
+                assert complex(reduced_z(res)) == pytest.approx(lhs, rel=1e-12)
+                arcs += 1
+    assert arcs == 3**2 + 7**2
+    with pytest.raises(NonContiguousArc):  # no window holds just edges 0 and 4
+        reduce_plus_free(m, j, DefectSet.empty(), [0, 4], face=1)
 
 
 def test_reduce_dobrushin_all_splits(maps, rng):

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +33,17 @@ from bozon.errors import (
     OverlapError,
     TooLarge,
 )
-from bozon.ising import i_power
+from bozon.ising import SUM_CACHE_SIZE, _sweep, i_power
+from bozon.instances import FAMILY
 
-from conftest import modified_values, oracle_expectation, oracle_partition, random_j
+from conftest import (
+    clear_caches,
+    generic_spin_sum,
+    modified_values,
+    oracle_expectation,
+    oracle_partition,
+    random_j,
+)
 
 REL = 1e-12
 
@@ -340,3 +350,135 @@ def test_high_temp_expansion_on_self_loop_map(rng):
         lhs, rhs = high_temp_expansion_check(m, jj)
         assert close(lhs, oracle_partition(m, values))
         assert close(lhs, rhs)
+
+
+# ------------------------------------ the specialised step and the memo
+
+
+# one vertex with a self-loop, and two vertices joined by five edges,
+# whose second vertex has more back edges than the written-out loops take
+EXTRA_SWEEP_MAPS = {
+    "self_loop": lambda: dual(build_map([[0], [1]], [(0, 1)])),
+    "dipole_5": lambda: build_map(
+        [[0, 2, 4, 6, 8], [9, 7, 5, 3, 1]], [(2 * e, 2 * e + 1) for e in range(5)]
+    ),
+}
+STEP_MAPS = (*FAMILY, "wheel_8", "grid_3_4", *EXTRA_SWEEP_MAPS)
+
+
+def step_map(name):
+    return EXTRA_SWEEP_MAPS[name]() if name in EXTRA_SWEEP_MAPS else builtin(name)
+
+
+@pytest.mark.parametrize("name", STEP_MAPS)
+def test_sweep_step_is_bit_identical_to_the_generic_loop(rng, name):
+    """The written-out loops and the generic one against the reference
+    loop: equal bit for bit, with order (flagged) and disorder (negated)
+    edges, fixed spins and even and odd observable sets."""
+    m = step_map(name)
+    n = m.vertex_count
+    j = base_couplings(random_j(rng, m.edge_count))
+    face = {v: rng.choice((1, -1)) for v in m.face_vertices(0)}
+    for jj, _values in coupling_kinds(m, j):
+        for fixed in ({}, face, {n - 1: -1}):
+            for obs in ((), (0,), (0, n - 1), tuple(range(n))):
+                want = generic_spin_sum(m, jj.real, jj.half_pi, fixed, set(obs))
+                got = _sweep.__wrapped__(
+                    m, jj.real, jj.half_pi, frozenset(fixed.items()), frozenset(obs)
+                )
+                assert got.hex() == want.hex(), (fixed, obs)
+
+
+def test_sweep_maps_cover_every_written_out_step():
+    backs = {
+        min(len(back), 4)
+        for name in STEP_MAPS
+        for _v, back, _keep in step_map(name).vertex_plan[1]
+    }
+    assert backs == {0, 1, 2, 3, 4}
+
+
+def test_repeated_sum_runs_the_sweep_once(maps, rng):
+    m = maps["grid_3_3"]
+    j = base_couplings(random_j(rng, m.edge_count))
+    clear_caches()
+    first = partition_function(m, j)
+    assert _sweep.cache_info().misses == 1
+    assert partition_function(m, base_couplings(j.real)) == first
+    assert _sweep.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_memo_misses_on_any_other_input(maps, rng):
+    m = maps["grid_3_3"]
+    j = base_couplings(random_j(rng, m.edge_count))
+    clear_caches()
+    partition_function(m, j)
+    other = (
+        lambda: partition_function(m, base_couplings((*j.real[:-1], j.real[-1] * 2))),
+        lambda: partition_function(m, modify_couplings(j, DefectSet.from_edge_sets({0}, ()))),
+        lambda: partition_function(m, j, fixed={0: 1}),
+        lambda: partition_function(m, j, fixed={0: -1}),
+        lambda: partition_function(m, j, fixed={1: 1}),
+        lambda: spin_expectation(m, j, (0, 8)),  # the denominator hits
+        lambda: spin_expectation(m, j, (0, 7)),
+        lambda: partition_function(builtin("wheel_6"), j),  # also 12 edges
+    )
+    for k, call in enumerate(other, 2):
+        call()
+        assert _sweep.cache_info().misses == k, k
+
+
+@pytest.mark.parametrize(
+    ("name", "fixed", "error"),
+    (("grid_17_17", None, TooLarge), ("c4", {4: 1}, ValueError)),
+)
+def test_memo_keeps_no_failed_input(name, fixed, error):
+    m = builtin(name)
+    j = uniform_couplings(m.edge_count, 0.5)
+    clear_caches()
+    for _ in range(2):
+        with pytest.raises(error):
+            partition_function(m, j, fixed=fixed)
+    assert _sweep.cache_info().currsize == 0
+
+
+def test_clear_caches_empties_the_memo(maps):
+    m = maps["c4"]
+    partition_function(m, uniform_couplings(m.edge_count, 0.5))
+    assert _sweep.cache_info().currsize > 0
+    clear_caches()
+    assert _sweep.cache_info().currsize == 0
+
+
+def test_memo_under_thread_contention(rng):
+    """More threads than cores ask for overlapping sums with a short switch
+    interval; each gets the sequential value and the memo stays bounded."""
+    inputs = []
+    for name in FAMILY:
+        m = builtin(name)
+        for _ in range(8):
+            inputs.append((m, base_couplings(random_j(rng, m.edge_count))))
+    clear_caches()
+    want = [partition_function(m, j) for m, j in inputs]
+    clear_caches()
+    got = [[] for _ in range(8)]
+
+    def work(k):
+        order = list(range(len(inputs)))
+        order = order[k:] + order[:k]
+        got[k] = sorted((i, partition_function(*inputs[i])) for i in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for res in got:
+        assert res == list(enumerate(want))
+    assert _sweep.cache_info().currsize <= min(len(inputs), SUM_CACHE_SIZE)

@@ -309,6 +309,21 @@ def test_boundary_suite_on_a_face_through_a_cut_vertex():
     assert faces == set(range(bowtie.face_count))
 
 
+def test_boundary_suite_on_a_face_through_a_bridge():
+    """A triangle with a pendant path: the outer walk passes edges 3 and 4
+    twice, so an arc drawn as consecutive walk positions may hold one
+    traversal of a bridge and leave the other outside.  Seed 6 draws such
+    an arc (edges 3, 2)."""
+    m = build_map(
+        [[0, 5, 6], [1, 2], [3, 4], [7, 8], [9]],
+        [(2 * e, 2 * e + 1) for e in range(5)],
+    )
+    j = base_couplings([0.3, 0.5, 0.7, 0.9, 1.1])
+    for seed in range(12):
+        (rec,) = run_explicit("boundary", explicit_instance(m, j, seed=seed))
+        assert rec["pass"] and "error" not in rec, (seed, rec.get("error"))
+
+
 def test_explicit_corollary_requires_order_only():
     m = builtin("c4")
     inst = explicit_instance(
