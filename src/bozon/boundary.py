@@ -12,17 +12,22 @@ costs the global spin-flip factor 1/2, so
 The Dobrushin minus arc is handled by the gauge flip s -> -s at the merged
 minus vertex: couplings on its remaining edges are negated, which is
 exactly a disorder line through the fan of those edges.
+
+The surgery reads no coupling, so it runs once per map and sets of +1 and
+-1 vertices, into a plan memoized for the run (``MAP_CACHE_SIZE`` plans).
+Each call replays its plan's removed edges, in order, on its couplings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import BadArcSplit, DefectOnBoundary, NonContiguousArc
 from .ising import CouplingAssignment, base_couplings
-from .planar_map import CombinatorialMap, DefectSet, build_map
+from .planar_map import MAP_CACHE_SIZE, CombinatorialMap, DefectSet, build_map
 
 
 @dataclass(frozen=True)
@@ -40,9 +45,10 @@ class ReductionResult:
 
 class _Surgeon:
     """Mutable rotation-system editor: contraction, loop deletion, and the
-    factor bookkeeping for removed edges."""
+    record of removed edges.  It reads no coupling: a removal records the
+    edge and the sign its factor exp(J_e * sign) takes."""
 
-    def __init__(self, m: CombinatorialMap, couplings: CouplingAssignment):
+    def __init__(self, m: CombinatorialMap):
         self.rotations = [list(r) for r in m.vertex_darts]
         self.edge_darts = [tuple(p) for p in m.edge_darts]
         self.dart_edge = list(m.dart_edge)
@@ -50,20 +56,12 @@ class _Surgeon:
         self.alive_edge = [True] * m.edge_count
         self.alive_vertex = [True] * m.vertex_count
         self.rep = list(range(m.vertex_count))  # original id -> surviving id
-        self.real = list(couplings.real)
-        self.flags = list(couplings.half_pi)
-        self.factor = 1.0
+        self.sign = [1] * m.edge_count  # -1 on an edge the gauge flipped
+        self.removed: list[tuple[int, int]] = []  # (edge, sign), in order
 
     def endpoints(self, e: int) -> tuple[int, int]:
         d1, d2 = self.edge_darts[e]
         return self.dart_vertex[d1], self.dart_vertex[d2]
-
-    def _remove_factor(self, e: int, spin_product: int) -> None:
-        if self.flags[e]:
-            raise DefectOnBoundary(
-                f"order edge {e} cannot join two fixed spins"
-            )
-        self.factor *= math.exp(self.real[e] * spin_product)
 
     def contract(self, e: int, spin_product: int) -> int:
         """Contract non-loop edge e, merging its head into its tail; the
@@ -72,7 +70,7 @@ class _Surgeon:
         u, v = self.dart_vertex[d1], self.dart_vertex[d2]
         if u == v:
             raise ValueError(f"edge {e} is already a loop")
-        self._remove_factor(e, spin_product)
+        self.removed.append((e, spin_product * self.sign[e]))
         rot_u, rot_v = self.rotations[u], self.rotations[v]
         i1, i2 = rot_u.index(d1), rot_v.index(d2)
         seq_u = rot_u[i1 + 1 :] + rot_u[:i1]
@@ -93,12 +91,12 @@ class _Surgeon:
         is the constant exp(J_e * spin_product)."""
         d1, d2 = self.edge_darts[e]
         u = self.dart_vertex[d1]
-        self._remove_factor(e, spin_product)
+        self.removed.append((e, spin_product * self.sign[e]))
         self.rotations[u] = [d for d in self.rotations[u] if d not in (d1, d2)]
         self.alive_edge[e] = False
 
     def negate_at(self, v: int) -> list[int]:
-        """Gauge flip: negate couplings on edges with exactly one endpoint
+        """Gauge flip: negate the sign of edges with exactly one endpoint
         v; returns the negated (old) edge ids."""
         touched = []
         for e in range(len(self.alive_edge)):
@@ -106,14 +104,13 @@ class _Surgeon:
                 continue
             a, b = self.endpoints(e)
             if (a == v) != (b == v):
-                self.real[e] = -self.real[e]
+                self.sign[e] = -self.sign[e]
                 touched.append(e)
         return touched
 
-    def finalize(self) -> tuple[CombinatorialMap, CouplingAssignment, tuple, tuple]:
-        """Compact ids and rebuild a validated map.  Couplings must be
-        base (no flags, positive) at this point; sign bookkeeping is the
-        caller's job."""
+    def finalize(self) -> tuple[CombinatorialMap, tuple, tuple, tuple]:
+        """Compact ids and rebuild a validated map; returns it with the
+        surviving old edge ids, the vertex map and the edge map."""
         new_edges = [e for e in range(len(self.alive_edge)) if self.alive_edge[e]]
         edge_map = [-1] * len(self.alive_edge)
         dart_map: dict[int, int] = {}
@@ -132,9 +129,8 @@ class _Surgeon:
             [dart_map[d] for d in self.rotations[v]] for v in new_vertices
         ]
         m = build_map(rotations_out, edges_out)
-        couplings = base_couplings([self.real[e] for e in new_edges])
         vertex_map = tuple(vertex_index[self.rep[x]] for x in range(len(self.rep)))
-        return m, couplings, vertex_map, tuple(edge_map)
+        return m, tuple(new_edges), vertex_map, tuple(edge_map)
 
 
 def _check_defects_clear(edges: set[int], d: DefectSet) -> None:
@@ -143,7 +139,10 @@ def _check_defects_clear(edges: set[int], d: DefectSet) -> None:
         raise DefectOnBoundary(f"defect edges {bad} lie on the boundary")
 
 
-def _remap_defects(d: DefectSet, edge_map: tuple[int, ...]) -> DefectSet:
+def _remap_defects(
+    d: DefectSet, edge_map: tuple[int, ...], line: tuple[int, ...]
+) -> DefectSet:
+    """The defects on the reduced map, the disorder ``line`` appended."""
     def remap(edges: frozenset[int]) -> list[int]:
         out = []
         for e in edges:
@@ -152,13 +151,13 @@ def _remap_defects(d: DefectSet, edge_map: tuple[int, ...]) -> DefectSet:
             out.append(edge_map[e])
         return out
 
-    return DefectSet.from_edge_sets(remap(d.gamma), remap(d.gamma_star))
+    return DefectSet.from_edge_sets(remap(d.gamma), remap(d.gamma_star) + list(line))
 
 
 def _contract_fixed(surgeon: _Surgeon, spin: dict[int, int]) -> int:
     """Contract every edge joining two fixed vertices (the keys of
     ``spin``, chords included), absorbing the loops that appear; each
-    removal contributes the factor of its frozen endpoint spins.  The fixed
+    removal records the product of its frozen endpoint spins.  The fixed
     vertices must be connected through such edges; returns the one vertex
     they merge into.  One pass in edge-id order suffices: a contraction
     merges two fixed vertices into one of them, so it never changes whether
@@ -175,6 +174,56 @@ def _contract_fixed(surgeon: _Surgeon, spin: dict[int, int]) -> int:
         else:
             surgeon.contract(e, s)
     return surgeon.rep[min(spin)]
+
+
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def _plan(m: CombinatorialMap, plus: frozenset[int], minus: frozenset[int]) -> tuple:
+    """Contract the ``plus`` vertices (spin +1) into one vertex.  With a
+    non-empty ``minus`` arc, contract it too (junction edges join the two
+    arcs and are left for the cross-arc stage), gauge the minus vertex to
+    +1, so its couplings flip sign, and merge it across the junctions; the
+    surviving flipped edges keep base J and carry a disorder line across
+    that fan instead.  Returns the coupling-free part of the reduction: the
+    reduced map, the old id of each new edge, the vertex and edge maps, the
+    merged vertex, the removed (edge, sign of J_e) pairs in order, and the
+    disorder line's new edge ids."""
+    surgeon = _Surgeon(m)
+    merged = _contract_fixed(surgeon, dict.fromkeys(plus, 1))
+    fan: list[int] = []
+    if minus:
+        v_minus = _contract_fixed(surgeon, dict.fromkeys(minus, -1))
+        flipped = surgeon.negate_at(v_minus)
+        merged = _contract_fixed(surgeon, {merged: 1, v_minus: 1})
+        fan = [e for e in flipped if surgeon.alive_edge[e]]
+        # a fan covering every edge at the merged vertex (the merge left no
+        # loop there) is a pure gauge of that vertex: drop it (the disorder
+        # line would be a closed dual loop)
+        if set(fan) >= {surgeon.dart_edge[t] for t in surgeon.rotations[merged]}:
+            fan = []
+    new_map, survivors, vertex_map, edge_map = surgeon.finalize()
+    line = tuple(sorted(edge_map[e] for e in fan))
+    return (new_map, survivors, vertex_map, edge_map, vertex_map[merged],
+            tuple(surgeon.removed), line)
+
+
+def _replay(
+    plan: tuple, j: CouplingAssignment, d: DefectSet, fixed: dict[int, int]
+) -> ReductionResult:
+    """A plan's reduction of couplings ``j`` and defects ``d``.  Each
+    removed edge multiplies in exp(J_e * s), in removal order; s = -1 on a
+    gauge-flipped edge stands for its negated coupling, exactly, as
+    J*(-1) == (-J)*1.  A flagged removed edge raises."""
+    new_map, survivors, vertex_map, edge_map, merged, removed, line = plan
+    real, flags = j.real, j.half_pi
+    factor = 1.0
+    for e, s in removed:
+        if flags[e]:
+            raise DefectOnBoundary(f"order edge {e} cannot join two fixed spins")
+        factor *= math.exp(real[e] * s)
+    new_j = base_couplings([real[e] for e in survivors])
+    defects = _remap_defects(d, edge_map, line)
+    return ReductionResult(new_map, new_j, defects, 0.5 * factor, merged,
+                           vertex_map, edge_map, fixed, line)
 
 
 def reduce_plus(
@@ -230,19 +279,7 @@ def reduce_plus_free(
     _check_defects_clear(set(boundary_cycle), d)
 
     spin = {v: 1 for e in arc for v in m.edge_endpoints(e)}
-    surgeon = _Surgeon(m, j)
-    merged = _contract_fixed(surgeon, spin)
-    new_map, new_j, vertex_map, edge_map = surgeon.finalize()
-    return ReductionResult(
-        new_map=new_map,
-        new_couplings=new_j,
-        new_defects=_remap_defects(d, edge_map),
-        scalar=0.5 * surgeon.factor,
-        merged_vertex=vertex_map[merged],
-        vertex_map=vertex_map,
-        edge_map=edge_map,
-        fixed=spin,
-    )
+    return _replay(_plan(m, frozenset(spin), frozenset()), j, d, spin)
 
 
 def reduce_dobrushin(
@@ -283,41 +320,4 @@ def reduce_dobrushin(
             "defect edges may not touch the minus arc (the gauge flip "
             "would reclassify them)"
         )
-
-    # merge each arc separately (junction edges join the two arcs and are
-    # left for the cross-arc stage)
-    surgeon = _Surgeon(m, j)
-    v_plus = _contract_fixed(surgeon, plus)
-    v_minus = _contract_fixed(surgeon, minus)
-
-    # gauge the minus vertex to +1 (its couplings flip sign) and merge it
-    # across the junctions; the surviving flipped edges go back to base J
-    # and are carried as a disorder line across that fan instead
-    fan = surgeon.negate_at(v_minus)
-    merged = _contract_fixed(surgeon, {v_plus: 1, v_minus: 1})
-    fan = [e for e in fan if surgeon.alive_edge[e]]
-    for e in fan:
-        surgeon.real[e] = -surgeon.real[e]
-    # a fan covering every edge at the merged vertex (the merge left no
-    # loop there) is a pure gauge of that vertex: drop it (the disorder
-    # line would be a closed dual loop)
-    if set(fan) >= {surgeon.dart_edge[t] for t in surgeon.rotations[merged]}:
-        fan = []
-
-    new_map, new_j, vertex_map, edge_map = surgeon.finalize()
-    base = _remap_defects(d, edge_map)
-    fan_new = sorted(edge_map[e] for e in fan)
-    defects = DefectSet.from_edge_sets(
-        base.gamma, set(base.gamma_star) | set(fan_new)
-    )
-    return ReductionResult(
-        new_map=new_map,
-        new_couplings=new_j,
-        new_defects=defects,
-        scalar=0.5 * surgeon.factor,
-        merged_vertex=vertex_map[merged],
-        vertex_map=vertex_map,
-        edge_map=edge_map,
-        fixed=plus | minus,
-        disorder_line=tuple(fan_new),
-    )
+    return _replay(_plan(m, frozenset(plus), frozenset(minus)), j, d, plus | minus)

@@ -151,7 +151,7 @@ def _clear_faces(m: CombinatorialMap, d: DefectSet) -> list[int]:
 def _boundary_checks(inst: Instance, tol: float) -> list[IdentityReport]:
     m, j, d = inst.map, inst.couplings, inst.defects
     rng = random.Random(f"{inst.seed}-boundary-{inst.index}")
-    faces = _clear_faces(m, d) or list(range(m.face_count))
+    faces = _clear_faces(m, d)
     face = faces[rng.randrange(len(faces))]
     cycle = list(m.face_edges(face))
     length = len(cycle)
@@ -393,9 +393,9 @@ def run_explicit(name: str, inst: Instance, tol: float = 1e-9) -> list[dict]:
     """Run one suite's checks on a single explicit instance.
 
     The magnetization suite has no single-instance form (it needs a
-    boundary face and a bulk vertex, which an instance does not name).  "all"
-    also skips the boundary suite when no face is clear of defects, and the
-    corollary suite when the instance has a disorder path.
+    boundary face and a bulk vertex, which an instance does not name).  The
+    boundary suite needs a face clear of defects, and the corollary suite
+    order-only defects: each raises ValueError without, and "all" skips it.
     """
     if name == "all":
         records = []
@@ -412,6 +412,8 @@ def run_explicit(name: str, inst: Instance, tol: float = 1e-9) -> list[dict]:
         raise ValueError(f"suite {name!r} does not take an explicit instance")
     if name == "corollary" and inst.defects.disorder_paths:
         raise ValueError("corollary suite needs order-only defects")
+    if name == "boundary" and not _clear_faces(inst.map, inst.defects):
+        raise ValueError("boundary suite needs a face clear of defects")
     records = [_instance_record(name, inst, tol)]
     if name == "bipartitedimer":
         records.append(_count_record(inst.graph_name, inst.map))

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+import bozon.boundary
 import bozon.dimer
 import bozon.graphs
 import bozon.instances
@@ -255,9 +256,10 @@ def rescanning_contract_fixed(surgeon, spin):
 
 def clear_caches():
     """Forget every per-process cache: builtin maps, interned maps (and
-    with them their memoized duals and plans), graph contexts, memoized
-    spin sums and drawn instance streams."""
+    with them their memoized duals and plans), boundary reduction plans,
+    graph contexts, memoized spin sums and drawn instance streams."""
     bozon.graphs.builtin.cache_clear()
+    bozon.boundary._plan.cache_clear()
     bozon.planar_map._intern.cache_clear()
     bozon.dimer.graph_context.cache_clear()
     bozon.ising._sweep.cache_clear()

@@ -13,6 +13,7 @@ import pytest
 import bozon.boundary
 
 from bozon import (
+    CouplingAssignment,
     DefectSet,
     PathSpec,
     base_couplings,
@@ -254,15 +255,95 @@ def test_one_pass_contraction_matches_rescanning_reference(name, rng, monkeypatc
     j = base_couplings(random_j(rng, m.edge_count))
     cases = list(_reductions(m, j))
     fast = [_outcome(thunk) for _label, thunk in cases]
+    # the reference pass builds its own plans, not the memo's, and leaves
+    # none of them behind
+    bozon.boundary._plan.cache_clear()
     monkeypatch.setattr(bozon.boundary, "_contract_fixed", rescanning_contract_fixed)
-    for (label, thunk), got in zip(cases, fast):
-        want = _outcome(thunk)
-        if isinstance(want, ReductionResult):
-            assert got.new_map == want.new_map, label
-            assert got.scalar == want.scalar, label
-            assert got.vertex_map == want.vertex_map, label
-            assert got.edge_map == want.edge_map, label
-        assert got == want, label
+    try:
+        for (label, thunk), got in zip(cases, fast):
+            want = _outcome(thunk)
+            if isinstance(want, ReductionResult):
+                assert got.new_map == want.new_map, label
+                assert got.scalar == want.scalar, label
+                assert got.vertex_map == want.vertex_map, label
+                assert got.edge_map == want.edge_map, label
+            assert got == want, label
+    finally:
+        bozon.boundary._plan.cache_clear()
+
+
+def _signature(thunk):
+    """A reduction's outcome down to the bits: every field, the scalar as
+    float.hex(), or the error's type and message."""
+    try:
+        res = thunk()
+    except BozonError as exc:
+        return type(exc), str(exc)
+    return res, res.scalar.hex()
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_warm_plans_replay_the_cold_reduction(name, rng):
+    """Each reduction built from a cold plan memo equals its replay of a
+    warm plan: two coupling draws per plan, then a draw with flagged edges
+    whose reductions raise on a warm plan exactly as on a cold one."""
+    m = builtin(name)
+    draws = [base_couplings(random_j(rng, m.edge_count)) for _ in range(2)]
+    real = tuple(random_j(rng, m.edge_count))
+    draws.append(CouplingAssignment(real, tuple(rng.random() < 0.3 for _ in real)))
+    cold = {}
+    for k, j in enumerate(draws):
+        for label, thunk in _reductions(m, j):
+            bozon.boundary._plan.cache_clear()
+            cold[k, label] = _signature(thunk)
+    bozon.boundary._plan.cache_clear()
+    raised = 0
+    for k, j in enumerate(draws):  # each draw after the first finds every plan warm
+        for label, thunk in _reductions(m, j):
+            got, want = _signature(thunk), cold[k, label]
+            assert got == want, (k, label)
+            if isinstance(want[0], ReductionResult):
+                assert got[0].new_map is want[0].new_map, (k, label)
+            else:
+                raised += want[0] is DefectOnBoundary
+    assert raised
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_arc_missing_one_edge_reuses_the_plus_plan(name, rng):
+    """An arc of all but one edge of a face fixes every vertex of the
+    face, so it replays reduce_plus's plan: the same reduced map object
+    and the same scalar bits."""
+    m = builtin(name)
+    j = base_couplings(random_j(rng, m.edge_count))
+    d = DefectSet.empty()
+    for face in range(m.face_count):
+        cycle = list(m.face_edges(face))
+        if len(set(m.face_vertices(face))) < len(cycle):
+            continue  # the walk passes a vertex twice
+        plus = reduce_plus(m, j, d, face)
+        for start in range(len(cycle)):
+            arc = (cycle[start:] + cycle[:start])[1:]
+            res = reduce_plus_free(m, j, d, arc, face=face)
+            assert res.new_map is plus.new_map, (face, start)
+            assert res.scalar.hex() == plus.scalar.hex(), (face, start)
+
+
+def test_mutating_fixed_leaves_the_next_result_unchanged(maps, rng):
+    m = maps["wheel_4"]
+    j = base_couplings(random_j(rng, m.edge_count))
+    d = DefectSet.empty()
+    outer = max(range(m.face_count), key=lambda f: len(m.faces[f]))
+    for reduce in (
+        lambda: reduce_plus(m, j, d, outer),
+        lambda: reduce_plus_free(m, j, d, list(m.face_edges(outer))[:2], outer),
+        lambda: reduce_dobrushin(m, j, d, outer, (0, 2)),
+    ):
+        first = reduce()
+        want = dict(first.fixed)
+        first.fixed.clear()
+        first.fixed[99] = -1
+        assert reduce().fixed == want
 
 
 def _hand_fixed(m, label):

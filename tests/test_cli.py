@@ -199,6 +199,27 @@ def test_verify_all_skips_corollary_for_disorder_paths(tmp_path, capsys, c4_file
     assert "order-only" in err
 
 
+def test_verify_boundary_without_a_clear_face_exits_2(tmp_path, capsys, c4_file):
+    """The order edge lies on both faces of c4: an input problem, not a
+    failed identity, while --suite all skips the boundary suite."""
+    defects = tmp_path / "order.json"
+    defects.write_text(
+        json.dumps({"order_paths": [{"endpoints": [0, 1], "edges": [0]}],
+                    "disorder_paths": []})
+    )
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "boundary", "--graph", c4_file,
+        "--defects", str(defects),
+    )
+    assert (code, out) == (2, "")
+    assert "face clear of defects" in err
+    code, out, _ = run_cli(
+        capsys, "verify", "--graph", c4_file, "--defects", str(defects)
+    )
+    assert code == 0
+    assert "boundary" not in {r["suite"] for r in json.loads(out)["records"]}
+
+
 def test_verify_csv_output(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "theorem1", "--random", "2",

@@ -336,6 +336,22 @@ def test_explicit_corollary_requires_order_only():
         run_explicit("corollary", inst)
 
 
+def test_explicit_boundary_requires_a_clear_face():
+    """No face clear of defects: the boundary suite rejects the input as a
+    ValueError instead of reporting a failed identity.  On c4 the order
+    edge lies on both faces; on grid_2_3 it is a chord of the outer face."""
+    c4 = explicit_instance(
+        builtin("c4"),
+        uniform_couplings(4, 0.6),
+        order_paths=(PathSpec((0, 1), (0,)),),
+        name="c4",
+    )
+    chord = random_instances(3, 108, families=("grid_2_3",))[2]
+    for inst in (c4, chord):
+        with pytest.raises(ValueError, match="face clear of defects"):
+            run_explicit("boundary", inst)
+
+
 def test_explicit_magnetization_rejected():
     inst = explicit_instance(builtin("c4"), uniform_couplings(4, 0.5))
     with pytest.raises(ValueError):
