@@ -212,7 +212,11 @@ def _replay(
     """A plan's reduction of couplings ``j`` and defects ``d``.  Each
     removed edge multiplies in exp(J_e * s), in removal order; s = -1 on a
     gauge-flipped edge stands for its negated coupling, exactly, as
-    J*(-1) == (-J)*1.  A flagged removed edge raises."""
+    J*(-1) == (-J)*1.  A flagged removed edge raises.  Surviving edges
+    keep their real parts, which must be positive, and their flags.  The
+    disorder line negates a real part only, so on a flagged edge it gives
+    -a + i*pi/2 = -(a + i*pi/2) + i*pi: the scalar carries the exact factor
+    exp(i*pi*s) = -1 of each."""
     new_map, survivors, vertex_map, edge_map, merged, removed, line = plan
     real, flags = j.real, j.half_pi
     factor = 1.0
@@ -221,6 +225,11 @@ def _replay(
             raise DefectOnBoundary(f"order edge {e} cannot join two fixed spins")
         factor *= math.exp(real[e] * s)
     new_j = base_couplings([real[e] for e in survivors])
+    if any(flags):
+        new_j = CouplingAssignment(new_j.real, tuple(flags[e] for e in survivors))
+        for k in line:
+            if new_j.half_pi[k]:
+                factor = -factor
     defects = _remap_defects(d, edge_map, line)
     return ReductionResult(new_map, new_j, defects, 0.5 * factor, merged,
                            vertex_map, edge_map, fixed, line)

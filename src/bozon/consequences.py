@@ -15,7 +15,7 @@ from collections import Counter
 from typing import Sequence
 
 from .boundary import reduce_plus
-from .dimer import dimer_partition_function, graph_context, nu_from_couplings
+from .dimer import dimer_partition_pair, graph_context, nu_from_couplings
 from .errors import EndpointMismatch, IdentityViolation, SingularMatrix
 from .ising import (
     CouplingAssignment,
@@ -42,14 +42,13 @@ def dimer_correlation_ratio(
     d: DefectSet,
 ) -> tuple[float, str]:
     """Z_dimer(nu(Jbar)) / Z_dimer(nu(J)) on the quad graph, with one
-    shared route for numerator and denominator: brute force when G_Q has
-    at most DIMER_CAP vertices, else the determinant.  Returns
-    (ratio, method)."""
+    shared route for numerator and denominator: brute force (one sweep for
+    both) when G_Q has at most DIMER_CAP vertices, else the determinant.
+    Returns (ratio, method)."""
     ctx = graph_context(m)
     jbar = modify_couplings(j, d)
-    zd, method = dimer_partition_function(ctx, nu_from_couplings(ctx.gq, j))
-    zd_bar, _ = dimer_partition_function(
-        ctx, nu_from_couplings(ctx.gq, jbar), method
+    zd, zd_bar, method = dimer_partition_pair(
+        ctx, nu_from_couplings(ctx.gq, j), nu_from_couplings(ctx.gq, jbar)
     )
     if zd == 0.0:
         raise SingularMatrix("unmodified dimer partition function vanished")

@@ -14,8 +14,8 @@ perfect matchings, by one frontier sweep over G_Q's vertices in
 breadth-first order that never reads an orientation, and by Kasteleyn
 determinant with a clockwise-odd orientation built from a spanning tree.
 Signed weight sums (modified couplings) are the signed matching sums; the
-determinant reproduces them after a one-time global sign calibration at
-all-ones weights.
+determinant reproduces them after a one-time global sign calibration,
+read off the legs' matching.
 
 The determinant is a pure-Python sparse Gaussian elimination: G_Q is
 cubic, so the Kasteleyn matrix has three nonzeros per row, kept as row
@@ -341,8 +341,12 @@ def nu_from_couplings(gq: QuadDimerGraph, jbar: CouplingAssignment) -> DimerWeig
     tanh(2J_bar_e) parallel to e, sech(2J_bar_e) parallel to e*.  The
     closed forms carry the defect signs: a disorder-crossed edge negates
     the tanh, an order edge negates the sech."""
-    E = gq.primal.edge_count
-    table = [1.0, *map(jbar.tanh2, range(E)), *map(jbar.sech2, range(E))]
+    real = jbar.real[: gq.primal.edge_count]
+    table = [
+        1.0,
+        *[math.tanh(2 * a) for a in real],
+        *[-s if f else s for a, f in zip(real, jbar.half_pi) for s in (1.0 / math.cosh(2 * a),)],
+    ]
     return tuple(map(table.__getitem__, gq.nu_index))
 
 
@@ -391,6 +395,42 @@ def brute_force_dimer_Z(gq: QuadDimerGraph, weights: DimerWeights) -> float:
     """Signed matching sum over all perfect matchings, by the sweep."""
     sums = _matching_sweep(gq, weights, (0,) * gq.edge_count)
     return float(sums.get(0, 0.0))
+
+
+def brute_force_dimer_Z_pair(
+    gq: QuadDimerGraph, weights: DimerWeights, weights_bar: DimerWeights
+) -> tuple[float, float]:
+    """brute_force_dimer_Z of two weight assignments from one sweep whose
+    states carry both sums.  Each sum takes the single sweep's operations
+    in its order, so both are bit-identical to it.  When the two skip
+    different zero-weight edges their states differ, and each gets its own
+    sweep."""
+    if [w == 0.0 for w in weights] != [w == 0.0 for w in weights_bar]:
+        return brute_force_dimer_Z(gq, weights), brute_force_dimer_Z(gq, weights_bar)
+    states: dict[int, tuple[float, float]] = {0: (1, 1)}
+    for v, later in gq.sweep_order:
+        bit = 1 << v
+        steps = [
+            (weights[k], weights_bar[k], 1 << u) for k, u in later if weights[k] != 0.0
+        ]
+        new: dict[int, tuple[float, float]] = {}
+        get = new.get
+        for key, (y, z) in states.items():
+            if key & bit:
+                key ^= bit
+                p, q = get(key, (0, 0))
+                new[key] = (p + y, q + z)
+                continue
+            for w, w_bar, u_bit in steps:
+                if not key & u_bit:
+                    nxt = key ^ u_bit
+                    p, q = get(nxt, (0, 0))
+                    new[nxt] = (p + y * w, q + z * w_bar)
+        if len(new) > STATE_CAP:
+            raise TooLarge(f"matching sweep holds {len(new)} states, cap is {STATE_CAP}")
+        states = new
+    y, z = states.get(0, (0.0, 0.0))
+    return float(y), float(z)
 
 
 @dataclass(frozen=True)
@@ -662,12 +702,21 @@ def calibration_sign(
     gq: QuadDimerGraph, orientation: KasteleynOrientation
 ) -> int:
     """Global sign s with det K(nu) = s * (signed matching sum), for every
-    weight assignment under this orientation.  Fixed by all-ones weights,
-    whose matching sum is a positive integer."""
-    det1 = dimer_Z_det(gq, all_ones(gq), orientation)
-    if det1 == 0.0:
-        raise SingularMatrix("all-ones Kasteleyn determinant vanished")
-    return 1 if det1 > 0 else -1
+    weight assignment under this orientation.  Under a clockwise-odd
+    orientation every perfect matching's term of det K has the same sign
+    (Kasteleyn 1961), so s is the sign of one term, the legs' matching's:
+    the layout's column sign times the sign of the legs' row -> column
+    permutation times the product of the legs' orientation signs."""
+    layout, _meets, sign = gq.kasteleyn_layout
+    kind, signs = gq.edge_kind, orientation.signs
+    columns = []
+    for row in layout:
+        for i in (1, 3, 5):
+            if kind[row[i]] == LEG:
+                columns.append(row[i - 1])
+                if signs[row[i]] < 0:
+                    sign = -sign
+    return sign * _permutation_sign(columns)
 
 
 @dataclass(frozen=True)
@@ -716,6 +765,18 @@ def dimer_partition_function(
     if route == "determinant":
         return ctx.sign * dimer_Z_det(ctx.gq, weights, ctx.orientation), route
     raise ValueError(f"unknown dimer route {route!r}")
+
+
+def dimer_partition_pair(
+    ctx: GraphContext, weights: DimerWeights, weights_bar: DimerWeights
+) -> tuple[float, float, str]:
+    """dimer_partition_function of two weight assignments on the one route
+    "auto" picks, and that route; the brute route sums both in one sweep."""
+    if ctx.gq.vertex_count <= DIMER_CAP:
+        return (*brute_force_dimer_Z_pair(ctx.gq, weights, weights_bar), "brute")
+    z, route = dimer_partition_function(ctx, weights, "determinant")
+    z_bar, _ = dimer_partition_function(ctx, weights_bar, route)
+    return z, z_bar, route
 
 
 def polygon_to_dimer_count(gq: QuadDimerGraph, pm: int, dm: int) -> int:
@@ -832,7 +893,9 @@ def theorem_reports(
 
     det = "determinant"
     zd, _ = dimer_partition_function(ctx, nu_from_couplings(gq, j), det)
-    zd_bar, _ = dimer_partition_function(ctx, nu_from_couplings(gq, jbar), det)
+    zd_bar = zd  # no defect: J_bar is J
+    if d.gamma or d.gamma_star:
+        zd_bar, _ = dimer_partition_function(ctx, nu_from_couplings(gq, jbar), det)
     if zd == 0.0:
         raise SingularMatrix("dimer partition function of nu(J) vanished")
     sign_gamma = (-1) ** len(d.gamma)

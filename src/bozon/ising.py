@@ -37,6 +37,9 @@ STATE_CAP = 1 << 16
 # again, each repeat within 2,048 distinct sums of its first.
 SUM_CACHE_SIZE = 2048
 
+# the memo key's empty fixed-spin and observable sets
+_NONE: frozenset = frozenset()
+
 # exact powers of i
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -122,21 +125,23 @@ def _spin_sum(
     exceeds STATE_CAP.  The sum itself comes from the run-wide memo."""
     if j.edge_count != m.edge_count:
         raise LengthMismatch("coupling count differs from edge count")
-    fixed = dict(fixed or {})
-    for v, s in fixed.items():
-        if s not in (-1, 1):
-            raise ValueError(f"fixed spin at {v} must be +-1, got {s}")
-        if not 0 <= v < m.vertex_count:
-            raise ValueError(f"fixed spin at {v} is not a vertex")
-    if 1 << (m.vertex_count - len(fixed)) > STATE_CAP:
-        pinned = sum(1 << v for v in fixed)
+    items = _NONE
+    if fixed:
+        for v, s in fixed.items():
+            if s not in (-1, 1):
+                raise ValueError(f"fixed spin at {v} must be +-1, got {s}")
+            if not 0 <= v < m.vertex_count:
+                raise ValueError(f"fixed spin at {v} is not a vertex")
+        items = frozenset(fixed.items())
+    if 1 << (m.vertex_count - len(items)) > STATE_CAP:
+        pinned = sum(1 << v for v, _s in items)
         live = 0
         for v, _back, keep in m.vertex_plan[1]:
             live = (live | 1 << v) & keep
             held = 1 << (live & ~pinned).bit_count()
             if held > STATE_CAP:
                 raise TooLarge(f"spin sweep holds {held} states, cap is {STATE_CAP}")
-    return _sweep(m, j.real, j.half_pi, frozenset(fixed.items()), frozenset(obs))
+    return _sweep(m, j.real, j.half_pi, items, frozenset(obs) if obs else _NONE)
 
 
 @lru_cache(maxsize=SUM_CACHE_SIZE)

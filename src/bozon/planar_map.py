@@ -79,6 +79,14 @@ class CombinatorialMap:
     faces: tuple[tuple[int, ...], ...]
     dart_face: tuple[int, ...]
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the rotation system determines every other field
+        return hash((self.vertex_darts, self.edge_darts))
+
     @property
     def vertex_count(self) -> int:
         return len(self.vertex_darts)
@@ -120,22 +128,32 @@ class CombinatorialMap:
         vertex 0, add the visited set's unvisited neighbour that leaves the
         fewest live vertices, lowest id first; start a new component at the
         lowest unvisited id.  Breadth-first order can hold a whole layer
-        live; this keeps planar frontiers small."""
+        live; this keeps planar frontiers small.
+
+        The frontier and, per frontier vertex, the visited vertices it would
+        retire (those left with it as their one unvisited neighbour) are
+        kept as the sweep goes, so a step costs the frontier's size."""
         n = self.vertex_count
         adj = self.adjacency()
         nbrs = [{u for _e, u in adj[v] if u != v} for v in range(n)]
         unvisited = [len(nb) for nb in nbrs]  # unvisited neighbours per vertex
+        retires = [0] * n
         seen: set[int] = set()
+        frontier: set[int] = set()
         steps = []
-        live = 0
 
-        def live_after(c: int) -> int:
-            return live + (unvisited[c] > 0) - sum(unvisited[u] == 1 for u in nbrs[c] & seen)
+        def last_unvisited(u: int) -> None:
+            # u is visited with one unvisited neighbour left: visiting that
+            # neighbour retires u
+            for w in nbrs[u]:
+                if w not in seen:
+                    retires[w] += 1
+                    return
 
         while len(seen) < n:
-            frontier = {u for w in seen for u in nbrs[w]} - seen
             if frontier:
-                v = min(frontier, key=lambda c: (live_after(c), c))
+                v = min(frontier, key=lambda c: ((unvisited[c] > 0) - retires[c], c))
+                frontier.discard(v)
             else:
                 v = min(set(range(n)) - seen)
             back = tuple((e, 1 << u) for e, u in adj[v] if u in seen)
@@ -143,9 +161,14 @@ class CombinatorialMap:
             gone = 0 if unvisited[v] else 1 << v
             for u in nbrs[v]:
                 unvisited[u] -= 1
-                if u in seen and not unvisited[u]:
+                if u not in seen:
+                    frontier.add(u)
+                elif not unvisited[u]:
                     gone |= 1 << u
-            live += 1 - bin(gone).count("1")
+                elif unvisited[u] == 1:
+                    last_unvisited(u)
+            if unvisited[v] == 1:
+                last_unvisited(v)
             steps.append((v, back, ~gone))
         return sorted({e for v in range(n) for e, u in adj[v] if u == v}), steps
 
@@ -181,13 +204,17 @@ class CombinatorialMap:
     def has_bridge(self) -> bool:
         return any(self.is_bridge(e) for e in range(self.edge_count))
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (edge, other endpoint), in rotation order."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for v, rot in enumerate(self.vertex_darts):
-            for d in rot:
-                adj[v].append((self.dart_edge[d], self.dart_vertex[self.alpha[d]]))
-        return adj
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-vertex (edge, other endpoint) pairs, in rotation order."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        dart_edge, dart_vertex, alpha = self.dart_edge, self.dart_vertex, self.alpha
+        return tuple([
+            tuple([(dart_edge[d], dart_vertex[alpha[d]]) for d in rot])
+            for rot in self.vertex_darts
+        ])
 
     def face_vertices(self, face: int) -> tuple[int, ...]:
         return tuple(self.dart_vertex[d] for d in self.faces[face])

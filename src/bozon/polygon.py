@@ -15,6 +15,7 @@ with unit weights it counts the pairs for the grouped matching count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,11 +44,13 @@ class PolygonWeights:
 def polygon_weights(
     m: CombinatorialMap, jbar: CouplingAssignment
 ) -> PolygonWeights:
-    primal = tuple(jbar.tanh2(e) for e in range(m.edge_count))
-    dual_w = tuple(jbar.sech2(e) for e in range(m.edge_count))
+    real = jbar.real[: m.edge_count]
+    cosh = [math.cosh(2 * a) for a in real]
+    primal = tuple([math.tanh(2 * a) for a in real])
+    dual_w = tuple([-s if f else s for c, f in zip(cosh, jbar.half_pi) for s in (1.0 / c,)])
     prod = 1.0
-    for e in range(m.edge_count):
-        prod *= jbar.cosh2(e)
+    for c, f in zip(cosh, jbar.half_pi):
+        prod *= -c if f else c
     return PolygonWeights(
         primal=primal,
         dual=dual_w,

@@ -100,6 +100,39 @@ def generic_spin_sum(m, real, half_pi, fixed, obs):
     return sum(states.values())
 
 
+def rescanning_vertex_plan(m):
+    """Reference for ``CombinatorialMap.vertex_plan``: the same greedy
+    order, with the frontier rebuilt from the whole visited set and each
+    candidate's live count recomputed at every step."""
+    n = m.vertex_count
+    adj = m.adjacency()
+    nbrs = [{u for _e, u in adj[v] if u != v} for v in range(n)]
+    unvisited = [len(nb) for nb in nbrs]
+    seen = set()
+    steps = []
+    live = 0
+
+    def live_after(c):
+        return live + (unvisited[c] > 0) - sum(unvisited[u] == 1 for u in nbrs[c] & seen)
+
+    while len(seen) < n:
+        frontier = {u for w in seen for u in nbrs[w]} - seen
+        if frontier:
+            v = min(frontier, key=lambda c: (live_after(c), c))
+        else:
+            v = min(set(range(n)) - seen)
+        back = tuple((e, 1 << u) for e, u in adj[v] if u in seen)
+        seen.add(v)
+        gone = 0 if unvisited[v] else 1 << v
+        for u in nbrs[v]:
+            unvisited[u] -= 1
+            if u in seen and not unvisited[u]:
+                gone |= 1 << u
+        live += 1 - bin(gone).count("1")
+        steps.append((v, back, ~gone))
+    return sorted({e for v in range(n) for e, u in adj[v] if u == v}), steps
+
+
 def oracle_even_subgraphs(m):
     """All edge subsets with even degree at every vertex, as bitmasks."""
     ends = [m.edge_endpoints(e) for e in range(m.edge_count)]

@@ -444,3 +444,37 @@ def test_plus_free_check_fixes_exactly_its_arc():
         assert (check["lhs"], check["rhs"]) == (lhs.real, rhs.real)
         partial += span < len(cycle)
     assert partial > 50
+
+
+@pytest.mark.parametrize("name", (*FAMILY, "wheel_8"))
+def test_flagged_surviving_edges_keep_their_flags(name, rng):
+    """Couplings passed with half_pi flags: every face, arc and split
+    whose removed edges are unflagged reduces the oracle's fixed-spin sum
+    over the flagged values to scalar times the oracle on the reduced map,
+    whose values are the carried couplings with the defects applied.  A
+    dropped flag loses a factor i*s on the surviving edge; a flagged edge
+    on the Dobrushin disorder line needs the scalar's -1."""
+    m = builtin(name)
+    survived = on_line = lines = 0
+    for _draw in range(4):
+        real = tuple(random_j(rng, m.edge_count))
+        flagged = set(rng.sample(range(m.edge_count), 2))
+        j = CouplingAssignment(real, tuple(e in flagged for e in range(m.edge_count)))
+        values = [complex(j.value(e)) for e in range(m.edge_count)]
+        for label, thunk in _reductions(m, j):
+            res = _outcome(thunk)
+            if res is DefectOnBoundary:
+                continue  # a flagged edge joins two fixed spins
+            assert isinstance(res, ReductionResult), (label, res)
+            kept = {res.edge_map[e] for e in flagged} - {-1}
+            assert {e for e, f in enumerate(res.new_couplings.half_pi) if f} == kept
+            survived += bool(kept)
+            on_line += bool(kept & set(res.disorder_line))
+            lines += bool(res.disorder_line)
+            jj = modify_couplings(res.new_couplings, res.new_defects)
+            reduced = [complex(jj.value(e)) for e in range(jj.edge_count)]
+            want = oracle_partition(m, values, fixed=res.fixed)
+            got = res.scalar * oracle_partition(res.new_map, reduced)
+            assert got == pytest.approx(want, rel=1e-11), label
+    assert survived
+    assert on_line or not lines  # k3 and c4 have no face off the split

@@ -27,8 +27,15 @@ from bozon import (
     theorem_reports,
     verify_bipartite_dimer_identity,
 )
-from bozon.dimer import DUAL_PARALLEL, LEG, PRIMAL_PARALLEL, all_ones
+from bozon.dimer import (
+    DUAL_PARALLEL,
+    LEG,
+    PRIMAL_PARALLEL,
+    all_ones,
+    brute_force_dimer_Z_pair,
+)
 from bozon.errors import InconsistentPair, TooLarge
+from bozon.polygon import polygon_weights
 
 from conftest import (
     kasteleyn_matrix,
@@ -390,3 +397,85 @@ def test_theorem_main_fails_a_flipped_dimer_ratio(maps, rng, monkeypatch):
     assert main.name == "theorem_main"
     assert not main.passed
     assert main.sign == 1
+
+
+PAIR_MAPS = ("k3", "c4", "grid_2_3", "grid_3_3", "wheel_4", "wheel_5")
+
+
+def _weight_pairs(m, gq, rng):
+    """(weights, weights_bar) pairs: plain against order and disorder
+    defects (negated sech and tanh weights), a pair twice, random signed
+    weights sharing their zeros, and two that zero different edges."""
+    j = base_couplings(random_j(rng, m.edge_count))
+    nu = nu_from_couplings(gq, j)
+    signed = [rng.uniform(-2.0, 2.0) for _ in range(gq.edge_count)]
+    other = [rng.uniform(-2.0, 2.0) for _ in range(gq.edge_count)]
+    for k in range(0, gq.edge_count, 4):
+        signed[k] = other[k] = 0.0
+    moved = list(other)
+    moved[0], moved[1] = 1.5, 0.0
+    return [
+        (nu, nu_from_couplings(gq, modify_couplings(j, DefectSet.from_edge_sets({0}, ())))),
+        (nu, nu_from_couplings(gq, modify_couplings(j, DefectSet.from_edge_sets((), {0})))),
+        (nu, nu),
+        (tuple(signed), tuple(other)),
+        (tuple(signed), tuple(moved)),
+    ]
+
+
+@pytest.mark.parametrize("name", PAIR_MAPS)
+def test_paired_sweep_is_two_single_sweeps(name, rng):
+    m = builtin(name)
+    gq = graph_context(m).gq
+    for w, w_bar in _weight_pairs(m, gq, rng):
+        got = brute_force_dimer_Z_pair(gq, w, w_bar)
+        want = (brute_force_dimer_Z(gq, w), brute_force_dimer_Z(gq, w_bar))
+        assert [z.hex() for z in got] == [z.hex() for z in want]
+
+
+@pytest.mark.parametrize("cap, raises", [(40, True), (200, False)])
+def test_paired_sweep_stops_where_the_single_sweep_does(cap, raises, rng, monkeypatch):
+    """Under a lowered STATE_CAP the paired sweep raises TooLarge with the
+    single sweep's message, or neither raises.  grid_3_3's sweep at
+    all-nonzero weights peaks at 50 states."""
+    m = builtin("grid_3_3")
+    gq = graph_context(m).gq
+    monkeypatch.setattr(bozon.dimer, "STATE_CAP", cap)
+    raised = []
+    for w, w_bar in _weight_pairs(m, gq, rng):
+        outcomes = []
+        for thunk in (
+            lambda: brute_force_dimer_Z_pair(gq, w, w_bar),
+            lambda: (brute_force_dimer_Z(gq, w), brute_force_dimer_Z(gq, w_bar)),
+        ):
+            try:
+                outcomes.append([z.hex() for z in thunk()])
+            except TooLarge as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        raised.append(isinstance(outcomes[0], str))
+    assert any(raised) == raises
+
+
+def test_weight_rows_are_the_per_edge_closed_forms(maps, rng):
+    """nu_from_couplings and polygon_weights build their rows in one pass
+    over the couplings; every entry is CouplingAssignment's per-edge closed
+    form bit for bit, with order (flagged) and disorder (negated) edges."""
+    for m in maps.values():
+        gq = graph_context(m).gq
+        E = m.edge_count
+        j = base_couplings(random_j(rng, E))
+        for jj in (j, modify_couplings(j, DefectSet.from_edge_sets({0}, {E - 1}))):
+            tanh = [jj.tanh2(e) for e in range(E)]
+            sech = [jj.sech2(e) for e in range(E)]
+            want = [
+                1.0 if kind == LEG else (sech if kind == DUAL_PARALLEL else tanh)[e]
+                for kind, e in zip(gq.edge_kind, gq.edge_primal_edge)
+            ]
+            assert [x.hex() for x in nu_from_couplings(gq, jj)] == [x.hex() for x in want]
+            w = polygon_weights(m, jj)
+            assert (w.primal, w.dual) == (tuple(tanh), tuple(sech))
+            constant = float(2 ** (m.vertex_count + 1)) * math.prod(
+                [jj.cosh2(e) for e in range(E)], start=1.0
+            )
+            assert w.constant.hex() == constant.hex()

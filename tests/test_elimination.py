@@ -22,6 +22,7 @@ from bozon import (
     calibration_sign,
     dimer_Z_det,
     graph_context,
+    kasteleyn_orientation,
     modify_couplings,
     nu_from_couplings,
     theorem_reports,
@@ -134,11 +135,6 @@ def test_singular_kasteleyn_matrix_raises(monkeypatch, rng):
     gq = ctx.gq
     assert dimer_Z_det(gq, _dead_vertex(gq, all_ones(gq)), ctx.orientation) == 0.0
 
-    monkeypatch.setattr(bozon.dimer, "all_ones", lambda g: _dead_vertex(g, (1.0,) * g.edge_count))
-    with pytest.raises(SingularMatrix, match="all-ones"):
-        calibration_sign(gq, ctx.orientation)
-    monkeypatch.undo()
-
     real_nu = bozon.dimer.nu_from_couplings
     monkeypatch.setattr(
         bozon.dimer, "nu_from_couplings", lambda g, j: _dead_vertex(g, real_nu(g, j))
@@ -146,6 +142,22 @@ def test_singular_kasteleyn_matrix_raises(monkeypatch, rng):
     j = base_couplings(random_j(rng, m.edge_count))
     with pytest.raises(SingularMatrix, match="vanished"):
         theorem_reports(m, j, DefectSet.from_edge_sets({0}, set()))
+
+
+@pytest.mark.parametrize("name", ORACLE_MAPS)
+def test_leg_sign_is_the_all_ones_determinant_sign(name):
+    """calibration_sign reads the legs' matching term; the reference is
+    the sign of the determinant at all-ones weights, whose matching sum
+    is a positive integer.  On the map and its dual, rooted at every face
+    up to 5."""
+    m = builtin(name)
+    for carrier in (m, m.dual):
+        gq = graph_context(carrier).gq
+        for root in range(min(6, gq.map.face_count)):
+            o = kasteleyn_orientation(gq, root)
+            det = dimer_Z_det(gq, all_ones(gq), o)
+            assert det != 0.0
+            assert calibration_sign(gq, o) == (1 if det > 0 else -1), (carrier, root)
 
 
 NO_NUMPY_RUN = """

@@ -16,6 +16,8 @@ from bozon import (
     CouplingAssignment,
     DefectSet,
     base_couplings,
+    reduce_dobrushin,
+    reduce_plus,
     build_map,
     builtin,
     dual,
@@ -39,6 +41,7 @@ from bozon.instances import FAMILY
 from conftest import (
     clear_caches,
     generic_spin_sum,
+    rescanning_vertex_plan,
     modified_values,
     oracle_expectation,
     oracle_partition,
@@ -389,6 +392,30 @@ def test_sweep_step_is_bit_identical_to_the_generic_loop(rng, name):
                 assert got.hex() == want.hex(), (fixed, obs)
 
 
+def _reduced_maps(m):
+    """The maps reduce_plus and reduce_dobrushin leave on every face of m."""
+    j = uniform_couplings(m.edge_count, 1.0)
+    d = DefectSet.empty()
+    for face in range(m.face_count):
+        yield reduce_plus(m, j, d, face).new_map
+        length = len(m.faces[face])
+        if len(set(m.face_vertices(face))) == length:
+            for b in range(1, length):
+                yield reduce_dobrushin(m, j, d, face, (0, b)).new_map
+
+
+@pytest.mark.parametrize("name", (*SWEEP_MAPS, *EXTRA_SWEEP_MAPS))
+def test_vertex_plan_matches_the_rescanning_reference(name):
+    """The incremental frontier picks the reference's greedy order: on the
+    map, its dual and every map its boundary reductions leave."""
+    m = step_map(name)
+    carriers = {m, m.dual}
+    if name in SWEEP_MAPS:
+        carriers.update(_reduced_maps(m))
+    for c in carriers:
+        assert c.vertex_plan == rescanning_vertex_plan(c), (c.vertex_count, c.edge_count)
+
+
 def test_sweep_maps_cover_every_written_out_step():
     backs = {
         min(len(back), 4)
@@ -406,6 +433,19 @@ def test_repeated_sum_runs_the_sweep_once(maps, rng):
     assert _sweep.cache_info().misses == 1
     assert partition_function(m, base_couplings(j.real)) == first
     assert _sweep.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_empty_fixed_and_observable_sets_share_one_memo_key(maps, rng):
+    """The no-fixed-spin, no-observable path skips building the sets; its
+    key is the one an explicit empty dict or set gives."""
+    m = maps["grid_3_3"]
+    j = base_couplings(random_j(rng, m.edge_count))
+    clear_caches()
+    first = partition_function(m, j)
+    assert partition_function(m, j, fixed={}) == first
+    assert spin_expectation(m, j, (0, 0)) == 1.0  # (0, 0) cancels to no observable
+    assert _sweep(m, j.real, j.half_pi, frozenset(), frozenset()) == first.real
+    assert _sweep.cache_info()[:2] == (4, 1)  # (hits, misses)
 
 
 def test_memo_misses_on_any_other_input(maps, rng):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bozon import (
+    CombinatorialMap,
     DefectSet,
     PathSpec,
     build_map,
@@ -74,6 +77,27 @@ def test_equal_inputs_give_one_interned_map():
     assert dual(m) is m.dual
     turned = build_map([r[1:] + r[:1] for r in K4_PLANAR], K4_EDGES)
     assert turned is not m and turned.sigma == m.sigma
+
+
+def test_an_equal_copy_hashes_like_the_interned_map(maps):
+    """The hash is worked out once per map from its rotation system; a
+    map equal field by field but not interned finds the same keys."""
+    for m in maps.values():
+        copy = CombinatorialMap(**{f.name: getattr(m, f.name) for f in dataclasses.fields(m)})
+        assert copy is not m and copy == m
+        assert hash(copy) == hash(m)
+        assert {m: "interned"}[copy] == "interned"
+
+
+def test_adjacency_is_built_once_and_read_only(maps):
+    for m in maps.values():
+        adj = m.adjacency()
+        assert adj is m.adjacency()
+        assert isinstance(adj, tuple) and all(isinstance(a, tuple) for a in adj)
+        assert adj == tuple(
+            tuple((m.dart_edge[d], m.dart_vertex[m.alpha[d]]) for d in rot)
+            for rot in m.vertex_darts
+        )
 
 
 def test_interning_keeps_rejecting_non_int_darts():
