@@ -42,8 +42,9 @@ def dimer_correlation_ratio(
     d: DefectSet,
 ) -> tuple[float, str]:
     """Z_dimer(nu(Jbar)) / Z_dimer(nu(J)) on the quad graph, with one
-    shared route for numerator and denominator: brute force (one sweep for
-    both) when G_Q has at most DIMER_CAP vertices, else the determinant.
+    shared route for numerator and denominator: brute force (G_Q's plan
+    replayed for both) when G_Q has at most DIMER_CAP vertices, else the
+    determinant.
     Returns (ratio, method)."""
     ctx = graph_context(m)
     jbar = modify_couplings(j, d)

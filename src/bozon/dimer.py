@@ -30,6 +30,15 @@ G_Q, its orientation and its calibration sign do not depend on the
 couplings, so each map gets one memoized GraphContext that owns them, and
 dimer_partition_function is the one place that picks a route.  The map's
 dual is memoized on the map itself (``m.dual``).
+
+The matching sweep's states depend only on G_Q and on which weights are
+zero (those edges are skipped).  For weights with no zero its arithmetic
+is recorded once into a polygon.SweepPlan kept on G_Q
+(``gq.matching_plan``), and each sum replays it, bit for bit; a plan of
+more than STATE_CAP ints is not kept.  Weights with a zero and the
+grouped count's toggled sweep are used once, so they walk.  G_Q's
+2-colouring, sweep order and orientation read its darts, so G_Q's map
+keeps no adjacency.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from .errors import (
 )
 from .ising import STATE_CAP, CouplingAssignment, modify_couplings, partition_function
 from .planar_map import CombinatorialMap, DefectSet, _assemble, dual
-from .polygon import _polygon_sweep, pair_polygon_sum
+from .polygon import SweepPlan, _polygon_sweep, pair_polygon_sum, replay_plan
 from .reports import IdentityReport, compare
 
 # The largest G_Q (in vertices) that the "auto" route sums by the matching
@@ -122,7 +131,8 @@ class QuadDimerGraph:
         """The vertices in breadth-first order from vertex 0, each with its
         (edge id, neighbour) pairs to vertices later in that order.  On a
         planar graph this keeps the matching sweep's frontier small."""
-        adj = self.map.adjacency()
+        m = self.map  # its adjacency, built here and not kept on it
+        adj = [[(m.dart_edge[d], m.dart_vertex[m.alpha[d]]) for d in r] for r in m.vertex_darts]
         pos = {0: 0}
         order = [0]
         for v in order:
@@ -133,6 +143,14 @@ class QuadDimerGraph:
         return tuple(
             (v, tuple((k, u) for k, u in adj[v] if pos[u] > pos[v])) for v in order
         )
+
+    @cached_property
+    def matching_plan(self) -> SweepPlan | None:
+        """The matching sweep's plan for weights with no zero, recorded at
+        unit weights on first use, or None when it is too large to keep;
+        brute_force_dimer_Z replays it."""
+        E = self.edge_count
+        return _matching_walk(self, (1.0,) * E, (0,) * E, record=True)[1]
 
     @cached_property
     def leg_links(self) -> tuple[int, tuple[tuple, ...]]:
@@ -279,13 +297,14 @@ def build_gq(m: CombinatorialMap, _dual: object = None) -> QuadDimerGraph:
             edge_kind.append(LEG)
             edge_primal.append(-1)
 
-    # 2-colouring; G_Q is bipartite by construction, verify by BFS
+    # 2-colouring; G_Q is bipartite by construction, verify by BFS (over
+    # the darts: G_Q's map keeps no adjacency)
     color = [-1] * gq_map.vertex_count
     color[0] = 0
     queue = [0]
-    adj = gq_map.adjacency()
     for u in queue:
-        for _e, w in adj[u]:
+        for d in gq_map.vertex_darts[u]:
+            w = gq_map.dart_vertex[gq_map.alpha[d]]
             if color[w] == -1:
                 color[w] = 1 - color[u]
                 queue.append(w)
@@ -354,83 +373,71 @@ def all_ones(gq: QuadDimerGraph) -> DimerWeights:
     return (1.0,) * gq.edge_count
 
 
-def _matching_sweep(
-    gq: QuadDimerGraph, weights: Sequence, toggles: Sequence[int]
-) -> dict[int, float]:
+def _matching_walk(
+    gq: QuadDimerGraph, weights: Sequence, toggles: Sequence[int], record: bool = False
+) -> tuple[dict[int, float] | None, SweepPlan | None]:
     """Sums over G_Q's perfect matchings of their weight products, keyed by
-    the XOR of their edges' toggles, from one pass over gq.sweep_order.  A
-    state is the mask of later vertices already matched (bit v) with the
-    toggle XOR above bit n; at vertex v it drops v from the mask or matches
-    v to a free later neighbour, and equal states merge.  Zero weights are
-    skipped, integer weights give exact counts, and no orientation is read.
-    Raises TooLarge when a step leaves more than STATE_CAP states.
-    """
-    n = gq.vertex_count
+    the XOR of their edges' toggles, from one walk over gq.sweep_order, and
+    with ``record`` the walk's plan.  A state is the mask of later vertices
+    already matched (bit v) with the toggle XOR above bit n; at vertex v it
+    drops v from the mask (weight index edge_count, the carry) or matches v
+    to a free later neighbour over edge k (index k), and equal states
+    merge.  Zero weights are skipped, integer weights give exact counts,
+    and no orientation is read.  A recording walk stops with (None, None)
+    once its ops hold more than STATE_CAP ints.  Raises TooLarge when a
+    step leaves more than STATE_CAP states."""
+    n, carry = gq.vertex_count, gq.edge_count
     states: dict[int, float] = {0: 1}
+    ops: list[int] = []
+    counts = []
+    slots, size = {0: 0}, 1  # the states' slots; slots taken so far
     for v, later in gq.sweep_order:
         bit = 1 << v
         steps = [
-            (weights[k], 1 << u, 1 << u | toggles[k] << n)
+            (k, weights[k], 1 << u, 1 << u | toggles[k] << n)
             for k, u in later
             if weights[k] != 0.0
         ]
         new: dict[int, float] = {}
         get = new.get
+        old, slots = slots, {}
+        slot = slots.setdefault
         for key, z in states.items():
             if key & bit:
-                key ^= bit
-                new[key] = get(key, 0) + z
+                nxt = key ^ bit
+                new[nxt] = get(nxt, 0) + z
+                if record:
+                    ops += (slot(nxt, size + len(slots)), old[key], carry)
                 continue
-            for w, u_bit, flip in steps:
+            for k, w, u_bit, flip in steps:
                 if not key & u_bit:
                     nxt = key ^ flip
                     new[nxt] = get(nxt, 0) + z * w
+                    if record:
+                        ops += (slot(nxt, size + len(slots)), old[key], k)
         if len(new) > STATE_CAP:
             raise TooLarge(f"matching sweep holds {len(new)} states, cap is {STATE_CAP}")
+        if record:
+            if len(ops) > STATE_CAP:
+                return None, None
+            counts.append(len(new))
+            size += len(new)
         states = new
-    return {key >> n: z for key, z in states.items()}
+    sums = {key >> n: z for key, z in states.items()}
+    final = tuple((key >> n, s) for key, s in slots.items())
+    return sums, (tuple(ops), tuple(counts), final) if record else None
 
 
 def brute_force_dimer_Z(gq: QuadDimerGraph, weights: DimerWeights) -> float:
-    """Signed matching sum over all perfect matchings, by the sweep."""
-    sums = _matching_sweep(gq, weights, (0,) * gq.edge_count)
-    return float(sums.get(0, 0.0))
-
-
-def brute_force_dimer_Z_pair(
-    gq: QuadDimerGraph, weights: DimerWeights, weights_bar: DimerWeights
-) -> tuple[float, float]:
-    """brute_force_dimer_Z of two weight assignments from one sweep whose
-    states carry both sums.  Each sum takes the single sweep's operations
-    in its order, so both are bit-identical to it.  When the two skip
-    different zero-weight edges their states differ, and each gets its own
-    sweep."""
-    if [w == 0.0 for w in weights] != [w == 0.0 for w in weights_bar]:
-        return brute_force_dimer_Z(gq, weights), brute_force_dimer_Z(gq, weights_bar)
-    states: dict[int, tuple[float, float]] = {0: (1, 1)}
-    for v, later in gq.sweep_order:
-        bit = 1 << v
-        steps = [
-            (weights[k], weights_bar[k], 1 << u) for k, u in later if weights[k] != 0.0
-        ]
-        new: dict[int, tuple[float, float]] = {}
-        get = new.get
-        for key, (y, z) in states.items():
-            if key & bit:
-                key ^= bit
-                p, q = get(key, (0, 0))
-                new[key] = (p + y, q + z)
-                continue
-            for w, w_bar, u_bit in steps:
-                if not key & u_bit:
-                    nxt = key ^ u_bit
-                    p, q = get(nxt, (0, 0))
-                    new[nxt] = (p + y * w, q + z * w_bar)
-        if len(new) > STATE_CAP:
-            raise TooLarge(f"matching sweep holds {len(new)} states, cap is {STATE_CAP}")
-        states = new
-    y, z = states.get(0, (0.0, 0.0))
-    return float(y), float(z)
+    """Signed matching sum over all perfect matchings, by the sweep: weights
+    with no zero replay G_Q's plan if it keeps one, others walk."""
+    plan = None if 0.0 in weights else gq.matching_plan
+    if plan is None:
+        sums, _ = _matching_walk(gq, weights, (0,) * gq.edge_count)
+        return float(sums.get(0, 0.0))
+    vals = replay_plan(plan, (*weights, 1.0), "matching", STATE_CAP)
+    _ops, _counts, final = plan  # the empty state's slot, if it was reached
+    return float(vals[final[0][1]]) if final else 0.0
 
 
 @dataclass(frozen=True)
@@ -470,13 +477,13 @@ def kasteleyn_orientation(
     seen = [False] * n
     seen[0] = True
     queue = [0]
-    adj = m.adjacency()
     in_tree = [False] * m.edge_count
     for u in queue:
-        for e, w in adj[u]:
+        for d in m.vertex_darts[u]:  # G_Q's map keeps no adjacency
+            w = m.dart_vertex[m.alpha[d]]
             if not seen[w]:
                 seen[w] = True
-                in_tree[e] = True
+                in_tree[m.dart_edge[d]] = True
                 queue.append(w)
     for e in range(m.edge_count):
         if in_tree[e]:
@@ -771,9 +778,10 @@ def dimer_partition_pair(
     ctx: GraphContext, weights: DimerWeights, weights_bar: DimerWeights
 ) -> tuple[float, float, str]:
     """dimer_partition_function of two weight assignments on the one route
-    "auto" picks, and that route; the brute route sums both in one sweep."""
+    "auto" picks, and that route."""
     if ctx.gq.vertex_count <= DIMER_CAP:
-        return (*brute_force_dimer_Z_pair(ctx.gq, weights, weights_bar), "brute")
+        z = brute_force_dimer_Z(ctx.gq, weights)
+        return z, brute_force_dimer_Z(ctx.gq, weights_bar), "brute"
     z, route = dimer_partition_function(ctx, weights, "determinant")
     z_bar, _ = dimer_partition_function(ctx, weights_bar, route)
     return z, z_bar, route
@@ -833,7 +841,7 @@ def matching_pair_histogram(gq: QuadDimerGraph) -> dict[tuple[int, int], int]:
         0 if kind == LEG else 1 << e + shift[kind]
         for kind, e in zip(gq.edge_kind, gq.edge_primal_edge)
     ]
-    sums = _matching_sweep(gq, (1,) * gq.edge_count, toggles)
+    sums, _ = _matching_walk(gq, (1,) * gq.edge_count, toggles)
     hist = {}
     for key, count in sums.items():
         pm, dm = key & ((1 << E) - 1), key >> E

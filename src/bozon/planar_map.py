@@ -37,8 +37,8 @@ from .errors import (
 )
 
 # Distinct rotation systems whose map object stays interned, and boundary
-# reduction plans kept: the seed-1 boundary stream of 500 instances interns
-# 106 maps and keeps 176 plans.
+# reduction and pair-sweep plans kept: the seed-1 boundary stream of 500
+# instances interns 106 maps and keeps 176 plans.
 MAP_CACHE_SIZE = 256
 
 

@@ -11,12 +11,21 @@ keeps one summed weight per parity pattern of the vertices and faces it
 has touched, and each edge goes to P, to P*, or to neither.  The same
 sweep without the P* branch gives the high-temperature polygon sum, and
 with unit weights it counts the pairs for the grouped matching count.
+
+The states depend only on the map, so each map's sweep, with or without
+the P* branch, is walked once into a SweepPlan (memoized up to
+MAP_CACHE_SIZE plans) that each sum replays on its weights.  A plan of
+more than STATE_CAP ints is not kept, and its map's sums walk.  The spin
+sweep is not planned: its states depend on the fixed spins and
+observables too, and a seed-1 ``wide_maps`` pass makes 196 spin sweeps
+over 111 such keys, too few per key for a plan to pay for its build.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import TooLarge
@@ -26,7 +35,7 @@ from .ising import (
     modify_couplings,
     partition_function,
 )
-from .planar_map import CombinatorialMap, DefectSet
+from .planar_map import MAP_CACHE_SIZE, CombinatorialMap, DefectSet
 from .reports import IdentityReport, compare
 
 
@@ -58,6 +67,89 @@ def polygon_weights(
     )
 
 
+# A frontier sweep's arithmetic, recorded by walking its states once:
+# (ops, counts, final), read by replay_plan.
+SweepPlan = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
+
+
+def replay_plan(plan: SweepPlan, weights: Sequence[float], sweep: str, cap: int) -> list[float]:
+    """Every slot's value under ``weights``.  Slot 0 is the start state and
+    each step's states take the next slots in walk order; ops holds the
+    walk's (destination slot, source slot, weight index) triples, flat and
+    in order; counts the states each step leaves; final the (key, slot) of
+    each state at the end.  Slots start at 0.0, slot 0 at 1.0, and each op
+    adds source * weights[index] to its destination, so every product and
+    sum is the walk's, in its order.  Raises TooLarge, as the walk would,
+    past ``cap`` states a step."""
+    ops, counts, _final = plan
+    if max(counts, default=0) > cap:
+        held = next(c for c in counts if c > cap)
+        raise TooLarge(f"{sweep} sweep holds {held} states, cap is {cap}")
+    vals = [0.0] * (1 + sum(counts))
+    vals[0] = 1.0
+    it = iter(ops)
+    for d, s, k in zip(it, it, it):
+        vals[d] += vals[s] * weights[k]
+    return vals
+
+
+def _pair_walk(
+    m: CombinatorialMap,
+    primal: Sequence[float],
+    dual: Sequence[float] | None,
+    record: bool = False,
+) -> tuple[float | None, SweepPlan | None]:
+    """The pair sum of _polygon_sweep by one walk over ``m.edge_plan``, and
+    with ``record`` the walk's plan.  A state is the set of vertices and
+    faces of odd degree so far, valued by the summed weight of the edges
+    swept.  Each edge is skipped (weight index 0, the 1.0), put in P (its
+    endpoints flip; index 1 + e) or, with the dual, put in P* (its faces
+    flip; index 1 + E + e), never both, so the pair cannot cross.  A vertex or face
+    whose last edge has passed must be even: states where it is odd are
+    dropped, so equal states merge and only the empty state is left.  A
+    recording walk stops with (None, None) once its ops hold more than
+    STATE_CAP ints, so a plan stays smaller than one full step of states.
+    Raises TooLarge when a step leaves more than STATE_CAP states."""
+    E = m.edge_count
+    states = {0: 1.0}
+    ops: list[int] = []
+    counts = []
+    slots, size = {0: 0}, 1  # the states' slots; slots taken so far
+    for e, ends, faces, gone in m.edge_plan:
+        branches = [(0, 1.0, 0), (ends, primal[e], 1 + e)]
+        if dual is not None:
+            branches.append((faces, dual[e], 1 + E + e))
+        new: dict[int, float] = {}
+        get = new.get
+        old, slots = slots, {}
+        slot = slots.setdefault
+        for key, z in states.items():
+            for flip, w, k in branches:
+                nxt = key ^ flip
+                if not nxt & gone:
+                    new[nxt] = get(nxt, 0.0) + z * w
+                    if record:
+                        ops += (slot(nxt, size + len(slots)), old[key], k)
+        if len(new) > STATE_CAP:
+            raise TooLarge(f"pair sweep holds {len(new)} states, cap is {STATE_CAP}")
+        if record:
+            if len(ops) > STATE_CAP:
+                return None, None
+            counts.append(len(new))
+            size += len(new)
+        states = new
+    (total,) = states.values()
+    return total, (tuple(ops), tuple(counts), tuple(slots.items())) if record else None
+
+
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def _pair_plan(m: CombinatorialMap, with_dual: bool) -> SweepPlan | None:
+    """The pair sweep's plan on ``m``, recorded at unit weights, or None
+    when it is too large to keep; a plan whose build raises is not kept."""
+    ones = (1.0,) * m.edge_count
+    return _pair_walk(m, ones, ones if with_dual else None, record=True)[1]
+
+
 def _polygon_sweep(
     m: CombinatorialMap,
     primal: Sequence[float],
@@ -65,30 +157,16 @@ def _polygon_sweep(
 ) -> float:
     """Sum over edge-disjoint pairs (P, P*) of even subgraphs of m and
     m.dual of prod_{e in P} primal[e] * prod_{e in P*} dual[e]; over P
-    alone when dual is None.  A state is the set of vertices and faces of
-    odd degree so far, valued by the summed weight of the edges swept.
-    Each edge is skipped, put in P (its endpoints flip) or put in P* (its
-    faces flip), never both, so the pair cannot cross.  A vertex or face
-    whose last edge has passed must be even: states where it is odd are
-    dropped, so equal states merge and only the empty state is left.
-    Raises TooLarge when a step leaves more than STATE_CAP states."""
-    states = {0: 1.0}
-    for e, ends, faces, gone in m.edge_plan:
-        branches = [(0, 1.0), (ends, primal[e])]
-        if dual is not None:
-            branches.append((faces, dual[e]))
-        new: dict[int, float] = {}
-        get = new.get
-        for key, z in states.items():
-            for flip, w in branches:
-                nxt = key ^ flip
-                if not nxt & gone:
-                    new[nxt] = get(nxt, 0.0) + z * w
-        if len(new) > STATE_CAP:
-            raise TooLarge(f"pair sweep holds {len(new)} states, cap is {STATE_CAP}")
-        states = new
-    (total,) = states.values()
-    return total
+    alone when dual is None.  Replays the map's memoized pair plan, so the
+    result is the walk's bit for bit, or walks when the plan is too large
+    to keep.  Raises TooLarge when a step leaves more than STATE_CAP
+    states."""
+    plan = _pair_plan(m, dual is not None)
+    if plan is None:
+        return _pair_walk(m, primal, dual)[0]
+    _ops, _counts, ((_key, slot),) = plan
+    weights = (1.0, *primal, *(() if dual is None else dual))
+    return replay_plan(plan, weights, "pair", STATE_CAP)[slot]
 
 
 def pair_polygon_sum(

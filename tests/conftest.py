@@ -21,7 +21,9 @@ import bozon.graphs
 import bozon.instances
 import bozon.ising
 import bozon.planar_map
+import bozon.polygon
 from bozon import builtin, dual
+from bozon.errors import TooLarge
 
 
 # ------------------------------------------------------------ oracles
@@ -98,6 +100,90 @@ def generic_spin_sum(m, real, half_pi, fixed, obs):
                 new[nxt] = get(nxt, 0.0) + w
         states = new
     return sum(states.values())
+
+
+def reference_matching_sweep(gq, weights, toggles):
+    """Reference for the matching sweep's plan and replay: the dict walk
+    they replaced.  Sums over G_Q's perfect matchings of their weight
+    products, keyed by the XOR of their edges' toggles; zero weights are
+    skipped.  Reads ``bozon.dimer.STATE_CAP`` at call time, so a lowered
+    cap applies.  The replay must equal it bit for bit."""
+    n = gq.vertex_count
+    states = {0: 1}
+    for v, later in gq.sweep_order:
+        bit = 1 << v
+        steps = [
+            (weights[k], 1 << u, 1 << u | toggles[k] << n)
+            for k, u in later
+            if weights[k] != 0.0
+        ]
+        new = {}
+        get = new.get
+        for key, z in states.items():
+            if key & bit:
+                key ^= bit
+                new[key] = get(key, 0) + z
+                continue
+            for w, u_bit, flip in steps:
+                if not key & u_bit:
+                    nxt = key ^ flip
+                    new[nxt] = get(nxt, 0) + z * w
+        cap = bozon.dimer.STATE_CAP
+        if len(new) > cap:
+            raise TooLarge(f"matching sweep holds {len(new)} states, cap is {cap}")
+        states = new
+    return {key >> n: z for key, z in states.items()}
+
+
+def reference_polygon_sweep(m, primal, dual_w):
+    """Reference for the pair sweep's plan and replay: the dict walk they
+    replaced, over ``m.edge_plan``, with no P* branch when dual_w is None.
+    Reads ``bozon.polygon.STATE_CAP`` at call time."""
+    states = {0: 1.0}
+    for e, ends, faces, gone in m.edge_plan:
+        branches = [(0, 1.0), (ends, primal[e])]
+        if dual_w is not None:
+            branches.append((faces, dual_w[e]))
+        new = {}
+        get = new.get
+        for key, z in states.items():
+            for flip, w in branches:
+                nxt = key ^ flip
+                if not nxt & gone:
+                    new[nxt] = get(nxt, 0.0) + z * w
+        cap = bozon.polygon.STATE_CAP
+        if len(new) > cap:
+            raise TooLarge(f"pair sweep holds {len(new)} states, cap is {cap}")
+        states = new
+    (total,) = states.values()
+    return total
+
+
+SWEEP_MAP_NAMES = ("k3", "c4", "grid_2_3", "grid_3_3", "wheel_4", "wheel_5")
+
+
+def sweep_test_maps():
+    """The maps the sweep replay tests walk, by name: six builtins, their
+    duals (c4's has four parallel edges) and, where a map is left, each
+    builtin with face 0's boundary fixed +1 by reduce_plus."""
+    out = {}
+    for name in SWEEP_MAP_NAMES:
+        m = builtin(name)
+        out[name] = m
+        out[f"{name}_dual"] = m.dual
+        j = bozon.ising.base_couplings([1.0] * m.edge_count)
+        reduced = bozon.boundary.reduce_plus(m, j, bozon.planar_map.DefectSet.empty(), 0)
+        if reduced.new_map.edge_count:
+            out[f"{name}_plus"] = reduced.new_map
+    return out
+
+
+def sweep_outcome(thunk):
+    """A sweep's values as float.hex strings, or its TooLarge message."""
+    try:
+        return [float(z).hex() for z in thunk()]
+    except TooLarge as exc:
+        return str(exc)
 
 
 def rescanning_vertex_plan(m):
@@ -290,9 +376,11 @@ def rescanning_contract_fixed(surgeon, spin):
 def clear_caches():
     """Forget every per-process cache: builtin maps, interned maps (and
     with them their memoized duals and plans), boundary reduction plans,
-    graph contexts, memoized spin sums and drawn instance streams."""
+    graph contexts, memoized spin sums, pair-sweep plans and drawn
+    instance streams."""
     bozon.graphs.builtin.cache_clear()
     bozon.boundary._plan.cache_clear()
+    bozon.polygon._pair_plan.cache_clear()
     bozon.planar_map._intern.cache_clear()
     bozon.dimer.graph_context.cache_clear()
     bozon.ising._sweep.cache_clear()

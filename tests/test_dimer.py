@@ -32,7 +32,7 @@ from bozon.dimer import (
     LEG,
     PRIMAL_PARALLEL,
     all_ones,
-    brute_force_dimer_Z_pair,
+    dimer_partition_pair,
 )
 from bozon.errors import InconsistentPair, TooLarge
 from bozon.polygon import polygon_weights
@@ -44,7 +44,10 @@ from conftest import (
     oracle_matchings,
     oracle_partition,
     random_j,
+    reference_matching_sweep,
     structure_check,
+    sweep_outcome,
+    sweep_test_maps,
 )
 
 
@@ -424,37 +427,117 @@ def _weight_pairs(m, gq, rng):
 
 
 @pytest.mark.parametrize("name", PAIR_MAPS)
-def test_paired_sweep_is_two_single_sweeps(name, rng):
+def test_paired_sweep_is_two_single_sweeps(name, rng, monkeypatch):
+    """dimer_partition_pair's brute route gives each of its two weight
+    assignments the single reference walk's sum, bit for bit.  DIMER_CAP
+    is raised so that every map takes the brute route."""
+    monkeypatch.setattr(bozon.dimer, "DIMER_CAP", 48)
     m = builtin(name)
-    gq = graph_context(m).gq
-    for w, w_bar in _weight_pairs(m, gq, rng):
-        got = brute_force_dimer_Z_pair(gq, w, w_bar)
-        want = (brute_force_dimer_Z(gq, w), brute_force_dimer_Z(gq, w_bar))
-        assert [z.hex() for z in got] == [z.hex() for z in want]
+    ctx = graph_context(m)
+    zeros = (0,) * ctx.gq.edge_count
+    for w, w_bar in _weight_pairs(m, ctx.gq, rng):
+        *got, route = dimer_partition_pair(ctx, w, w_bar)
+        want = [reference_matching_sweep(ctx.gq, x, zeros).get(0, 0.0) for x in (w, w_bar)]
+        assert route == "brute"
+        assert [z.hex() for z in got] == [float(z).hex() for z in want]
 
 
 @pytest.mark.parametrize("cap, raises", [(40, True), (200, False)])
 def test_paired_sweep_stops_where_the_single_sweep_does(cap, raises, rng, monkeypatch):
-    """Under a lowered STATE_CAP the paired sweep raises TooLarge with the
-    single sweep's message, or neither raises.  grid_3_3's sweep at
-    all-nonzero weights peaks at 50 states."""
+    """Under a lowered STATE_CAP dimer_partition_pair's brute route raises
+    TooLarge with the reference walk's message, or neither raises, also
+    when G_Q's plan was built under the default cap.  grid_3_3's sweep at
+    all-nonzero weights peaks at 50 states; the zero-containing pairs walk
+    under the lowered cap."""
+    monkeypatch.setattr(bozon.dimer, "DIMER_CAP", 48)
     m = builtin("grid_3_3")
-    gq = graph_context(m).gq
+    ctx = graph_context(m)
+    gq = ctx.gq
+    plan = gq.matching_plan
     monkeypatch.setattr(bozon.dimer, "STATE_CAP", cap)
+    zeros = (0,) * gq.edge_count
     raised = []
     for w, w_bar in _weight_pairs(m, gq, rng):
-        outcomes = []
-        for thunk in (
-            lambda: brute_force_dimer_Z_pair(gq, w, w_bar),
-            lambda: (brute_force_dimer_Z(gq, w), brute_force_dimer_Z(gq, w_bar)),
-        ):
-            try:
-                outcomes.append([z.hex() for z in thunk()])
-            except TooLarge as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        raised.append(isinstance(outcomes[0], str))
+        got = sweep_outcome(lambda: dimer_partition_pair(ctx, w, w_bar)[:2])
+        want = sweep_outcome(
+            lambda: [reference_matching_sweep(gq, x, zeros).get(0, 0.0) for x in (w, w_bar)]
+        )
+        assert got == want
+        raised.append(isinstance(got, str))
     assert any(raised) == raises
+    assert gq.matching_plan is plan
+
+
+def test_a_plan_whose_build_raises_is_not_kept(monkeypatch):
+    """Under a cap that the walk's first step exceeds (3 states),
+    G_Q's plan build raises the walk's TooLarge and is not kept; under the
+    default cap it is built and kept."""
+    gq = build_gq(builtin("grid_3_3"))
+    w = all_ones(gq)
+    zeros = (0,) * len(w)
+    with monkeypatch.context() as patch:
+        patch.setattr(bozon.dimer, "STATE_CAP", 2)
+        got = sweep_outcome(lambda: [brute_force_dimer_Z(gq, w)])
+        assert got == "matching sweep holds 3 states, cap is 2"
+        assert got == sweep_outcome(lambda: [reference_matching_sweep(gq, w, zeros)[0]])
+        assert "matching_plan" not in vars(gq)
+    assert brute_force_dimer_Z(gq, w) == reference_matching_sweep(gq, w, zeros)[0]
+    assert vars(gq)["matching_plan"] is not None
+
+
+def test_a_plan_past_state_cap_ints_is_not_kept(monkeypatch, rng):
+    """Under a STATE_CAP that grid_3_3's walk fits (50 states a step) but
+    its plan's ops (3 ints each) do not, G_Q keeps no plan and each sum
+    walks, still equal to the reference walk bit for bit."""
+    gq = build_gq(builtin("grid_3_3"))
+    monkeypatch.setattr(bozon.dimer, "STATE_CAP", 60)
+    w = [rng.uniform(-2.0, 2.0) for _ in range(gq.edge_count)]
+    want = float(reference_matching_sweep(gq, w, (0,) * len(w))[0]).hex()
+    assert brute_force_dimer_Z(gq, w).hex() == want
+    assert gq.matching_plan is None
+
+
+def _matching_weights(m, gq, rng):
+    """Dimer weights of plain and of flagged couplings (an order edge
+    negates a sech), random signed weights, and those with every third
+    weight 0.0 or -0.0."""
+    E = m.edge_count
+    j = base_couplings(random_j(rng, E))
+    flagged = modify_couplings(j, DefectSet.from_edge_sets({0}, {E - 1}))
+    signed = [rng.uniform(-2.0, 2.0) for _ in range(gq.edge_count)]
+    zeroed = [(0.0 if k % 2 else -0.0) if k % 3 == 0 else x for k, x in enumerate(signed)]
+    return [nu_from_couplings(gq, j), nu_from_couplings(gq, flagged), signed, zeroed]
+
+
+def test_matching_replay_is_the_dict_walk(rng):
+    """brute_force_dimer_Z equals the reference walk bit for bit on the
+    builtins, their duals and boundary-reduced maps, from a fresh plan and
+    from the kept one."""
+    for name, m in sweep_test_maps().items():
+        gq = build_gq(m)
+        zeros = (0,) * gq.edge_count
+        for w in _matching_weights(m, gq, rng):
+            want = float(reference_matching_sweep(gq, w, zeros).get(0, 0.0)).hex()
+            assert [brute_force_dimer_Z(gq, w).hex() for _ in "ab"] == [want] * 2, name
+
+
+def test_histogram_counts_are_the_dict_walks_exact_ints():
+    """matching_pair_histogram keeps the reference walk's keys, in its
+    order, and its counts as exact ints."""
+    for name, m in sweep_test_maps().items():
+        gq = build_gq(m)
+        E = m.edge_count
+        shift = {PRIMAL_PARALLEL: 0, DUAL_PARALLEL: E}
+        toggles = [
+            0 if kind == LEG else 1 << e + shift[kind]
+            for kind, e in zip(gq.edge_kind, gq.edge_primal_edge)
+        ]
+        ref = reference_matching_sweep(gq, (1,) * gq.edge_count, toggles)
+        hist = matching_pair_histogram(gq)
+        assert list(hist.items()) == [
+            ((key & (1 << E) - 1, key >> E), count) for key, count in ref.items()
+        ], name
+        assert all(type(count) is int for count in hist.values()), name
 
 
 def test_weight_rows_are_the_per_edge_closed_forms(maps, rng):

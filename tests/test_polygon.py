@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import bozon.polygon
 from bozon import (
     CouplingAssignment,
     DefectSet,
@@ -22,7 +23,7 @@ from bozon import (
     verify_squared_partition,
 )
 from bozon.errors import TooLarge
-from bozon.polygon import _polygon_sweep
+from bozon.polygon import _pair_plan, _polygon_sweep
 
 from conftest import (
     free_fermion_residual,
@@ -32,6 +33,9 @@ from conftest import (
     oracle_partition,
     oracle_polygon_masks,
     random_j,
+    reference_polygon_sweep,
+    sweep_outcome,
+    sweep_test_maps,
 )
 
 
@@ -221,6 +225,56 @@ def test_pair_polygon_sum_cap():
     j = base_couplings([0.5] * m.edge_count)
     with pytest.raises(TooLarge, match="pair sweep holds"):
         pair_polygon_sum(m, m.dual, j)
+
+
+def test_pair_replay_is_the_dict_walk(rng):
+    """_polygon_sweep equals the reference walk bit for bit, with and
+    without the dual side, on the builtins, their duals and
+    boundary-reduced maps: under plain and flagged couplings' weights,
+    random signed weights and those with every third weight 0.0 or -0.0."""
+    for name, m in sweep_test_maps().items():
+        E = m.edge_count
+        j = base_couplings(random_j(rng, E))
+        flagged = modify_couplings(j, DefectSet.from_edge_sets({0}, {E - 1}))
+        signed = [rng.uniform(-2.0, 2.0) for _ in range(2 * E)]
+        zeroed = [(0.0 if k % 2 else -0.0) if k % 3 == 0 else x for k, x in enumerate(signed)]
+        sides = [(w.primal, w.dual) for w in (polygon_weights(m, j), polygon_weights(m, flagged))]
+        sides += [(ws[:E], ws[E:]) for ws in (signed, zeroed)]
+        for primal, dual_w in sides:
+            for d in (dual_w, None):
+                want = reference_polygon_sweep(m, primal, d).hex()
+                assert _polygon_sweep(m, primal, d).hex() == want, name
+
+
+@pytest.mark.parametrize("cap, raises", [(20, True), (40, False)])
+def test_kept_pair_plan_stops_where_the_walk_does(cap, raises, rng, monkeypatch):
+    """A pair plan built under the default cap raises TooLarge under a
+    lowered STATE_CAP with the reference walk's message, or neither raises.
+    grid_3_3's pair sweep peaks at 30 states."""
+    m = builtin("grid_3_3")
+    w = polygon_weights(m, base_couplings(random_j(rng, m.edge_count)))
+    plan = _pair_plan(m, True)
+    monkeypatch.setattr(bozon.polygon, "STATE_CAP", cap)
+    got = sweep_outcome(lambda: [_polygon_sweep(m, w.primal, w.dual)])
+    assert got == sweep_outcome(lambda: [reference_polygon_sweep(m, w.primal, w.dual)])
+    assert isinstance(got, str) == raises
+    assert _pair_plan(m, True) is plan
+
+
+def test_a_pair_plan_past_state_cap_ints_is_not_kept(monkeypatch, rng):
+    """Under a STATE_CAP that grid_3_3's pair walk fits (30 states a step)
+    but its plan's ops (3 ints each) do not, no plan is kept and the sum
+    walks, still equal to the reference walk bit for bit."""
+    m = builtin("grid_3_3")
+    w = polygon_weights(m, base_couplings(random_j(rng, m.edge_count)))
+    monkeypatch.setattr(bozon.polygon, "STATE_CAP", 40)
+    _pair_plan.cache_clear()
+    try:
+        want = reference_polygon_sweep(m, w.primal, w.dual).hex()
+        assert _polygon_sweep(m, w.primal, w.dual).hex() == want
+        assert _pair_plan(m, True) is None
+    finally:
+        _pair_plan.cache_clear()
 
 
 def peak_live_bits(m):
