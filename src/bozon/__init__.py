@@ -25,7 +25,6 @@ from .consequences import (
 )
 from .dimer import (
     DIMER_CAP,
-    GraphContext,
     QuadDimerGraph,
     brute_force_dimer_Z,
     build_gq,
@@ -98,7 +97,6 @@ __all__ = [
     "CouplingAssignment",
     "DIMER_CAP",
     "DefectSet",
-    "GraphContext",
     "IdentityReport",
     "IdentityViolation",
     "PathSpec",

@@ -197,7 +197,7 @@ def _reference_matching(gq) -> tuple[int, ...]:
 
 def cmd_export(args: argparse.Namespace) -> int:
     m, name = _input_map(args)
-    gq = graph_context(m).gq
+    gq = graph_context(m)
     weights = None
     if args.couplings is not None:
         j = couplings_from_dict(_load_json(args.couplings), m.edge_count)

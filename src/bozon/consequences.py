@@ -15,7 +15,7 @@ from collections import Counter
 from typing import Sequence
 
 from .boundary import reduce_plus
-from .dimer import dimer_partition_pair, graph_context, nu_from_couplings
+from .dimer import dimer_partition_function, graph_context, nu_from_couplings
 from .errors import EndpointMismatch, IdentityViolation, SingularMatrix
 from .ising import (
     CouplingAssignment,
@@ -42,15 +42,15 @@ def dimer_correlation_ratio(
     d: DefectSet,
 ) -> tuple[float, str]:
     """Z_dimer(nu(Jbar)) / Z_dimer(nu(J)) on the quad graph, with one
-    shared route for numerator and denominator: brute force (G_Q's plan
-    replayed for both) when G_Q has at most DIMER_CAP vertices, else the
-    determinant.
+    shared route for numerator and denominator: "auto" picks it for nu(J)
+    (brute force, G_Q's plan replayed, when G_Q has at most DIMER_CAP
+    vertices, else the determinant under G_Q's orientation and sign), and
+    nu(Jbar) takes the same one.
     Returns (ratio, method)."""
-    ctx = graph_context(m)
     jbar = modify_couplings(j, d)
-    zd, zd_bar, method = dimer_partition_pair(
-        ctx, nu_from_couplings(ctx.gq, j), nu_from_couplings(ctx.gq, jbar)
-    )
+    gq = graph_context(m)
+    zd, method = dimer_partition_function(gq, nu_from_couplings(gq, j))
+    zd_bar, _ = dimer_partition_function(gq, nu_from_couplings(gq, jbar), method)
     if zd == 0.0:
         raise SingularMatrix("unmodified dimer partition function vanished")
     return zd_bar / zd, method

@@ -26,10 +26,12 @@ growth while keeping fill low.  The drawings' Tutte layout solves its
 Laplacian with the same elimination, so the package needs no numerical
 library.
 
-G_Q, its orientation and its calibration sign do not depend on the
-couplings, so each map gets one memoized GraphContext that owns them, and
-dimer_partition_function is the one place that picks a route.  The map's
-dual is memoized on the map itself (``m.dual``).
+Nothing about G_Q depends on the couplings, so graph_context memoizes one
+G_Q per map, and G_Q owns what is built from it: its sweep order, matching
+plan, leg tables, Kasteleyn layout, orientation and calibration sign
+(``gq.orientation``, ``gq.sign``).  dimer_partition_function is the one
+place that picks a route.  The map's dual is memoized on the map itself
+(``m.dual``).
 
 The matching sweep's states depend only on G_Q and on which weights are
 zero (those edges are skipped).  For weights with no zero its arithmetic
@@ -58,16 +60,13 @@ from .errors import (
     TooLarge,
 )
 from .ising import STATE_CAP, CouplingAssignment, modify_couplings, partition_function
-from .planar_map import CombinatorialMap, DefectSet, _assemble, dual
+from .planar_map import MAP_CACHE_SIZE, CombinatorialMap, DefectSet, _assemble, dual
 from .polygon import SweepPlan, _polygon_sweep, pair_polygon_sum, replay_plan
 from .reports import IdentityReport, compare
 
 # The largest G_Q (in vertices) that the "auto" route sums by the matching
 # sweep; larger ones go to the determinant.
 DIMER_CAP = 36
-# Distinct maps whose GraphContext stays cached; the seeded suites draw
-# from fewer than ten.
-CONTEXT_CACHE_SIZE = 64
 # Threshold partial pivoting: a pivot may be any entry at least this
 # fraction of its column's largest, so each step multiplies entries by at
 # most 1/PIVOT_THRESHOLD; among those the shortest row wins, to keep fill
@@ -223,6 +222,16 @@ class QuadDimerGraph:
             (position[a], x, position[b], y, position[c], z) for a, x, b, y, c, z in slots
         )
         return layout, tuple(map(frozenset, meets)), _permutation_sign(position)
+
+    @cached_property
+    def orientation(self) -> KasteleynOrientation:
+        """G_Q's Kasteleyn orientation, rooted at face 0."""
+        return kasteleyn_orientation(self)
+
+    @cached_property
+    def sign(self) -> int:
+        """The orientation's calibration sign: det K = sign * matching sum."""
+        return calibration_sign(self, self.orientation)
 
 
 def _overlay_map(m: CombinatorialMap) -> CombinatorialMap:
@@ -726,38 +735,16 @@ def calibration_sign(
     return sign * _permutation_sign(columns)
 
 
-@dataclass(frozen=True)
-class GraphContext:
-    """The coupling-independent dimer structure of one map: G_Q, the
-    Kasteleyn orientation of G_Q and that orientation's calibration sign.
-
-    Each is built on first use, so a map with a bridge (which has no G_Q)
-    still has a context.
-    """
-
-    map: CombinatorialMap
-
-    @cached_property
-    def gq(self) -> QuadDimerGraph:
-        return build_gq(self.map)
-
-    @cached_property
-    def orientation(self) -> KasteleynOrientation:
-        return kasteleyn_orientation(self.gq)
-
-    @cached_property
-    def sign(self) -> int:
-        return calibration_sign(self.gq, self.orientation)
-
-
-@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def graph_context(m: CombinatorialMap) -> GraphContext:
-    """The shared context of a map, keyed on the (immutable) map itself."""
-    return GraphContext(m)
+@lru_cache(maxsize=MAP_CACHE_SIZE)
+def graph_context(m: CombinatorialMap) -> QuadDimerGraph:
+    """The map's G_Q, built once per (interned) map and keyed on the map
+    itself.  A map with a bridge has no G_Q: every call raises
+    BridgeUnsupported, and nothing is kept."""
+    return build_gq(m)
 
 
 def dimer_partition_function(
-    ctx: GraphContext,
+    gq: QuadDimerGraph,
     weights: DimerWeights,
     route: str = "auto",
 ) -> tuple[float, str]:
@@ -766,25 +753,12 @@ def dimer_partition_function(
     (sign-calibrated Kasteleyn determinant), or "auto", which is brute when
     G_Q has at most DIMER_CAP vertices and the determinant otherwise."""
     if route == "auto":
-        route = "brute" if ctx.gq.vertex_count <= DIMER_CAP else "determinant"
+        route = "brute" if gq.vertex_count <= DIMER_CAP else "determinant"
     if route == "brute":
-        return brute_force_dimer_Z(ctx.gq, weights), route
+        return brute_force_dimer_Z(gq, weights), route
     if route == "determinant":
-        return ctx.sign * dimer_Z_det(ctx.gq, weights, ctx.orientation), route
+        return gq.sign * dimer_Z_det(gq, weights, gq.orientation), route
     raise ValueError(f"unknown dimer route {route!r}")
-
-
-def dimer_partition_pair(
-    ctx: GraphContext, weights: DimerWeights, weights_bar: DimerWeights
-) -> tuple[float, float, str]:
-    """dimer_partition_function of two weight assignments on the one route
-    "auto" picks, and that route."""
-    if ctx.gq.vertex_count <= DIMER_CAP:
-        z = brute_force_dimer_Z(ctx.gq, weights)
-        return z, brute_force_dimer_Z(ctx.gq, weights_bar), "brute"
-    z, route = dimer_partition_function(ctx, weights, "determinant")
-    z_bar, _ = dimer_partition_function(ctx, weights_bar, route)
-    return z, z_bar, route
 
 
 def polygon_to_dimer_count(gq: QuadDimerGraph, pm: int, dm: int) -> int:
@@ -859,11 +833,10 @@ def verify_bipartite_dimer_identity(
     tol: float = 1e-9,
 ) -> IdentityReport:
     """Bare pair-polygon sum = (1/2) * Z_dimer(G_Q, nu(J_bar))."""
-    ctx = graph_context(m)
-    gq = ctx.gq
+    gq = graph_context(m)
     jbar = modify_couplings(j, d)
     lhs = pair_polygon_sum(m, m.dual, jbar, include_constant=False)
-    zd, route = dimer_partition_function(ctx, nu_from_couplings(gq, jbar))
+    zd, route = dimer_partition_function(gq, nu_from_couplings(gq, jbar))
     report = compare(
         "pair_polygon_vs_half_dimer",
         lhs,
@@ -891,8 +864,7 @@ def theorem_reports(
     Returns all three reports without raising, in the order [unmodified
     unsquared, modified unsquared, main].
     """
-    ctx = graph_context(m)
-    gq = ctx.gq
+    gq = graph_context(m)
     jbar = modify_couplings(j, d)
 
     z = partition_function(m, j)
@@ -900,10 +872,10 @@ def theorem_reports(
     lhs = (zbar / z) ** 2
 
     det = "determinant"
-    zd, _ = dimer_partition_function(ctx, nu_from_couplings(gq, j), det)
+    zd, _ = dimer_partition_function(gq, nu_from_couplings(gq, j), det)
     zd_bar = zd  # no defect: J_bar is J
     if d.gamma or d.gamma_star:
-        zd_bar, _ = dimer_partition_function(ctx, nu_from_couplings(gq, jbar), det)
+        zd_bar, _ = dimer_partition_function(gq, nu_from_couplings(gq, jbar), det)
     if zd == 0.0:
         raise SingularMatrix("dimer partition function of nu(J) vanished")
     sign_gamma = (-1) ** len(d.gamma)
@@ -948,7 +920,7 @@ def matching_count_report(
     couplings.  The ignored second argument (the dual, which the sweep
     reads from ``m``) and ``max_vertices`` (STATE_CAP bounds the work) keep
     older callers working."""
-    gq = gq or graph_context(m).gq
+    gq = gq or graph_context(m)
     hist = matching_pair_histogram(gq)
     ones = (1,) * m.edge_count
     pairs = int(_polygon_sweep(m, ones, ones))

@@ -47,7 +47,7 @@ def tutte_layout(m: CombinatorialMap, outer_face: int | None = None) -> list[Poi
         index = {v: k for k, v in enumerate(free)}
         x_col, y_col = len(free), len(free) + 1
         rows = []
-        adj = m.adjacency()
+        adj = m.adjacency
         for v in free:
             row = {index[v]: 0.0}
             for _e, w in adj[v]:

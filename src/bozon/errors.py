@@ -51,7 +51,7 @@ class OverlapError(BozonError):
 # --- couplings -------------------------------------------------------------
 
 class NonPositiveCoupling(BozonError):
-    """An operation requires strictly positive base couplings."""
+    """A base coupling is not a finite, strictly positive real number."""
 
 
 class CouplingUnderflow(BozonError):

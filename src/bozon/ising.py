@@ -86,11 +86,14 @@ class CouplingAssignment:
 
 
 def base_couplings(values: Sequence[float]) -> CouplingAssignment:
-    """Base assignment: strictly positive reals, no phase flags."""
-    vals = tuple(float(v) for v in values)
+    """Base assignment: finite, strictly positive reals, no phase flags."""
+    try:
+        vals = tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NonPositiveCoupling(f"couplings must be real numbers: {exc}") from exc
     for e, v in enumerate(vals):
-        if not v > 0:
-            raise NonPositiveCoupling(f"J_{e} = {v} must be > 0")
+        if not 0 < v < math.inf:
+            raise NonPositiveCoupling(f"J_{e} = {v} must be finite and > 0")
     return CouplingAssignment(real=vals, half_pi=(False,) * len(vals))
 
 

@@ -134,7 +134,7 @@ class CombinatorialMap:
         retire (those left with it as their one unvisited neighbour) are
         kept as the sweep goes, so a step costs the frontier's size."""
         n = self.vertex_count
-        adj = self.adjacency()
+        adj = self.adjacency
         nbrs = [{u for _e, u in adj[v] if u != v} for v in range(n)]
         unvisited = [len(nb) for nb in nbrs]  # unvisited neighbours per vertex
         retires = [0] * n
@@ -204,12 +204,9 @@ class CombinatorialMap:
     def has_bridge(self) -> bool:
         return any(self.is_bridge(e) for e in range(self.edge_count))
 
+    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex (edge, other endpoint) pairs, in rotation order."""
-        return self._adjacency
-
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         dart_edge, dart_vertex, alpha = self.dart_edge, self.dart_vertex, self.alpha
         return tuple([
             tuple([(dart_edge[d], dart_vertex[alpha[d]]) for d in rot])
@@ -430,7 +427,7 @@ def shortest_path(
         return None
     banned = set(forbidden_edges)
     prev: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    adj = carrier.adjacency()
+    adj = carrier.adjacency
     queue = deque([start])
     while queue:
         x = queue.popleft()

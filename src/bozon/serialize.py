@@ -47,6 +47,13 @@ def _dense_ids(items: Sequence[Mapping[str, Any]], what: str) -> list[Mapping[st
     return ordered
 
 
+def _int(value: Any, what: str) -> int:
+    """A JSON integer; int() would truncate 1.5 and parse "7"."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedRotation(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def map_from_dict(obj: Mapping[str, Any]) -> CombinatorialMap:
     if not isinstance(obj, Mapping) or "vertices" not in obj or "edges" not in obj:
         raise MalformedRotation("graph object needs 'vertices' and 'edges'")
@@ -57,13 +64,13 @@ def map_from_dict(obj: Mapping[str, Any]) -> CombinatorialMap:
         darts = it.get("darts")
         if not isinstance(darts, list):
             raise MalformedRotation(f"vertex {it['id']} needs a dart list")
-        rotations.append([int(d) for d in darts])
+        rotations.append([_int(d, f"vertex {it['id']} dart") for d in darts])
     pairs = []
     for it in edges:
         darts = it.get("darts")
         if not isinstance(darts, list) or len(darts) != 2:
             raise MalformedRotation(f"edge {it['id']} needs exactly two darts")
-        pairs.append((int(darts[0]), int(darts[1])))
+        pairs.append(tuple(_int(d, f"edge {it['id']} dart") for d in darts))
     return build_map(rotations, pairs)
 
 
@@ -86,7 +93,7 @@ def couplings_from_dict(
     for it in items:
         if "J" not in it:
             raise NonPositiveCoupling(f"coupling {it['id']} needs a J value")
-        values.append(float(it["J"]))
+        values.append(it["J"])  # base_couplings checks each is a finite J > 0
     if edge_count is not None and len(values) != edge_count:
         raise LengthMismatch(
             f"{len(values)} couplings for {edge_count} edges"
@@ -104,12 +111,12 @@ def _path_to_dict(p: PathSpec) -> dict[str, Any]:
 def _path_from_dict(obj: Mapping[str, Any]) -> PathSpec:
     try:
         u, v = obj["endpoints"]
-        edges = tuple(int(e) for e in obj["edges"])
+        edges = tuple(_int(e, "path edge") for e in obj["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRotation(
             "each path needs 'endpoints' [u, v] and an 'edges' list"
         ) from exc
-    return PathSpec((int(u), int(v)), edges)
+    return PathSpec((_int(u, "path endpoint"), _int(v, "path endpoint")), edges)
 
 
 def defects_to_dict(d: DefectSet) -> dict[str, Any]:
@@ -126,9 +133,14 @@ def defect_paths_from_dict(
     validate_defects, which the caller owns."""
     if not isinstance(obj, Mapping):
         raise MalformedRotation("defects object must be a mapping")
-    order = tuple(_path_from_dict(p) for p in obj.get("order_paths", ()))
-    disorder = tuple(_path_from_dict(p) for p in obj.get("disorder_paths", ()))
-    return order, disorder
+
+    def family(key: str) -> tuple[PathSpec, ...]:
+        paths = obj.get(key, ())
+        if not isinstance(paths, (list, tuple)):
+            raise MalformedRotation(f"'{key}' must be a list of paths")
+        return tuple(_path_from_dict(p) for p in paths)
+
+    return family("order_paths"), family("disorder_paths")
 
 
 # -------------------------------------------------------------------- G_Q

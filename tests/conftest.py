@@ -191,7 +191,7 @@ def rescanning_vertex_plan(m):
     order, with the frontier rebuilt from the whole visited set and each
     candidate's live count recomputed at every step."""
     n = m.vertex_count
-    adj = m.adjacency()
+    adj = m.adjacency
     nbrs = [{u for _e, u in adj[v] if u != v} for v in range(n)]
     unvisited = [len(nb) for nb in nbrs]
     seen = set()
@@ -241,7 +241,7 @@ def oracle_cycle_basis(m):
     root[0] = 0
     tree = set()
     queue = [0]
-    adj = m.adjacency()
+    adj = m.adjacency
     for u in queue:
         for e, w in adj[u]:
             if root[w] is None:

@@ -173,6 +173,53 @@ def test_verify_too_large_exits_2(tmp_path, capsys):
     assert "TooLarge" in err and "Traceback" not in err
 
 
+def _k3_with(k3, kind, value):
+    """(graph, couplings, defects) JSON texts for k3 with one malformed
+    value: a coupling J, a dart, or the defects object."""
+    couplings = {"edges": [{"id": e, "J": 1.0} for e in range(3)]}
+    defects = {}
+    if kind == "J":
+        couplings["edges"][0]["J"] = value
+    elif kind == "dart":
+        k3["vertices"][0]["darts"][0] = value
+    else:
+        defects = value
+    texts = [json.dumps(obj) for obj in (k3, couplings, defects)]
+    if value == 1e400:  # json.dumps would write Infinity
+        texts[1] = texts[1].replace("Infinity", "1e400")
+    return texts
+
+
+@pytest.mark.parametrize(
+    "kind, value, typed",
+    [
+        ("J", "abc", "NonPositiveCoupling"),
+        ("J", None, "NonPositiveCoupling"),
+        ("J", "inf", "NonPositiveCoupling"),
+        ("J", 1e400, "NonPositiveCoupling"),
+        ("dart", "x", "MalformedRotation"),
+        ("dart", 0.5, "MalformedRotation"),  # int() would read dart 0
+        ("defects", {"order_paths": 5}, "MalformedRotation"),
+        ("defects", {"order_paths": [{"endpoints": [0, 1], "edges": [0.5]}]}, "MalformedRotation"),
+    ],
+    ids=["J-abc", "J-null", "J-inf-text", "J-1e400", "dart-x", "dart-0.5", "order-5", "edge-0.5"],
+)
+def test_verify_malformed_input_values_exit_2(tmp_path, capsys, kind, value, typed):
+    """A malformed or non-finite value in a user file is a typed input
+    error: exit 2, no report, no traceback.  A J that reads as inf would
+    otherwise put Infinity, which is not strict JSON, into the report."""
+    k3 = json.loads(run_cli(capsys, "builtin", "k3")[1])
+    paths = []
+    for name, text in zip(("graph", "couplings", "defects"), _k3_with(k3, kind, value)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        paths += [f"--{name}", str(path)]
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorem1", *paths)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {typed}: ") and "Traceback" not in err
+
+
 def test_verify_explicit_magnetization_exits_2(capsys, c4_file):
     code, _, err = run_cli(
         capsys, "verify", "--suite", "magnetization", "--graph", c4_file

@@ -13,8 +13,10 @@ from bozon import (
     base_couplings,
     brute_force_dimer_Z,
     build_gq,
+    build_map,
     builtin,
     calibration_sign,
+    dimer_correlation_ratio,
     dimer_partition_function,
     dimer_Z_det,
     kasteleyn_orientation,
@@ -25,6 +27,7 @@ from bozon import (
     nu_from_couplings,
     polygon_to_dimer_count,
     theorem_reports,
+    uniform_couplings,
     verify_bipartite_dimer_identity,
 )
 from bozon.dimer import (
@@ -32,9 +35,8 @@ from bozon.dimer import (
     LEG,
     PRIMAL_PARALLEL,
     all_ones,
-    dimer_partition_pair,
 )
-from bozon.errors import InconsistentPair, TooLarge
+from bozon.errors import BridgeUnsupported, InconsistentPair, TooLarge
 from bozon.polygon import polygon_weights
 
 from conftest import (
@@ -149,7 +151,7 @@ def test_matching_pair_histogram_matches_oracle(gqs):
 
 
 def test_matching_pair_histogram_cap():
-    gq = graph_context(builtin("grid_4_4")).gq  # 684,973 peak states
+    gq = graph_context(builtin("grid_4_4"))  # 684,973 peak states
     with pytest.raises(TooLarge, match="matching sweep holds"):
         matching_pair_histogram(gq)
 
@@ -159,10 +161,10 @@ def test_matching_pair_histogram_cap():
     [("grid_3_4", 1_249_330, 4_616), ("wheel_8", 434_657, 2_208)],
 )
 def test_matching_pair_histogram_past_old_cap(name, matchings, keys):
-    ctx = graph_context(builtin(name))
-    hist = matching_pair_histogram(ctx.gq)
+    gq = graph_context(builtin(name))
+    hist = matching_pair_histogram(gq)
     assert (sum(hist.values()), len(hist)) == (matchings, keys)
-    det = dimer_Z_det(ctx.gq, all_ones(ctx.gq), ctx.orientation)
+    det = dimer_Z_det(gq, all_ones(gq), gq.orientation)
     assert matchings == round(abs(det))
 
 
@@ -172,14 +174,14 @@ def test_sweep_equals_determinant(maps, rng):
     to the sum of the matchings' absolute weights, which is |Z| itself
     when no weight is negative."""
     for name, m in maps.items():
-        ctx = graph_context(m)
+        gq = graph_context(m)
         j = base_couplings(random_j(rng, m.edge_count))
         d = DefectSet.from_edge_sets({0}, {1})
         for jj in (j, modify_couplings(j, d)):
-            w = nu_from_couplings(ctx.gq, jj)
-            sweep = brute_force_dimer_Z(ctx.gq, w)
-            det = ctx.sign * dimer_Z_det(ctx.gq, w, ctx.orientation)
-            scale = brute_force_dimer_Z(ctx.gq, [abs(x) for x in w])
+            w = nu_from_couplings(gq, jj)
+            sweep = brute_force_dimer_Z(gq, w)
+            det = gq.sign * dimer_Z_det(gq, w, gq.orientation)
+            scale = brute_force_dimer_Z(gq, [abs(x) for x in w])
             assert abs(sweep - det) <= 1e-12 * scale, name
 
 
@@ -251,13 +253,13 @@ def test_determinant_ratio_equals_brute_ratio(maps, gqs, rng):
 
 def test_dimer_partition_function_routes_agree(maps, rng):
     m = maps["grid_2_3"]
-    ctx = graph_context(m)
+    gq = graph_context(m)
     j = base_couplings(random_j(rng, m.edge_count))
     d = DefectSet.from_edge_sets({1}, {4})
-    w = nu_from_couplings(ctx.gq, modify_couplings(j, d))
-    brute, route = dimer_partition_function(ctx, w)
+    w = nu_from_couplings(gq, modify_couplings(j, d))
+    brute, route = dimer_partition_function(gq, w)
     assert route == "brute"  # 28 quad vertices are within the brute cap
-    det, route = dimer_partition_function(ctx, w, "determinant")
+    det, route = dimer_partition_function(gq, w, "determinant")
     assert route == "determinant"
     assert brute == pytest.approx(det, rel=1e-9)
 
@@ -402,70 +404,104 @@ def test_theorem_main_fails_a_flipped_dimer_ratio(maps, rng, monkeypatch):
     assert main.sign == 1
 
 
-PAIR_MAPS = ("k3", "c4", "grid_2_3", "grid_3_3", "wheel_4", "wheel_5")
+ROUTE_MAPS = ("k3", "c4", "grid_2_3", "grid_3_3", "wheel_4", "wheel_5")
+ONE_DEFECT = (DefectSet.from_edge_sets({0}, ()), DefectSet.from_edge_sets((), {0}))
 
 
-def _weight_pairs(m, gq, rng):
-    """(weights, weights_bar) pairs: plain against order and disorder
-    defects (negated sech and tanh weights), a pair twice, random signed
-    weights sharing their zeros, and two that zero different edges."""
-    j = base_couplings(random_j(rng, m.edge_count))
-    nu = nu_from_couplings(gq, j)
-    signed = [rng.uniform(-2.0, 2.0) for _ in range(gq.edge_count)]
-    other = [rng.uniform(-2.0, 2.0) for _ in range(gq.edge_count)]
-    for k in range(0, gq.edge_count, 4):
-        signed[k] = other[k] = 0.0
-    moved = list(other)
-    moved[0], moved[1] = 1.5, 0.0
-    return [
-        (nu, nu_from_couplings(gq, modify_couplings(j, DefectSet.from_edge_sets({0}, ())))),
-        (nu, nu_from_couplings(gq, modify_couplings(j, DefectSet.from_edge_sets((), {0})))),
-        (nu, nu),
-        (tuple(signed), tuple(other)),
-        (tuple(signed), tuple(moved)),
-    ]
+def _reference_ratio(gq, j, d):
+    """dimer_correlation_ratio's value from two reference walks, the
+    denominator first."""
+    zeros = (0,) * gq.edge_count
+    z = reference_matching_sweep(gq, nu_from_couplings(gq, j), zeros).get(0, 0.0)
+    jbar = modify_couplings(j, d)
+    return reference_matching_sweep(gq, nu_from_couplings(gq, jbar), zeros).get(0, 0.0) / z
 
 
-@pytest.mark.parametrize("name", PAIR_MAPS)
-def test_paired_sweep_is_two_single_sweeps(name, rng, monkeypatch):
-    """dimer_partition_pair's brute route gives each of its two weight
-    assignments the single reference walk's sum, bit for bit.  DIMER_CAP
-    is raised so that every map takes the brute route."""
+@pytest.mark.parametrize("name", ROUTE_MAPS)
+def test_brute_route_is_the_reference_walk_bit_for_bit(name, rng, monkeypatch):
+    """dimer_partition_function's auto route sums each weight assignment
+    by the matching sweep, bit for bit the reference walk's sum, and
+    dimer_correlation_ratio divides two such sums taken on that route.
+    DIMER_CAP is raised so that every map takes the brute route."""
     monkeypatch.setattr(bozon.dimer, "DIMER_CAP", 48)
     m = builtin(name)
-    ctx = graph_context(m)
-    zeros = (0,) * ctx.gq.edge_count
-    for w, w_bar in _weight_pairs(m, ctx.gq, rng):
-        *got, route = dimer_partition_pair(ctx, w, w_bar)
-        want = [reference_matching_sweep(ctx.gq, x, zeros).get(0, 0.0) for x in (w, w_bar)]
-        assert route == "brute"
-        assert [z.hex() for z in got] == [float(z).hex() for z in want]
+    gq = graph_context(m)
+    j = base_couplings(random_j(rng, m.edge_count))
+    zeros = (0,) * gq.edge_count
+    for w in _matching_weights(m, gq, rng):
+        z, route = dimer_partition_function(gq, w)
+        want = reference_matching_sweep(gq, w, zeros).get(0, 0.0)
+        assert (z.hex(), route) == (float(want).hex(), "brute")
+    for d in ONE_DEFECT:
+        ratio, route = dimer_correlation_ratio(m, j, d)
+        assert (ratio.hex(), route) == (_reference_ratio(gq, j, d).hex(), "brute")
 
 
 @pytest.mark.parametrize("cap, raises", [(40, True), (200, False)])
-def test_paired_sweep_stops_where_the_single_sweep_does(cap, raises, rng, monkeypatch):
-    """Under a lowered STATE_CAP dimer_partition_pair's brute route raises
-    TooLarge with the reference walk's message, or neither raises, also
-    when G_Q's plan was built under the default cap.  grid_3_3's sweep at
-    all-nonzero weights peaks at 50 states; the zero-containing pairs walk
-    under the lowered cap."""
+def test_brute_route_stops_where_the_reference_walk_does(cap, raises, rng, monkeypatch):
+    """Under a lowered STATE_CAP the brute route of dimer_partition_function
+    and of dimer_correlation_ratio raises TooLarge with the reference
+    walk's message, or neither raises, also when G_Q's plan was built
+    under the default cap.  grid_3_3's sweep at all-nonzero weights peaks
+    at 50 states; weights with a zero walk under the lowered cap."""
     monkeypatch.setattr(bozon.dimer, "DIMER_CAP", 48)
     m = builtin("grid_3_3")
-    ctx = graph_context(m)
-    gq = ctx.gq
+    gq = graph_context(m)
     plan = gq.matching_plan
     monkeypatch.setattr(bozon.dimer, "STATE_CAP", cap)
+    j = base_couplings(random_j(rng, m.edge_count))
     zeros = (0,) * gq.edge_count
     raised = []
-    for w, w_bar in _weight_pairs(m, gq, rng):
-        got = sweep_outcome(lambda: dimer_partition_pair(ctx, w, w_bar)[:2])
-        want = sweep_outcome(
-            lambda: [reference_matching_sweep(gq, x, zeros).get(0, 0.0) for x in (w, w_bar)]
-        )
+    for w in _matching_weights(m, gq, rng):
+        got = sweep_outcome(lambda: dimer_partition_function(gq, w)[:1])
+        want = sweep_outcome(lambda: [reference_matching_sweep(gq, w, zeros).get(0, 0.0)])
         assert got == want
+        raised.append(isinstance(got, str))
+    for d in ONE_DEFECT:
+        got = sweep_outcome(lambda: dimer_correlation_ratio(m, j, d)[:1])
+        assert got == sweep_outcome(lambda: [_reference_ratio(gq, j, d)])
         raised.append(isinstance(got, str))
     assert any(raised) == raises
     assert gq.matching_plan is plan
+
+
+def test_graph_context_is_the_one_g_q_per_map(monkeypatch):
+    """graph_context returns one G_Q per interned map, and G_Q builds its
+    Kasteleyn orientation and calibration sign once, however many
+    determinant-route sums ask for them."""
+    calls = []
+    for fn in ("kasteleyn_orientation", "calibration_sign"):
+        real = getattr(bozon.dimer, fn)
+        monkeypatch.setattr(
+            bozon.dimer, fn, lambda *a, _real=real, _fn=fn: calls.append(_fn) or _real(*a)
+        )
+    bozon.dimer.graph_context.cache_clear()
+    try:
+        m = builtin("c4")
+        gq = graph_context(m)
+        assert graph_context(build_map(m.vertex_darts, m.edge_darts)) is gq
+        assert calls == []
+        w = all_ones(gq)
+        for _ in range(3):
+            z, route = dimer_partition_function(gq, w, "determinant")
+            assert route == "determinant"
+            assert z == pytest.approx(brute_force_dimer_Z(gq, w), rel=1e-12)
+        theorem_reports(m, uniform_couplings(m.edge_count, 0.7), ONE_DEFECT[0])
+        assert calls == ["kasteleyn_orientation", "calibration_sign"]
+        assert graph_context(m) is gq and gq.sign in (1, -1)
+    finally:
+        bozon.dimer.graph_context.cache_clear()
+
+
+def test_a_bridged_map_raises_on_every_call():
+    """A map with a bridge has no G_Q: graph_context raises on every call
+    and keeps nothing."""
+    m = build_map([[0, 2], [1], [3]], [(0, 1), (2, 3)])  # a path of 3 vertices
+    before = graph_context.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(BridgeUnsupported, match="bridges at edges"):
+            graph_context(m)
+    assert graph_context.cache_info().currsize == before
 
 
 def test_a_plan_whose_build_raises_is_not_kept(monkeypatch):
@@ -545,7 +581,7 @@ def test_weight_rows_are_the_per_edge_closed_forms(maps, rng):
     over the couplings; every entry is CouplingAssignment's per-edge closed
     form bit for bit, with order (flagged) and disorder (negated) edges."""
     for m in maps.values():
-        gq = graph_context(m).gq
+        gq = graph_context(m)
         E = m.edge_count
         j = base_couplings(random_j(rng, E))
         for jj in (j, modify_couplings(j, DefectSet.from_edge_sets({0}, {E - 1}))):

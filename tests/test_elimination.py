@@ -62,13 +62,13 @@ def _weight_cases(m, gq, rng):
 def test_determinant_matches_numpy(name, rng):
     np = pytest.importorskip("numpy")
     m = builtin(name)
-    ctx = graph_context(m)
+    gq = graph_context(m)
 
     def oracle(weights):
-        return float(np.linalg.det(np.array(kasteleyn_matrix(ctx.gq, weights, ctx.orientation))))
+        return float(np.linalg.det(np.array(kasteleyn_matrix(gq, weights, gq.orientation))))
 
-    for label, w in _weight_cases(m, ctx.gq, rng):
-        det = dimer_Z_det(ctx.gq, w, ctx.orientation)
+    for label, w in _weight_cases(m, gq, rng):
+        det = dimer_Z_det(gq, w, gq.orientation)
         want = oracle(w)
         # signed weights can cancel: bound them by the determinant of
         # |weights|, the sum of the matchings' absolute weights
@@ -79,14 +79,14 @@ def test_determinant_matches_numpy(name, rng):
 @pytest.mark.parametrize("name", ORACLE_MAPS)
 def test_calibrated_determinant_matches_sweep(name, rng):
     m = builtin(name)
-    ctx = graph_context(m)
-    for label, w in _weight_cases(m, ctx.gq, rng):
+    gq = graph_context(m)
+    for label, w in _weight_cases(m, gq, rng):
         try:
-            sweep = brute_force_dimer_Z(ctx.gq, w)
+            sweep = brute_force_dimer_Z(gq, w)
         except TooLarge:
             pytest.skip(f"{name}: G_Q is past the matching sweep's state cap")
-        det = ctx.sign * dimer_Z_det(ctx.gq, w, ctx.orientation)
-        scale = brute_force_dimer_Z(ctx.gq, [abs(x) for x in w])
+        det = gq.sign * dimer_Z_det(gq, w, gq.orientation)
+        scale = brute_force_dimer_Z(gq, [abs(x) for x in w])
         assert abs(det - sweep) <= 1e-12 * scale, (name, label, det, sweep)
 
 
@@ -131,9 +131,8 @@ def _dead_vertex(gq, weights):
 
 def test_singular_kasteleyn_matrix_raises(monkeypatch, rng):
     m = builtin("grid_2_3")
-    ctx = graph_context(m)
-    gq = ctx.gq
-    assert dimer_Z_det(gq, _dead_vertex(gq, all_ones(gq)), ctx.orientation) == 0.0
+    gq = graph_context(m)
+    assert dimer_Z_det(gq, _dead_vertex(gq, all_ones(gq)), gq.orientation) == 0.0
 
     real_nu = bozon.dimer.nu_from_couplings
     monkeypatch.setattr(
@@ -152,7 +151,7 @@ def test_leg_sign_is_the_all_ones_determinant_sign(name):
     up to 5."""
     m = builtin(name)
     for carrier in (m, m.dual):
-        gq = graph_context(carrier).gq
+        gq = graph_context(carrier)
         for root in range(min(6, gq.map.face_count)):
             o = kasteleyn_orientation(gq, root)
             det = dimer_Z_det(gq, all_ones(gq), o)

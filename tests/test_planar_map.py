@@ -91,8 +91,8 @@ def test_an_equal_copy_hashes_like_the_interned_map(maps):
 
 def test_adjacency_is_built_once_and_read_only(maps):
     for m in maps.values():
-        adj = m.adjacency()
-        assert adj is m.adjacency()
+        adj = m.adjacency
+        assert adj is m.adjacency
         assert isinstance(adj, tuple) and all(isinstance(a, tuple) for a in adj)
         assert adj == tuple(
             tuple((m.dart_edge[d], m.dart_vertex[m.alpha[d]]) for d in rot)
