@@ -21,17 +21,15 @@ Each call replays its plan's removed edges, in order, on its couplings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BadArcSplit, DefectOnBoundary, NonContiguousArc
 from .ising import CouplingAssignment, base_couplings
 from .planar_map import MAP_CACHE_SIZE, CombinatorialMap, DefectSet, build_map
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     new_map: CombinatorialMap
     new_couplings: CouplingAssignment
     new_defects: DefectSet

@@ -2,15 +2,15 @@
 dimer graph and diagrams, and print builtin rotation systems.
 
 Exit codes: 0 when every check passes, 1 on an identity violation,
-2 on an input or configuration error or an input too large to verify
-(TooLarge).  Identical (config, seed) pairs produce byte-identical JSON.
+2 on an input or configuration error, an input too large to verify
+(TooLarge) or a map with a bridge (whose report still records each
+BridgeUnsupported error).  Identical (config, seed) pairs produce
+byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -18,7 +18,7 @@ import sys
 from typing import Any, Sequence
 
 from .dimer import graph_context, nu_from_couplings
-from .errors import BozonError, IdentityViolation
+from .errors import BozonError, BridgeUnsupported, IdentityViolation
 from .graphs import BUILTIN_EXAMPLES, builtin
 from .ising import uniform_couplings
 from .reports import flatten_check
@@ -93,6 +93,10 @@ def records_to_csv(records: Sequence[dict]) -> str:
             row = dict(base)
             row.update(flatten_check(check))
             take(row)
+
+    # imported here so that a JSON report never loads the csv module
+    import csv
+    import io
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
@@ -181,6 +185,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"{summary['failed']} failed",
         file=sys.stderr,
     )
+    # a bridged map is an input bozon does not support, not a violation
+    bridged = f"{BridgeUnsupported.__name__}:"
+    unsupported = sum(rec.get("error", "").startswith(bridged) for rec in records)
+    if unsupported:
+        print(f"error: {unsupported} records need a bridge-free map", file=sys.stderr)
+        return 2
     return 0 if summary["pass"] else 1
 
 

@@ -46,11 +46,10 @@ keeps no adjacency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BridgeUnsupported,
@@ -60,7 +59,14 @@ from .errors import (
     TooLarge,
 )
 from .ising import STATE_CAP, CouplingAssignment, modify_couplings, partition_function
-from .planar_map import MAP_CACHE_SIZE, CombinatorialMap, DefectSet, _assemble, dual
+from .planar_map import (
+    MAP_CACHE_SIZE,
+    CombinatorialMap,
+    DefectSet,
+    Frozen,
+    _assemble,
+    dual,
+)
 from .polygon import SweepPlan, _polygon_sweep, pair_polygon_sum, replay_plan
 from .reports import IdentityReport, compare
 
@@ -80,8 +86,7 @@ DUAL_PARALLEL = "dual_parallel"
 DimerWeights = tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class QuadRecord:
+class QuadRecord(NamedTuple):
     """The four triangles around one primal/dual crossing and the edges of
     the 4-cycle they form.  corner_legs[i] is the unique leg at
     vertices[i]."""
@@ -93,16 +98,37 @@ class QuadRecord:
     corner_legs: tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class QuadDimerGraph:
-    primal: CombinatorialMap
-    overlay: CombinatorialMap
-    map: CombinatorialMap
-    edge_kind: tuple[str, ...]
-    edge_primal_edge: tuple[int, ...]  # -1 for legs
-    color: tuple[int, ...]  # 0 = black, 1 = white
-    quads: tuple[QuadRecord, ...]
-    vertex_legs: tuple[int, ...]  # the unique leg at each G_Q vertex
+class QuadDimerGraph(Frozen):
+    """G_Q of a primal map, and what is built from it once, on first use.
+    Equal G_Qs hash like their primal map."""
+
+    _fields = ("primal", "overlay", "map", "edge_kind", "edge_primal_edge",
+               "color", "quads", "vertex_legs")
+
+    def __init__(
+        self,
+        primal: CombinatorialMap,
+        overlay: CombinatorialMap,
+        map: CombinatorialMap,
+        edge_kind: tuple[str, ...],
+        edge_primal_edge: tuple[int, ...],  # -1 for legs
+        color: tuple[int, ...],  # 0 = black, 1 = white
+        quads: tuple[QuadRecord, ...],
+        vertex_legs: tuple[int, ...],  # the unique leg at each G_Q vertex
+    ) -> None:
+        self.__dict__.update(
+            primal=primal,
+            overlay=overlay,
+            map=map,
+            edge_kind=edge_kind,
+            edge_primal_edge=edge_primal_edge,
+            color=color,
+            quads=quads,
+            vertex_legs=vertex_legs,
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.primal)
 
     @property
     def vertex_count(self) -> int:
@@ -449,8 +475,7 @@ def brute_force_dimer_Z(gq: QuadDimerGraph, weights: DimerWeights) -> float:
     return float(vals[final[0][1]]) if final else 0.0
 
 
-@dataclass(frozen=True)
-class KasteleynOrientation:
+class KasteleynOrientation(NamedTuple):
     """Per-edge direction given as the dart whose origin is the tail; the
     orientation is clockwise-odd on every face except root_face.  signs[e]
     is the sign of edge e's Kasteleyn matrix entry: 1.0 when e points from

@@ -11,9 +11,8 @@ shared by every suite that runs it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .errors import BozonError
 from .graphs import builtin
@@ -43,8 +42,7 @@ _PROFILES: dict[str, tuple[tuple[int, int], ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     index: int
     graph_name: str
     map: CombinatorialMap

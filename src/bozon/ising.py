@@ -15,9 +15,8 @@ keeps one summed weight per spin pattern of the live vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CouplingUnderflow,
@@ -48,16 +47,20 @@ def i_power(k: int) -> complex:
     return _I_POW[k % 4]
 
 
-@dataclass(frozen=True)
-class CouplingAssignment:
-    """Per-edge couplings a_e + i*(pi/2)*flag_e, held exactly."""
-
+class _Couplings(NamedTuple):
     real: tuple[float, ...]
     half_pi: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.real) != len(self.half_pi):
+
+class CouplingAssignment(_Couplings):
+    """Per-edge couplings a_e + i*(pi/2)*flag_e, held exactly."""
+
+    __slots__ = ()
+
+    def __new__(cls, real: tuple[float, ...], half_pi: tuple[bool, ...]) -> CouplingAssignment:
+        if len(real) != len(half_pi):
             raise LengthMismatch("real and half_pi lengths differ")
+        return tuple.__new__(cls, (real, half_pi))
 
     @property
     def edge_count(self) -> int:

@@ -21,7 +21,6 @@ its memoized ``dual``, ``vertex_plan`` and ``edge_plan``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -50,6 +49,27 @@ class PathSpec(NamedTuple):
     edges: tuple[int, ...]
 
 
+class Frozen:
+    """Base of the records that hold cached properties.  ``__init__`` sets
+    the fields through ``__dict__`` once; assigning or deleting any
+    attribute raises, while ``functools.cached_property`` still writes
+    ``__dict__`` directly.  Instances of one class are equal when the
+    fields named in ``_fields`` are."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+
 def _orbits(perm: Sequence[int]) -> list[tuple[int, ...]]:
     seen = [False] * len(perm)
     orbs = []
@@ -66,18 +86,33 @@ def _orbits(perm: Sequence[int]) -> list[tuple[int, ...]]:
     return orbs
 
 
-@dataclass(frozen=True)
-class CombinatorialMap:
+class CombinatorialMap(Frozen):
     """Immutable rotation system together with its derived face structure."""
 
-    sigma: tuple[int, ...]
-    alpha: tuple[int, ...]
-    dart_vertex: tuple[int, ...]
-    dart_edge: tuple[int, ...]
-    vertex_darts: tuple[tuple[int, ...], ...]
-    edge_darts: tuple[tuple[int, int], ...]
-    faces: tuple[tuple[int, ...], ...]
-    dart_face: tuple[int, ...]
+    _fields = ("sigma", "alpha", "dart_vertex", "dart_edge", "vertex_darts",
+               "edge_darts", "faces", "dart_face")
+
+    def __init__(
+        self,
+        sigma: tuple[int, ...],
+        alpha: tuple[int, ...],
+        dart_vertex: tuple[int, ...],
+        dart_edge: tuple[int, ...],
+        vertex_darts: tuple[tuple[int, ...], ...],
+        edge_darts: tuple[tuple[int, int], ...],
+        faces: tuple[tuple[int, ...], ...],
+        dart_face: tuple[int, ...],
+    ) -> None:
+        self.__dict__.update(
+            sigma=sigma,
+            alpha=alpha,
+            dart_vertex=dart_vertex,
+            dart_edge=dart_edge,
+            vertex_darts=vertex_darts,
+            edge_darts=edge_darts,
+            faces=faces,
+            dart_face=dart_face,
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -446,8 +481,7 @@ def shortest_path(
     return None
 
 
-@dataclass(frozen=True)
-class DefectSet:
+class DefectSet(NamedTuple):
     """Validated order (primal) and disorder (dual) defect paths.
 
     ``gamma`` is the set of order-path edges; ``gamma_star`` is the set of

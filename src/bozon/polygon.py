@@ -12,10 +12,11 @@ has touched, and each edge goes to P, to P*, or to neither.  The same
 sweep without the P* branch gives the high-temperature polygon sum, and
 with unit weights it counts the pairs for the grouped matching count.
 
-The states depend only on the map, so each map's sweep, with or without
-the P* branch, is walked once into a SweepPlan (memoized up to
-MAP_CACHE_SIZE plans) that each sum replays on its weights.  A plan of
-more than STATE_CAP ints is not kept, and its map's sums walk.  The spin
+The states depend only on the map, so the first sum on each map, with or
+without the P* branch, records its walk into a SweepPlan that later sums
+replay on their weights.  Up to MAP_CACHE_SIZE plans are kept, the oldest
+dropped first.  A recording that passes STATE_CAP ints stops while the
+walk goes on, and the map is marked not kept: its sums walk.  The spin
 sweep is not planned: its states depend on the fixed spins and
 observables too, and a seed-1 ``wide_maps`` pass makes 196 spin sweeps
 over 111 such keys, too few per key for a plan to pay for its build.
@@ -24,9 +25,7 @@ over 111 such keys, too few per key for a plan to pay for its build.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import TooLarge
 from .ising import (
@@ -39,8 +38,7 @@ from .planar_map import MAP_CACHE_SIZE, CombinatorialMap, DefectSet
 from .reports import IdentityReport, compare
 
 
-@dataclass(frozen=True)
-class PolygonWeights:
+class PolygonWeights(NamedTuple):
     """Edge weights of the pair-polygon sum: tanh(2J_bar) on primal edges,
     sech(2J_bar) on dual edges, and the constant C = 2^{|V|+1} prod_e
     cosh(2J_bar_e)."""
@@ -98,7 +96,7 @@ def _pair_walk(
     primal: Sequence[float],
     dual: Sequence[float] | None,
     record: bool = False,
-) -> tuple[float | None, SweepPlan | None]:
+) -> tuple[float, SweepPlan | None]:
     """The pair sum of _polygon_sweep by one walk over ``m.edge_plan``, and
     with ``record`` the walk's plan.  A state is the set of vertices and
     faces of odd degree so far, valued by the summed weight of the edges
@@ -106,10 +104,11 @@ def _pair_walk(
     endpoints flip; index 1 + e) or, with the dual, put in P* (its faces
     flip; index 1 + E + e), never both, so the pair cannot cross.  A vertex or face
     whose last edge has passed must be even: states where it is odd are
-    dropped, so equal states merge and only the empty state is left.  A
-    recording walk stops with (None, None) once its ops hold more than
-    STATE_CAP ints, so a plan stays smaller than one full step of states.
-    Raises TooLarge when a step leaves more than STATE_CAP states."""
+    dropped, so equal states merge and only the empty state is left.  Once
+    its ops hold more than STATE_CAP ints, a recording walk stops recording
+    and walks on, giving the plan None, so a plan stays smaller than one
+    full step of states.  Raises TooLarge when a step leaves more than
+    STATE_CAP states."""
     E = m.edge_count
     states = {0: 1.0}
     ops: list[int] = []
@@ -134,7 +133,7 @@ def _pair_walk(
             raise TooLarge(f"pair sweep holds {len(new)} states, cap is {STATE_CAP}")
         if record:
             if len(ops) > STATE_CAP:
-                return None, None
+                record, ops = False, []
             counts.append(len(new))
             size += len(new)
         states = new
@@ -142,12 +141,9 @@ def _pair_walk(
     return total, (tuple(ops), tuple(counts), tuple(slots.items())) if record else None
 
 
-@lru_cache(maxsize=MAP_CACHE_SIZE)
-def _pair_plan(m: CombinatorialMap, with_dual: bool) -> SweepPlan | None:
-    """The pair sweep's plan on ``m``, recorded at unit weights, or None
-    when it is too large to keep; a plan whose build raises is not kept."""
-    ones = (1.0,) * m.edge_count
-    return _pair_walk(m, ones, ones if with_dual else None, record=True)[1]
+# (map, with the P* branch) -> its pair plan, or None when it is too large
+# to keep; insertion ordered, so the first key is the oldest.
+_PAIR_PLANS: dict[tuple[CombinatorialMap, bool], SweepPlan | None] = {}
 
 
 def _polygon_sweep(
@@ -157,11 +153,19 @@ def _polygon_sweep(
 ) -> float:
     """Sum over edge-disjoint pairs (P, P*) of even subgraphs of m and
     m.dual of prod_{e in P} primal[e] * prod_{e in P*} dual[e]; over P
-    alone when dual is None.  Replays the map's memoized pair plan, so the
-    result is the walk's bit for bit, or walks when the plan is too large
+    alone when dual is None.  The map's first sum walks and records its
+    plan (a walk that raises keeps none); later sums replay it, so each
+    result is the walk's bit for bit, or walk when the plan was too large
     to keep.  Raises TooLarge when a step leaves more than STATE_CAP
     states."""
-    plan = _pair_plan(m, dual is not None)
+    key = (m, dual is not None)
+    if key not in _PAIR_PLANS:
+        total, plan = _pair_walk(m, primal, dual, record=True)
+        if len(_PAIR_PLANS) >= MAP_CACHE_SIZE:
+            del _PAIR_PLANS[next(iter(_PAIR_PLANS))]
+        _PAIR_PLANS[key] = plan
+        return total
+    plan = _PAIR_PLANS[key]
     if plan is None:
         return _pair_walk(m, primal, dual)[0]
     _ops, _counts, ((_key, slot),) = plan

@@ -4,19 +4,18 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import IdentityViolation, NonFiniteValue
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of checking ``lhs == rhs`` (up to a recorded sign).
+class IdentityReport(NamedTuple):
+    """Outcome of checking ``lhs == rhs`` (up to a recorded sign); built by
+    ``compare``.
 
     ``sign`` is +1/-1 when the identity is of the form lhs = sign * rhs:
     the predicted sign where it is asserted, the realized one where it is
-    fitted; otherwise None.
+    fitted; otherwise None.  ``extra`` holds the check's further fields.
     """
 
     name: str
@@ -26,8 +25,8 @@ class IdentityReport:
     rel_err: float
     tol: float
     passed: bool
-    sign: int | None = None
-    extra: dict[str, Any] = field(default_factory=dict)
+    sign: int | None
+    extra: dict[str, Any]
 
     def to_dict(self) -> dict[str, Any]:
         def num(z: complex):

@@ -380,7 +380,7 @@ def clear_caches():
     instance streams."""
     bozon.graphs.builtin.cache_clear()
     bozon.boundary._plan.cache_clear()
-    bozon.polygon._pair_plan.cache_clear()
+    bozon.polygon._PAIR_PLANS.clear()
     bozon.planar_map._intern.cache_clear()
     bozon.dimer.graph_context.cache_clear()
     bozon.ising._sweep.cache_clear()

@@ -173,6 +173,27 @@ def test_verify_too_large_exits_2(tmp_path, capsys):
     assert "TooLarge" in err and "Traceback" not in err
 
 
+def test_verify_a_bridged_map_exits_2_with_its_report(tmp_path, capsys):
+    """A 3-vertex path (two bridges) has no G_Q: the dimer suites record a
+    typed BridgeUnsupported error, the others run, and the exit code is
+    the input error's."""
+    graph = tmp_path / "path3.json"
+    graph.write_text(json.dumps({
+        "vertices": [{"id": 0, "darts": [0, 2]}, {"id": 1, "darts": [1]},
+                     {"id": 2, "darts": [3]}],
+        "edges": [{"id": 0, "darts": [0, 1]}, {"id": 1, "darts": [2, 3]}],
+    }))
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--graph", str(graph))
+    assert code == 2
+    assert "bridge-free" in err and "Traceback" not in err
+    records = json.loads(out)["records"]
+    errors = [(r["suite"], r["error"].split(":")[0]) for r in records if "error" in r]
+    assert errors == [("theorem1", "BridgeUnsupported")] + [
+        ("bipartitedimer", "BridgeUnsupported")
+    ] * 2
+    assert all(r["pass"] for r in records if "error" not in r)
+
+
 def _k3_with(k3, kind, value):
     """(graph, couplings, defects) JSON texts for k3 with one malformed
     value: a coupling J, a dart, or the defects object."""

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,7 +81,7 @@ def test_an_equal_copy_hashes_like_the_interned_map(maps):
     """The hash is worked out once per map from its rotation system; a
     map equal field by field but not interned finds the same keys."""
     for m in maps.values():
-        copy = CombinatorialMap(**{f.name: getattr(m, f.name) for f in dataclasses.fields(m)})
+        copy = CombinatorialMap(**{f: getattr(m, f) for f in m._fields})
         assert copy is not m and copy == m
         assert hash(copy) == hash(m)
         assert {m: "interned"}[copy] == "interned"

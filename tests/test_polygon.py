@@ -23,7 +23,7 @@ from bozon import (
     verify_squared_partition,
 )
 from bozon.errors import TooLarge
-from bozon.polygon import _pair_plan, _polygon_sweep
+from bozon.polygon import _PAIR_PLANS, _polygon_sweep
 
 from conftest import (
     free_fermion_residual,
@@ -246,6 +246,22 @@ def test_pair_replay_is_the_dict_walk(rng):
                 assert _polygon_sweep(m, primal, d).hex() == want, name
 
 
+def test_the_first_pair_sum_records_the_plan_it_walks(rng):
+    """A map's first sum walks on its own weights while it records the
+    plan, and equals the reference walk bit for bit; the second sum
+    replays that plan and does too."""
+    for name, m in sweep_test_maps().items():
+        signed = [rng.uniform(-2.0, 2.0) for _ in range(2 * m.edge_count)]
+        primal, dual_w = signed[: m.edge_count], signed[m.edge_count :]
+        for d in (dual_w, None):
+            _PAIR_PLANS.clear()
+            want = reference_polygon_sweep(m, primal, d).hex()
+            assert _polygon_sweep(m, primal, d).hex() == want, name
+            assert _PAIR_PLANS[m, d is not None] is not None, name
+            assert _polygon_sweep(m, primal, d).hex() == want, name
+    _PAIR_PLANS.clear()
+
+
 @pytest.mark.parametrize("cap, raises", [(20, True), (40, False)])
 def test_kept_pair_plan_stops_where_the_walk_does(cap, raises, rng, monkeypatch):
     """A pair plan built under the default cap raises TooLarge under a
@@ -253,28 +269,41 @@ def test_kept_pair_plan_stops_where_the_walk_does(cap, raises, rng, monkeypatch)
     grid_3_3's pair sweep peaks at 30 states."""
     m = builtin("grid_3_3")
     w = polygon_weights(m, base_couplings(random_j(rng, m.edge_count)))
-    plan = _pair_plan(m, True)
+    _polygon_sweep(m, w.primal, w.dual)  # records the plan if none is kept
+    plan = _PAIR_PLANS[m, True]
+    assert plan is not None
     monkeypatch.setattr(bozon.polygon, "STATE_CAP", cap)
     got = sweep_outcome(lambda: [_polygon_sweep(m, w.primal, w.dual)])
     assert got == sweep_outcome(lambda: [reference_polygon_sweep(m, w.primal, w.dual)])
     assert isinstance(got, str) == raises
-    assert _pair_plan(m, True) is plan
+    assert _PAIR_PLANS[m, True] is plan
 
 
 def test_a_pair_plan_past_state_cap_ints_is_not_kept(monkeypatch, rng):
     """Under a STATE_CAP that grid_3_3's pair walk fits (30 states a step)
-    but its plan's ops (3 ints each) do not, no plan is kept and the sum
-    walks, still equal to the reference walk bit for bit."""
+    but its plan's ops (3 ints each) do not, the first sum records once and
+    keeps no plan, and every sum walks, still equal to the reference walk
+    bit for bit; no sum records again."""
     m = builtin("grid_3_3")
     w = polygon_weights(m, base_couplings(random_j(rng, m.edge_count)))
+    walk = bozon.polygon._pair_walk
+    recorded = []
+
+    def counting_walk(m, primal, dual, record=False):
+        recorded.append(record)
+        return walk(m, primal, dual, record)
+
+    monkeypatch.setattr(bozon.polygon, "_pair_walk", counting_walk)
     monkeypatch.setattr(bozon.polygon, "STATE_CAP", 40)
-    _pair_plan.cache_clear()
+    _PAIR_PLANS.clear()
     try:
         want = reference_polygon_sweep(m, w.primal, w.dual).hex()
-        assert _polygon_sweep(m, w.primal, w.dual).hex() == want
-        assert _pair_plan(m, True) is None
+        for _ in range(3):
+            assert _polygon_sweep(m, w.primal, w.dual).hex() == want
+        assert _PAIR_PLANS[m, True] is None
+        assert recorded == [True, False, False]
     finally:
-        _pair_plan.cache_clear()
+        _PAIR_PLANS.clear()
 
 
 def peak_live_bits(m):
