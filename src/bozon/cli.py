@@ -1,5 +1,6 @@
 """Command-line front end: run verification suites, export the derived
-dimer graph and diagrams, and print builtin rotation systems.
+dimer graph G_Q (as JSON, with its weights when couplings are given), and
+print builtin rotation systems.
 
 Exit codes: 0 when every check passes, 1 on an identity violation,
 2 on an input or configuration error, an input too large to verify
@@ -194,17 +195,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary["pass"] else 1
 
 
-def _reference_matching(gq) -> tuple[int, ...]:
-    """The all-legs configuration, validated as a perfect matching."""
-    matching = tuple(sorted(set(gq.vertex_legs)))
-    touched: list[int] = []
-    for k in matching:
-        touched.extend(gq.map.edge_endpoints(k))
-    if sorted(touched) != list(range(gq.map.vertex_count)):
-        raise IdentityViolation("leg edges do not cover each vertex exactly once")
-    return matching
-
-
 def cmd_export(args: argparse.Namespace) -> int:
     m, name = _input_map(args)
     gq = graph_context(m)
@@ -212,43 +202,15 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.couplings is not None:
         j = couplings_from_dict(_load_json(args.couplings), m.edge_count)
         weights = nu_from_couplings(gq, j)
-    order_paths, disorder_paths = _input_defects(args)
-    gamma: tuple[int, ...] = ()
-    gamma_star: tuple[int, ...] = ()
-    if order_paths or disorder_paths:
-        inst = explicit_instance(m, uniform_couplings(m.edge_count, 1.0),
-                                 order_paths, disorder_paths, name=name)
-        gamma = tuple(sorted(inst.defects.gamma))
-        gamma_star = tuple(sorted(inst.defects.gamma_star))
-
     out_dir = args.out or "."
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise InputProblem(f"{out_dir}: {exc.strerror or exc}") from exc
 
-    def emit(filename: str, text: str) -> None:
-        path = os.path.join(out_dir, filename)
-        _write_text(path, text)
-        print(f"wrote {path}", file=sys.stderr)
-
-    emit(f"{name}.gq.json", canonical_json(gq_to_dict(gq, weights)))
-    if args.svg:
-        # imported here so that verify never loads the drawing code
-        from .drawing import (
-            draw_corner_overlay,
-            draw_dual,
-            draw_gq,
-            draw_map,
-            draw_polygon_pair,
-        )
-
-        emit(f"{name}.map.svg", draw_map(m, gamma=gamma))
-        emit(f"{name}.dual.svg", draw_dual(m, gamma_star=gamma_star))
-        emit(f"{name}.corner.svg", draw_corner_overlay(m))
-        emit(f"{name}.gq.svg", draw_gq(gq))
-        emit(f"{name}.pair.svg", draw_polygon_pair(m, gamma, gamma_star))
-        emit(f"{name}.matching.svg", draw_gq(gq, matching=_reference_matching(gq)))
+    path = os.path.join(out_dir, f"{name}.gq.json")
+    _write_text(path, canonical_json(gq_to_dict(gq, weights)))
+    print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
@@ -293,16 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "export",
-        help="write the derived dimer graph (and SVG diagrams) for a map",
+        help="write the derived dimer graph G_Q of a map as JSON",
     )
     p.add_argument("--graph", help="rotation-system JSON")
     p.add_argument("--builtin", help="builtin graph name")
     p.add_argument("--couplings", help="couplings JSON for edge weights")
-    p.add_argument("--defects", help="defect-path JSON to highlight")
     p.add_argument("--out", help="output directory (default: .)")
-    p.add_argument("--svg", action="store_true",
-                   help="also draw the map, dual, corner overlay, dimer graph, "
-                        "defect pair, and reference matching")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("builtin", help="print a builtin rotation system as JSON")

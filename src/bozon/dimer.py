@@ -22,9 +22,7 @@ cubic, so the Kasteleyn matrix has three nonzeros per row, kept as row
 dicts.  Columns are taken in a minimum-degree order computed once per G_Q
 (``gq.kasteleyn_layout``) and each pivot is the shortest row whose entry
 is at least PIVOT_THRESHOLD times the column's largest, which bounds
-growth while keeping fill low.  The drawings' Tutte layout solves its
-Laplacian with the same elimination, so the package needs no numerical
-library.
+growth while keeping fill low.  The package needs no numerical library.
 
 Nothing about G_Q depends on the couplings, so graph_context memoizes one
 G_Q per map, and G_Q owns what is built from it: its sweep order, matching
@@ -102,13 +100,12 @@ class QuadDimerGraph(Frozen):
     """G_Q of a primal map, and what is built from it once, on first use.
     Equal G_Qs hash like their primal map."""
 
-    _fields = ("primal", "overlay", "map", "edge_kind", "edge_primal_edge",
-               "color", "quads", "vertex_legs")
+    _fields = ("primal", "map", "edge_kind", "edge_primal_edge", "color",
+               "quads", "vertex_legs")
 
     def __init__(
         self,
         primal: CombinatorialMap,
-        overlay: CombinatorialMap,
         map: CombinatorialMap,
         edge_kind: tuple[str, ...],
         edge_primal_edge: tuple[int, ...],  # -1 for legs
@@ -118,7 +115,6 @@ class QuadDimerGraph(Frozen):
     ) -> None:
         self.__dict__.update(
             primal=primal,
-            overlay=overlay,
             map=map,
             edge_kind=edge_kind,
             edge_primal_edge=edge_primal_edge,
@@ -380,7 +376,6 @@ def build_gq(m: CombinatorialMap, _dual: object = None) -> QuadDimerGraph:
 
     return QuadDimerGraph(
         primal=m,
-        overlay=overlay,
         map=gq_map,
         edge_kind=tuple(edge_kind),
         edge_primal_edge=tuple(edge_primal),
@@ -623,19 +618,19 @@ def _permutation_sign(perm: Sequence[int]) -> int:
 
 
 def _eliminate(
-    rows: list[dict[int, float]], n: int, cols: list[set[int]] | None = None
+    rows: list[dict[int, float]], cols: list[set[int]] | None = None
 ) -> tuple[list[int], list[float]] | None:
-    """Gaussian elimination, in place, of sparse rows (column -> value),
-    taking columns 0..n-1 in turn; columns from n on ride along as
-    right-hand sides.  Each step pivots on the shortest row whose entry is
-    at least PIVOT_THRESHOLD times the column's largest (lowest row id on
-    a tie), takes the pivot entry out of that row and removes the column
-    from the other rows.  Returns each column's pivot row and pivot value,
-    or None when a column has no nonzero left: the matrix is singular.
-    ``cols`` (consumed), when given, holds the rows each column meets."""
+    """Gaussian elimination, in place, of the n x n matrix with these sparse
+    rows (column -> value), taking columns 0..n-1 in turn.  Each step
+    pivots on the shortest row whose entry is at least PIVOT_THRESHOLD
+    times the column's largest (lowest row id on a tie), takes the pivot
+    entry out of that row and removes the column from the other rows.
+    Returns each column's pivot row and pivot value, or None when a column
+    has no nonzero left: the matrix is singular.  ``cols`` (consumed),
+    when given, holds the rows each column meets."""
+    n = len(rows)
     if cols is None:
-        width = max((1 + max(r) for r in rows if r), default=0)
-        cols = [set() for _ in range(max(n, width))]
+        cols = [set() for _ in range(n)]
         for i, r in enumerate(rows):
             for c in r:
                 cols[c].add(i)
@@ -695,7 +690,7 @@ def _eliminate(
 def _det(rows: list[dict[int, float]], cols: list[set[int]] | None = None) -> float:
     """Determinant of the square matrix with these sparse rows (consumed):
     the pivots' product times the sign of the row order they came in."""
-    pivots = _eliminate(rows, len(rows), cols)
+    pivots = _eliminate(rows, cols)
     if pivots is None:
         return 0.0
     order, values = pivots
@@ -703,26 +698,6 @@ def _det(rows: list[dict[int, float]], cols: list[set[int]] | None = None) -> fl
     for value in values:
         det *= value
     return det
-
-
-def _solve(rows: list[dict[int, float]], n: int, rhs: int) -> list[list[float]]:
-    """Solutions of the n x n sparse system whose rows (consumed) carry
-    ``rhs`` right-hand sides in columns n, n+1, ...: one list per
-    right-hand side.  Back substitution follows the pivots in reverse."""
-    pivots = _eliminate(rows, n)
-    if pivots is None:
-        raise SingularMatrix("linear system is singular")
-    order, values = pivots
-    xs = [[0.0] * n for _ in range(rhs)]
-    for c in reversed(range(n)):
-        row = rows[order[c]]
-        for j, x in enumerate(xs):
-            acc = row.get(n + j, 0.0)
-            for k, v in row.items():
-                if k < n:
-                    acc -= v * x[k]
-            x[c] = acc / values[c]
-    return xs
 
 
 def dimer_Z_det(

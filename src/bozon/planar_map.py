@@ -139,17 +139,6 @@ class CombinatorialMap(Frozen):
         # an edgeless map is a sphere with a single face
         return len(self.faces) if self.faces else 1
 
-    def phi(self, dart: int) -> int:
-        """Next dart along the face boundary walk (counterclockwise)."""
-        return self._sigma_inv[self.alpha[dart]]
-
-    @cached_property
-    def _sigma_inv(self) -> tuple[int, ...]:
-        inv = [0] * len(self.sigma)
-        for d, s in enumerate(self.sigma):
-            inv[s] = d
-        return tuple(inv)
-
     @cached_property
     def dual(self) -> CombinatorialMap:
         """The dual map, built once per map object (see ``dual``)."""

@@ -19,12 +19,14 @@ dropped first.  A recording that passes STATE_CAP ints stops while the
 walk goes on, and the map is marked not kept: its sums walk.  The spin
 sweep is not planned: its states depend on the fixed spins and
 observables too, and a seed-1 ``wide_maps`` pass makes 196 spin sweeps
-over 111 such keys, too few per key for a plan to pay for its build.
+over 111 such keys, 82 of them used once, so there a plan, in place of
+ising's value memo or on top of it, costs more to record than it saves.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple, Sequence
 
 from .errors import TooLarge
@@ -142,8 +144,11 @@ def _pair_walk(
 
 
 # (map, with the P* branch) -> its pair plan, or None when it is too large
-# to keep; insertion ordered, so the first key is the oldest.
+# to keep; insertion ordered, so the first key is the oldest.  Callers may
+# sum from several threads, as with the lru_cache memos elsewhere, so every
+# lookup, insert and eviction holds the lock; the walks do not.
 _PAIR_PLANS: dict[tuple[CombinatorialMap, bool], SweepPlan | None] = {}
+_PAIR_LOCK = threading.Lock()
 
 
 def _polygon_sweep(
@@ -159,13 +164,16 @@ def _polygon_sweep(
     to keep.  Raises TooLarge when a step leaves more than STATE_CAP
     states."""
     key = (m, dual is not None)
-    if key not in _PAIR_PLANS:
+    with _PAIR_LOCK:
+        plan = _PAIR_PLANS.get(key, False)  # False: no sum on this map yet
+    if plan is False:
         total, plan = _pair_walk(m, primal, dual, record=True)
-        if len(_PAIR_PLANS) >= MAP_CACHE_SIZE:
-            del _PAIR_PLANS[next(iter(_PAIR_PLANS))]
-        _PAIR_PLANS[key] = plan
+        with _PAIR_LOCK:
+            if key not in _PAIR_PLANS:
+                if len(_PAIR_PLANS) >= MAP_CACHE_SIZE:
+                    del _PAIR_PLANS[next(iter(_PAIR_PLANS))]
+                _PAIR_PLANS[key] = plan
         return total
-    plan = _PAIR_PLANS[key]
     if plan is None:
         return _pair_walk(m, primal, dual)[0]
     _ops, _counts, ((_key, slot),) = plan

@@ -338,18 +338,23 @@ def test_verify_overflow_exits_1_with_report(tmp_path, capsys):
         assert errors[suite].startswith("OverflowError")
 
 
-def test_export_writes_gq_and_svgs(tmp_path, capsys):
+def test_export_writes_gq(tmp_path, capsys):
     out_dir = tmp_path / "exported"
-    code, _, err = run_cli(
-        capsys, "export", "--builtin", "k3", "--svg", "--out", str(out_dir)
-    )
+    code, _, err = run_cli(capsys, "export", "--builtin", "k3", "--out", str(out_dir))
     assert code == 0
     gq = json.loads((out_dir / "k3.gq.json").read_text())
     assert len(gq["vertices"]) == 12
-    for stem in ("map", "dual", "corner", "gq", "pair", "matching"):
-        text = (out_dir / f"k3.{stem}.svg").read_text()
-        assert text.startswith("<svg")
-    assert err.count("wrote") == 7
+    assert [p.name for p in out_dir.iterdir()] == ["k3.gq.json"]
+    assert err.count("wrote") == 1
+
+
+@pytest.mark.parametrize("extra", (["--svg"], ["--defects", "d.json"]))
+def test_export_has_no_drawing_options(extra, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--builtin", "k3", "--out", str(tmp_path), *extra])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_export_with_couplings_weights(tmp_path, capsys):

@@ -28,7 +28,7 @@ from bozon import (
     theorem_reports,
 )
 from bozon.cli import main
-from bozon.dimer import _det, _solve, all_ones
+from bozon.dimer import _det, all_ones
 from bozon.errors import SingularMatrix, TooLarge
 
 from conftest import kasteleyn_matrix, random_j
@@ -102,20 +102,10 @@ def test_row_exchanges_and_permutation_sign():
     assert _det(rows) == pytest.approx(eps, rel=1e-12, abs=0)
 
 
-def test_solve_needs_row_exchange():
-    # x + y = 3, 2x = 2 (no entry at (1, 1)), and a second right-hand side
-    rows = [{0: 1.0, 1: 1.0, 2: 3.0, 3: 1.0}, {0: 2.0, 2: 2.0, 3: 4.0}]
-    xs, ys = _solve(rows, 2, 2)
-    assert xs == [1.0, 2.0]
-    assert ys == [2.0, -1.0]
-
-
 def test_singular_matrix_gives_exact_zero():
     assert _det([{0: 1.0, 1: 2.0}, {0: 2.0, 1: 4.0}]) == 0.0
     assert _det([{0: 1.0}, {0: 3.0}]) == 0.0  # column 1 is empty
     assert _det([{0: 0.0, 1: 0.0}, {0: 1.0, 1: 1.0}]) == 0.0
-    with pytest.raises(SingularMatrix):
-        _solve([{0: 1.0, 1: 1.0, 2: 1.0}, {0: 1.0, 1: 1.0, 2: 2.0}], 2, 1)
 
 
 def _dead_vertex(gq, weights):
@@ -165,7 +155,7 @@ sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 from bozon.cli import main
 out = sys.argv[1]
 assert main(["verify", "--suite", "all", "--random", "100", "--seed", "1", "--out", out + "/report.json"]) == 0
-assert main(["export", "--builtin", "grid_3_3", "--svg", "--out", out + "/svg"]) == 0
+assert main(["export", "--builtin", "grid_3_3", "--out", out]) == 0
 """
 
 
@@ -184,13 +174,10 @@ def test_runs_without_numpy(tmp_path, capsys):
     )
     assert main(["verify", "--suite", "all", "--random", "100", "--seed", "1",
                  "--out", str(tmp_path / "report.json")]) == 0
-    assert main(["export", "--builtin", "grid_3_3", "--svg", "--out", str(tmp_path / "svg")]) == 0
+    assert main(["export", "--builtin", "grid_3_3", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert (tmp_path / "bare" / "report.json").read_bytes() == (tmp_path / "report.json").read_bytes()
-    svgs = sorted(p.name for p in (tmp_path / "svg").iterdir())
-    assert svgs == sorted(p.name for p in (tmp_path / "bare" / "svg").iterdir())
-    for svg in svgs:
-        assert (tmp_path / "bare" / "svg" / svg).read_bytes() == (tmp_path / "svg" / svg).read_bytes()
+    for name in ("report.json", "grid_3_3.gq.json"):
+        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

@@ -5,6 +5,8 @@ of polygon masks."""
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -304,6 +306,55 @@ def test_a_pair_plan_past_state_cap_ints_is_not_kept(monkeypatch, rng):
         assert recorded == [True, False, False]
     finally:
         _PAIR_PLANS.clear()
+
+
+CONTENTION_MAPS = (
+    "k3", "c4", "grid_2_3", "grid_2_4", "grid_3_3",
+    "wheel_4", "wheel_5", "wheel_6", "wheel_7", "wheel_8",
+)
+
+
+def test_pair_plans_under_thread_contention(monkeypatch, rng):
+    """More threads than cores sum over more maps than the store keeps,
+    with a short switch interval: each sum equals the reference walk bit
+    for bit, no thread raises, and the store stays within its bound."""
+    inputs = []
+    for name in CONTENTION_MAPS:
+        m = builtin(name)
+        signed = [rng.uniform(-2.0, 2.0) for _ in range(2 * m.edge_count)]
+        for d in (signed[m.edge_count :], None):
+            inputs.append((m, signed[: m.edge_count], d))
+    want = [reference_polygon_sweep(*args).hex() for args in inputs]
+    monkeypatch.setattr(bozon.polygon, "MAP_CACHE_SIZE", 2)
+    _PAIR_PLANS.clear()
+    got = [None] * 8
+    sizes = []
+
+    def work(k):
+        out = []
+        for i in range(300):
+            n = (7 * k + i) % len(inputs)
+            out.append((n, _polygon_sweep(*inputs[n]).hex()))
+            sizes.append(len(_PAIR_PLANS))
+        got[k] = out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        size = len(_PAIR_PLANS)
+        _PAIR_PLANS.clear()
+    assert not any(t.is_alive() for t in threads)
+    for out in got:
+        assert out is not None  # the thread raised
+        assert all(h == want[n] for n, h in out)
+    assert max(sizes) <= 2 and size <= 2
 
 
 def peak_live_bits(m):

@@ -309,6 +309,25 @@ def test_boundary_suite_on_a_face_through_a_cut_vertex():
     assert faces == set(range(bowtie.face_count))
 
 
+@pytest.mark.parametrize("seed", (1, 2, 7))
+def test_seeded_boundary_faces_without_repeats_carry_every_reduction(seed):
+    """Every seeded boundary record whose face walk repeats no vertex and
+    no edge carries all three reductions, in order.  A stream that dropped
+    its Dobrushin checks would still pass every check it kept."""
+    simple = 0
+    for rec in run_suite("boundary", 100, seed):
+        m = builtin(rec["graph"])
+        face = rec["checks"][0]["face"]
+        walk, cycle = m.face_vertices(face), m.face_edges(face)
+        if len(set(walk)) == len(walk) and len(set(cycle)) == len(cycle):
+            simple += 1
+            names = [c["name"] for c in rec["checks"]]
+            assert names == ["reduce_plus", "reduce_plus_free", "reduce_dobrushin"], (
+                rec["index"]
+            )
+    assert simple == 100
+
+
 def test_boundary_suite_on_a_face_through_a_bridge():
     """A triangle with a pendant path: the outer walk passes edges 3 and 4
     twice, so an arc drawn as consecutive walk positions may hold one
