@@ -9,6 +9,19 @@ kinds: duals of primal half-edges (parallel to the dual edge, weight
 sech(2J_e)), duals of dual half-edges (parallel to the primal edge,
 weight tanh(2J_e)), and duals of corner edges (legs, weight 1).
 
+Each triangle holds exactly one primal half-edge, so build_gq reads G_Q
+straight off the primal darts and never builds the overlay.  With E
+primal edges, dart d's half-edge at its vertex is overlay dart 2d and at
+the crossing 2d+1; dart d's dual half-edge has overlay darts 4E+2d (face
+end) and 4E+2d+1, and the corner edge between d and the dart after it at
+their vertex has darts 8E+2d (vertex end) and 8E+2d+1.  G_Q vertex t is
+the triangle on overlay dart t, so there are 4E of them; each overlay
+edge (2k, 2k+1) is G_Q edge k.  With before[d] the dart before d in its
+vertex's rotation, vertex 2d has rotation (2d, 4E+2d+1, 8E+2d+1) and
+vertex 2d+1 has (2d+1, 8E+2*before[d], 4E+2*alpha[d]).  Every edge joins
+an even vertex to an odd one, so vertex t has colour t & 1; the leg at
+2d is edge 4E+d and the leg at 2d+1 is edge 4E+before[d].
+
 Partition functions are computed two ways: as an exact sum over all
 perfect matchings, by one frontier sweep over G_Q's vertices in
 breadth-first order that never reads an orientation, and by Kasteleyn
@@ -36,9 +49,8 @@ zero (those edges are skipped).  For weights with no zero its arithmetic
 is recorded once into a polygon.SweepPlan kept on G_Q
 (``gq.matching_plan``), and each sum replays it, bit for bit; a plan of
 more than STATE_CAP ints is not kept.  Weights with a zero and the
-grouped count's toggled sweep are used once, so they walk.  G_Q's
-2-colouring, sweep order and orientation read its darts, so G_Q's map
-keeps no adjacency.
+grouped count's toggled sweep are used once, so they walk.  G_Q's sweep
+order and orientation read its darts, so G_Q's map keeps no adjacency.
 """
 
 from __future__ import annotations
@@ -52,6 +64,7 @@ from typing import NamedTuple, Sequence
 from .errors import (
     BridgeUnsupported,
     InconsistentPair,
+    MalformedRotation,
     OrientationFailure,
     SingularMatrix,
     TooLarge,
@@ -63,7 +76,6 @@ from .planar_map import (
     DefectSet,
     Frozen,
     _assemble,
-    dual,
 )
 from .polygon import SweepPlan, _polygon_sweep, pair_polygon_sum, replay_plan
 from .reports import IdentityReport, compare
@@ -256,114 +268,35 @@ class QuadDimerGraph(Frozen):
         return calibration_sign(self, self.orientation)
 
 
-def _overlay_map(m: CombinatorialMap) -> CombinatorialMap:
-    """Sphere map of the primal/dual overlay.  Vertex ids: primal 0..V-1,
-    dual V..V+F-1, crossings V+F..V+F+E-1.  Edge ids: primal half of dart
-    d is d, dual half of dart d is 2E+d, corner edge of dart d is 4E+d;
-    edge k owns darts (2k, 2k+1) with 2k at the vertex/face end and 2k+1
-    at the crossing (corner edges: 2k at the primal vertex)."""
-    E = m.edge_count
-    V = m.vertex_count
-
-    def ph_a(d: int) -> int:
-        return 2 * d
-
-    def ph_b(d: int) -> int:
-        return 2 * d + 1
-
-    def dh_a(d: int) -> int:
-        return 2 * (2 * E + d)
-
-    def dh_b(d: int) -> int:
-        return 2 * (2 * E + d) + 1
-
-    def q_a(d: int) -> int:
-        return 2 * (4 * E + d)
-
-    def q_b(d: int) -> int:
-        return 2 * (4 * E + d) + 1
-
-    rotations: list[list[int]] = []
-    for u in range(V):
-        rot: list[int] = []
-        for d in m.vertex_darts[u]:
-            rot.extend((ph_a(d), q_a(d)))
-        rotations.append(rot)
-    for orbit in m.faces:
-        rot = []
-        r = len(orbit)
-        for i, t in enumerate(orbit):
-            rot.extend((dh_a(t), q_b(orbit[(i + 1) % r])))
-        rotations.append(rot)
-    for e in range(E):
-        d = min(m.edge_darts[e])
-        d2 = m.alpha[d]
-        rotations.append([ph_b(d), dh_b(d2), ph_b(d2), dh_b(d)])
-    edges = [(2 * k, 2 * k + 1) for k in range(6 * E)]
-    return _assemble(rotations, edges)
-
-
 def build_gq(m: CombinatorialMap, _dual: object = None) -> QuadDimerGraph:
-    """Construct G_Q; requires a bridge-free map (a bridge would make the
-    crossing structure degenerate).  G_Q is read off the overlay, not the
-    dual; the ignored second argument keeps older positional callers
-    ``build_gq(m, dual)`` working."""
+    """Construct G_Q; requires a bridge-free map with edges (a bridge would
+    make the crossing structure degenerate).  G_Q is read off the primal
+    darts in closed form (see the module docstring); the ignored second
+    argument keeps older positional callers ``build_gq(m, dual)`` working."""
     if m.has_bridge():
         bad = [e for e in range(m.edge_count) if m.is_bridge(e)]
         raise BridgeUnsupported(f"map has bridges at edges {bad}")
     E = m.edge_count
-    overlay = _overlay_map(m)
-    gq_map = dual(overlay)
-
-    edge_kind = []
-    edge_primal = []
-    for k in range(6 * E):
-        if k < 2 * E:
-            edge_kind.append(DUAL_PARALLEL)
-            edge_primal.append(m.dart_edge[k])
-        elif k < 4 * E:
-            edge_kind.append(PRIMAL_PARALLEL)
-            edge_primal.append(m.dart_edge[k - 2 * E])
-        else:
-            edge_kind.append(LEG)
-            edge_primal.append(-1)
-
-    # 2-colouring; G_Q is bipartite by construction, verify by BFS (over
-    # the darts: G_Q's map keeps no adjacency)
-    color = [-1] * gq_map.vertex_count
-    color[0] = 0
-    queue = [0]
-    for u in queue:
-        for d in gq_map.vertex_darts[u]:
-            w = gq_map.dart_vertex[gq_map.alpha[d]]
-            if color[w] == -1:
-                color[w] = 1 - color[u]
-                queue.append(w)
-            elif color[w] == color[u]:
-                raise OrientationFailure("G_Q failed bipartite 2-colouring")
-
-    vertex_legs = [-1] * gq_map.vertex_count
-    for k in range(6 * E):
-        if edge_kind[k] == LEG:
-            for dart in gq_map.edge_darts[k]:
-                t = gq_map.dart_vertex[dart]
-                if vertex_legs[t] != -1:
-                    raise OrientationFailure(f"two legs at G_Q vertex {t}")
-                vertex_legs[t] = k
-    if -1 in vertex_legs:
-        raise OrientationFailure("G_Q vertex without a leg")
+    if not E:
+        raise MalformedRotation("G_Q of an edgeless map is not defined")
+    alpha = m.alpha
+    before = [0] * (2 * E)  # the dart before d in its vertex's rotation
+    for d, s in enumerate(m.sigma):
+        before[s] = d
+    rotations = []
+    for d in range(2 * E):
+        rotations += (
+            (2 * d, 4 * E + 2 * d + 1, 8 * E + 2 * d + 1),
+            (2 * d + 1, 8 * E + 2 * before[d], 4 * E + 2 * alpha[d]),
+        )
+    gq_map = _assemble(rotations, [(2 * k, 2 * k + 1) for k in range(6 * E)])
+    vertex_legs = tuple(4 * E + x for d in range(2 * E) for x in (d, before[d]))
 
     quads = []
     for e in range(E):
         d = min(m.edge_darts[e])
-        d2 = m.alpha[d]
-        corner_darts = (
-            2 * d + 1,
-            2 * (2 * E + d2) + 1,
-            2 * d2 + 1,
-            2 * (2 * E + d) + 1,
-        )
-        verts = tuple(overlay.dart_face[x] for x in corner_darts)
+        d2 = alpha[d]
+        verts = (2 * d + 1, 2 * d2, 2 * d2 + 1, 2 * d)
         quads.append(
             QuadRecord(
                 edge=e,
@@ -377,11 +310,11 @@ def build_gq(m: CombinatorialMap, _dual: object = None) -> QuadDimerGraph:
     return QuadDimerGraph(
         primal=m,
         map=gq_map,
-        edge_kind=tuple(edge_kind),
-        edge_primal_edge=tuple(edge_primal),
-        color=tuple(color),
+        edge_kind=(DUAL_PARALLEL,) * (2 * E) + (PRIMAL_PARALLEL,) * (2 * E) + (LEG,) * (2 * E),
+        edge_primal_edge=m.dart_edge * 2 + (-1,) * (2 * E),
+        color=(0, 1) * (2 * E),
         quads=tuple(quads),
-        vertex_legs=tuple(vertex_legs),
+        vertex_legs=vertex_legs,
     )
 
 

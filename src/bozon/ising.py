@@ -106,7 +106,7 @@ def uniform_couplings(edge_count: int, j: float) -> CouplingAssignment:
 
 def modify_couplings(j: CouplingAssignment, d: DefectSet) -> CouplingAssignment:
     """J_e + i*pi/2 on order edges, -J_e on disorder-crossed edges."""
-    if max(d.gamma | d.gamma_star, default=-1) >= j.edge_count:
+    if not all(0 <= e < j.edge_count for e in d.gamma | d.gamma_star):
         raise ValueError("defect edge id out of range")
     if d.gamma & d.gamma_star:
         raise OverlapError(f"defect sets overlap: {sorted(d.gamma & d.gamma_star)}")
@@ -250,6 +250,9 @@ def spin_expectation(
     """
     odd: set[int] = set()
     for v in vertices:
+        # checked before pairs cancel, so [99, 99] is refused like [99]
+        if not 0 <= v < m.vertex_count:
+            raise ValueError(f"observable spin at {v} is not a vertex")
         odd ^= {v}
     den = _spin_sum(m, j, fixed, ())
     return _spin_sum(m, j, fixed, odd) / den

@@ -381,7 +381,10 @@ def explicit_instance(
     seed: int = 0,
 ) -> Instance:
     """Wrap a user-supplied map, couplings, and defect paths as a suite
-    instance (validating the paths against the map and its dual)."""
+    instance (validating the paths against the map and its dual).  A map
+    with no edges has no G_Q and no face orbit to reduce: ValueError."""
+    if not m.edge_count:
+        raise ValueError("the map has no edges")
     if order_paths or disorder_paths:
         d = validate_defects(m, tuple(order_paths), tuple(disorder_paths))
     else:

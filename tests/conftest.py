@@ -341,6 +341,101 @@ def structure_check(gq):
     }
 
 
+def reference_gq(m):
+    """Reference for ``dimer.build_gq``: G_Q read off the geometric
+    overlay.  Overlay the map and its dual so primal and dual edges cross
+    at a new vertex, cut every face corner with a corner edge, validate
+    that triangulation as a sphere map and take its dual.  Colours come
+    from a breadth-first 2-colouring, legs from a scan of the corner
+    edges' darts and quads from the overlay's faces.  Overlay edge ids:
+    primal half of dart d is d, dual half 2E+d, corner edge 4E+d; edge k
+    owns darts (2k, 2k+1), 2k at the vertex/face end and 2k+1 at the
+    crossing (corner edges: 2k at the primal vertex)."""
+    E = m.edge_count
+    rotations = []
+    for rot in m.vertex_darts:
+        rotations.append([x for d in rot for x in (2 * d, 2 * (4 * E + d))])
+    for orbit in m.faces:
+        r = len(orbit)
+        rotations.append([
+            x
+            for i, d in enumerate(orbit)
+            for x in (2 * (2 * E + d), 2 * (4 * E + orbit[(i + 1) % r]) + 1)
+        ])
+    for e in range(E):
+        d = min(m.edge_darts[e])
+        d2 = m.alpha[d]
+        rotations.append([
+            2 * d + 1, 2 * (2 * E + d2) + 1, 2 * d2 + 1, 2 * (2 * E + d) + 1
+        ])
+    overlay = bozon.planar_map.build_map(rotations, [(2 * k, 2 * k + 1) for k in range(6 * E)])
+    g = dual(overlay)
+
+    color = [-1] * g.vertex_count
+    color[0] = 0
+    queue = [0]
+    for u in queue:
+        for d in g.vertex_darts[u]:
+            w = g.dart_vertex[g.alpha[d]]
+            if color[w] == -1:
+                color[w] = 1 - color[u]
+                queue.append(w)
+            assert color[w] != color[u], "G_Q is not bipartite"
+
+    vertex_legs = [-1] * g.vertex_count
+    for k in range(4 * E, 6 * E):
+        for d in g.edge_darts[k]:
+            assert vertex_legs[g.dart_vertex[d]] == -1, "two legs at a vertex"
+            vertex_legs[g.dart_vertex[d]] = k
+    assert -1 not in vertex_legs, "a vertex without a leg"
+
+    quads = []
+    for e in range(E):
+        d = min(m.edge_darts[e])
+        d2 = m.alpha[d]
+        corners = (2 * d + 1, 2 * (2 * E + d2) + 1, 2 * d2 + 1, 2 * (2 * E + d) + 1)
+        verts = tuple(overlay.dart_face[x] for x in corners)
+        quads.append(bozon.dimer.QuadRecord(
+            edge=e,
+            vertices=verts,
+            primal_parallel=(2 * E + d, 2 * E + d2),
+            dual_parallel=(d, d2),
+            corner_legs=tuple(vertex_legs[t] for t in verts),
+        ))
+    return bozon.dimer.QuadDimerGraph(
+        primal=m,
+        map=g,
+        edge_kind=(bozon.dimer.DUAL_PARALLEL,) * (2 * E)
+        + (bozon.dimer.PRIMAL_PARALLEL,) * (2 * E) + (bozon.dimer.LEG,) * (2 * E),
+        edge_primal_edge=m.dart_edge * 2 + (-1,) * (2 * E),
+        color=tuple(color),
+        quads=tuple(quads),
+        vertex_legs=tuple(vertex_legs),
+    )
+
+
+WIDE_MAP_NAMES = ("grid_3_4", "grid_4_4", "grid_3_5", "grid_2_8", "wheel_8", "wheel_10", "wheel_12")
+
+
+def gq_test_maps():
+    """The maps the G_Q oracle test builds, by name: six builtins, the
+    seven larger builtins of the benchmark's wide_maps workload, the six
+    builtins' duals (parallel edges) and each map that reduce_plus leaves
+    with edges when it fixes one face of a builtin +1."""
+    out = {}
+    for name in (*SWEEP_MAP_NAMES, *WIDE_MAP_NAMES):
+        out[name] = builtin(name)
+    for name in SWEEP_MAP_NAMES:
+        m = builtin(name)
+        out[f"{name}_dual"] = m.dual
+        j = bozon.ising.base_couplings([1.0] * m.edge_count)
+        for f in range(m.face_count):
+            reduced = bozon.boundary.reduce_plus(m, j, bozon.planar_map.DefectSet.empty(), f)
+            if reduced.new_map.edge_count:
+                out[f"{name}_plus_{f}"] = reduced.new_map
+    return out
+
+
 def random_j(rng, count, low=0.1, high=2.0):
     return [rng.uniform(low, high) for _ in range(count)]
 

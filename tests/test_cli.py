@@ -131,6 +131,28 @@ def test_verify_malformed_rotation_exits_2(tmp_path, capsys):
     assert "MalformedRotation" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["verify", "--suite", suite] for suite in (
+            "theorem1", "pairpolygon", "bipartitedimer", "duality", "corollary",
+            "boundary", "magnetization", "all",
+        )),
+        ["export", "--out", "exported"],
+    ],
+)
+def test_an_edgeless_map_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys, argv):
+    """The one-vertex map is valid (boundary reductions make it), but it has
+    no G_Q and no face to reduce: every command refuses it as input."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "edgeless.json").write_text('{"vertices": [{"id": 0, "darts": []}], "edges": []}')
+    code, out, err = run_cli(capsys, *argv, "--graph", "edgeless.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "exported").exists()
+
+
 def test_verify_invalid_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "nope.json"
     bad.write_text("{")

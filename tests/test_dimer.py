@@ -36,16 +36,18 @@ from bozon.dimer import (
     PRIMAL_PARALLEL,
     all_ones,
 )
-from bozon.errors import BridgeUnsupported, InconsistentPair, TooLarge
+from bozon.errors import BridgeUnsupported, InconsistentPair, MalformedRotation, TooLarge
 from bozon.polygon import polygon_weights
 
 from conftest import (
+    gq_test_maps,
     kasteleyn_matrix,
     modified_values,
     oracle_even_subgraphs,
     oracle_matchings,
     oracle_partition,
     random_j,
+    reference_gq,
     reference_matching_sweep,
     structure_check,
     sweep_outcome,
@@ -76,6 +78,27 @@ def test_gq_structure_invariants(gqs):
         assert s["legs_perfect_matching"]
         assert s["quads_well_formed"]
         assert s["euler_ok"]
+
+
+@pytest.mark.parametrize("name", sorted(gq_test_maps()))
+def test_gq_closed_forms_equal_the_overlay_construction(name):
+    """build_gq's closed forms against G_Q read off a validated overlay
+    map and its dual, with colours from a 2-colouring and legs from a scan:
+    the same rotation system, colours, legs and quads, field by field."""
+    m = gq_test_maps()[name]
+    gq, ref = build_gq(m), reference_gq(m)
+    assert gq.map.vertex_darts == ref.map.vertex_darts
+    assert gq.map == ref.map
+    assert gq.color == ref.color
+    assert gq.vertex_legs == ref.vertex_legs
+    assert gq.quads == ref.quads
+    assert gq == ref
+
+
+def test_gq_of_an_edgeless_map_is_a_typed_error():
+    m = build_map([[]], [])
+    with pytest.raises(MalformedRotation, match="edgeless"):
+        build_gq(m)
 
 
 def test_gq_is_bipartite(gqs):

@@ -93,6 +93,15 @@ def test_modify_couplings_rejects_overlap():
         modify_couplings(j, d)
 
 
+@pytest.mark.parametrize("e", [-1, 4])
+def test_modify_couplings_rejects_defect_edges_off_the_map(maps, e):
+    j = uniform_couplings(maps["c4"].edge_count, 0.5)
+    with pytest.raises(ValueError, match="defect edge id out of range"):
+        modify_couplings(j, DefectSet.from_edge_sets({e}, set()))
+    with pytest.raises(ValueError, match="defect edge id out of range"):
+        modify_couplings(j, DefectSet.from_edge_sets(set(), {e}))
+
+
 def test_partition_function_matches_oracle(maps, rng):
     for name in ("k3", "c4", "grid_2_3", "wheel_4"):
         m = maps[name]
@@ -142,6 +151,13 @@ def test_fixed_spin_off_the_map_is_rejected(maps, v):
     m = maps["c4"]
     with pytest.raises(ValueError, match="is not a vertex"):
         partition_function(m, uniform_couplings(m.edge_count, 0.5), fixed={v: 1})
+
+
+@pytest.mark.parametrize("vertices", [[99], [0, -1], [4, 1, 2], [99, 99]])
+def test_observable_off_the_map_is_rejected(maps, vertices):
+    m = maps["c4"]
+    with pytest.raises(ValueError, match="is not a vertex"):
+        spin_expectation(m, uniform_couplings(m.edge_count, 0.5), vertices)
 
 
 def test_fixed_spins_do_not_count_toward_the_cap():
