@@ -42,6 +42,7 @@ from .dimer import (
 )
 from .errors import BozonError, IdentityViolation
 from .graphs import BUILTIN_EXAMPLES, builtin, c4, grid, k3, wheel
+from .instances import Instance
 from .ising import (
     STATE_CAP,
     CouplingAssignment,
@@ -99,6 +100,7 @@ __all__ = [
     "DefectSet",
     "IdentityReport",
     "IdentityViolation",
+    "Instance",
     "PathSpec",
     "QuadDimerGraph",
     "ReductionResult",

@@ -17,12 +17,12 @@ from typing import Sequence
 from .boundary import reduce_plus
 from .dimer import dimer_partition_function, graph_context, nu_from_couplings
 from .errors import EndpointMismatch, IdentityViolation, SingularMatrix
+from .instances import Instance
 from .ising import (
     CouplingAssignment,
     dual_couplings,
     i_power,
     modify_couplings,
-    partition_function,
     spin_expectation,
 )
 from .planar_map import (
@@ -56,17 +56,11 @@ def dimer_correlation_ratio(
     return zd_bar / zd, method
 
 
-def _normalized_ratio(
-    m: CombinatorialMap,
-    j: CouplingAssignment,
-    d: DefectSet,
-    residual_tol: float = 1e-12,
-) -> float:
-    """(-i)^{|Gamma|} Z(Jbar)/Z(J); exact phase bookkeeping makes this
-    real, and the imaginary residue is checked anyway."""
-    z = partition_function(m, j)
-    zbar = partition_function(m, modify_couplings(j, d))
-    value = i_power(-len(d.gamma)) * (zbar / z)
+def _normalized_ratio(inst: Instance, residual_tol: float = 1e-12) -> float:
+    """(-i)^{|Gamma|} Z(Jbar)/Z(J) of the instance; exact phase
+    bookkeeping makes this real, and the imaginary residue is checked
+    anyway."""
+    value = i_power(-len(inst.defects.gamma)) * (inst.zbar / inst.z)
     if abs(value.imag) > residual_tol * max(1.0, abs(value)):
         raise IdentityViolation(
             f"correlator has imaginary residue {value.imag!r}"
@@ -109,7 +103,7 @@ def _checked_spin_correlation(
             f"vertices {sorted(want.elements())}"
         )
     d = validate_defects(m, paths, ())
-    value = _normalized_ratio(m, j, d)
+    value = _normalized_ratio(Instance(m, j, d))
     direct = spin_expectation(m, j, vertices)
     compare("spin_correlation_vs_direct", value, direct, tol=tol).require()
     return value, direct, d
@@ -185,9 +179,7 @@ def magnetization_report(
 
 
 def kw_duality_check(
-    m: CombinatorialMap,
-    j: CouplingAssignment,
-    d: DefectSet | None = None,
+    inst: Instance,
     tol: float = 1e-9,
     edge_tol: float = 1e-12,
 ) -> dict[str, IdentityReport]:
@@ -198,9 +190,11 @@ def kw_duality_check(
         across the duality (order paths become disorder paths and vice
         versa).
     correlator: the normalized defect correlators of G and G* agree,
-        (-i)^{|Gamma|} Z(G,Jbar)/Z(G,J) = (-i)^{|Gamma*|} Z(G*,Jbar*)/Z(G*,J*).
+        (-i)^{|Gamma|} Z(G,Jbar)/Z(G,J) = (-i)^{|Gamma*|} Z(G*,Jbar*)/Z(G*,J*),
+        with G's values read from the instance and G*'s from the dual
+        instance (G*, J*, swapped defects).
     """
-    d = d or DefectSet.empty()
+    m, j, d = inst.map, inst.couplings, inst.defects
     dm = m.dual
     js = dual_couplings(j)
 
@@ -225,11 +219,10 @@ def kw_duality_check(
     else:
         dstar = DefectSet.from_edge_sets(d.gamma_star, d.gamma)
 
-    jbar = modify_couplings(j, d)
-    jsbar = modify_couplings(js, dstar)
+    dual = Instance(dm, js, dstar)
     mod_err = max(
         (
-            abs(cmath.exp(-2 * jsbar.value(e)) - cmath.tanh(jbar.value(e)))
+            abs(cmath.exp(-2 * dual.jbar.value(e)) - cmath.tanh(inst.jbar.value(e)))
             for e in range(m.edge_count)
         ),
         default=0.0,
@@ -238,8 +231,8 @@ def kw_duality_check(
         "modified_duality", mod_err, 0.0, tol=edge_tol
     )
 
-    lhs = _normalized_ratio(m, j, d)
-    rhs = _normalized_ratio(dm, js, dstar)
+    lhs = _normalized_ratio(inst)
+    rhs = _normalized_ratio(dual)
     reports["correlator_duality"] = compare(
         "correlator_duality",
         lhs,

@@ -59,7 +59,7 @@ import math
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
     BridgeUnsupported,
@@ -69,16 +69,13 @@ from .errors import (
     SingularMatrix,
     TooLarge,
 )
-from .ising import STATE_CAP, CouplingAssignment, modify_couplings, partition_function
-from .planar_map import (
-    MAP_CACHE_SIZE,
-    CombinatorialMap,
-    DefectSet,
-    Frozen,
-    _assemble,
-)
-from .polygon import SweepPlan, _polygon_sweep, pair_polygon_sum, replay_plan
+from .ising import STATE_CAP, CouplingAssignment
+from .planar_map import MAP_CACHE_SIZE, CombinatorialMap, Frozen, _assemble
+from .polygon import SweepPlan, _polygon_sweep, replay_plan
 from .reports import IdentityReport, compare
+
+if TYPE_CHECKING:
+    from .instances import Instance
 
 # The largest G_Q (in vertices) that the "auto" route sums by the matching
 # sweep; larger ones go to the determinant.
@@ -759,17 +756,13 @@ def matching_pair_histogram(gq: QuadDimerGraph) -> dict[tuple[int, int], int]:
     return hist
 
 
-def verify_bipartite_dimer_identity(
-    m: CombinatorialMap,
-    j: CouplingAssignment,
-    d: DefectSet,
-    tol: float = 1e-9,
-) -> IdentityReport:
-    """Bare pair-polygon sum = (1/2) * Z_dimer(G_Q, nu(J_bar))."""
-    gq = graph_context(m)
-    jbar = modify_couplings(j, d)
-    lhs = pair_polygon_sum(m, m.dual, jbar, include_constant=False)
-    zd, route = dimer_partition_function(gq, nu_from_couplings(gq, jbar))
+def verify_bipartite_dimer_identity(inst: Instance, tol: float = 1e-9) -> IdentityReport:
+    """Bare pair-polygon sum = (1/2) * Z_dimer(G_Q, nu(J_bar)), the dimer
+    sum by dimer_partition_function's "auto" route."""
+    d = inst.defects
+    gq = graph_context(inst.map)
+    lhs = inst.pair_sum
+    zd, route = dimer_partition_function(gq, nu_from_couplings(gq, inst.jbar))
     report = compare(
         "pair_polygon_vs_half_dimer",
         lhs,
@@ -784,31 +777,19 @@ def verify_bipartite_dimer_identity(
     return report.require()
 
 
-def theorem_reports(
-    m: CombinatorialMap,
-    j: CouplingAssignment,
-    d: DefectSet,
-    tol: float = 1e-9,
-) -> list[IdentityReport]:
+def theorem_reports(inst: Instance, tol: float = 1e-9) -> list[IdentityReport]:
     """Squared correlator = (-1)^{|Gamma|} * ratio of dimer partition
     functions, with the two unsquared product identities checked on the
     way.  The paper's sign is predicted, +1 once (-1)^{|Gamma|} is in the
     right-hand side, and asserted: a ratio of the wrong sign fails.
     Returns all three reports without raising, in the order [unmodified
-    unsquared, modified unsquared, main].
+    unsquared, modified unsquared, main].  The determinants come first:
+    a map without a G_Q raises before any spin sum.
     """
-    gq = graph_context(m)
-    jbar = modify_couplings(j, d)
-
-    z = partition_function(m, j)
-    zbar = partition_function(m, jbar)
+    m, j, d = inst.map, inst.couplings, inst.defects
+    zd, zd_bar = inst.det, inst.det_bar
+    z, zbar = inst.z, inst.zbar
     lhs = (zbar / z) ** 2
-
-    det = "determinant"
-    zd, _ = dimer_partition_function(gq, nu_from_couplings(gq, j), det)
-    zd_bar = zd  # no defect: J_bar is J
-    if d.gamma or d.gamma_star:
-        zd_bar, _ = dimer_partition_function(gq, nu_from_couplings(gq, jbar), det)
     if zd == 0.0:
         raise SingularMatrix("dimer partition function of nu(J) vanished")
     sign_gamma = (-1) ** len(d.gamma)

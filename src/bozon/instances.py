@@ -5,25 +5,30 @@ defect paths found by rejection sampling of disjoint BFS shortest paths
 (primal for order, dual for disorder).  The seed fully determines the
 stream, and every instance carries enough provenance to replay it.
 Instances are immutable, so each stream is drawn once per process and
-shared by every suite that runs it.
+shared by every suite that runs it, together with the values the mixed
+suites compare (see Instance): each is taken once, however many suites
+read it.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from typing import Any, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import Any, Sequence
 
+from .dimer import dimer_partition_function, graph_context, nu_from_couplings
 from .errors import BozonError
 from .graphs import builtin
-from .ising import CouplingAssignment, base_couplings
+from .ising import CouplingAssignment, base_couplings, modify_couplings, partition_function
 from .planar_map import (
     CombinatorialMap,
     DefectSet,
+    Frozen,
     PathSpec,
     shortest_path,
     validate_defects,
 )
+from .polygon import pair_polygon_sum
 from .serialize import couplings_to_dict, defects_to_dict
 
 FAMILY = ("k3", "c4", "grid_2_3", "grid_3_3", "wheel_4")
@@ -42,13 +47,55 @@ _PROFILES: dict[str, tuple[tuple[int, int], ...]] = {
 }
 
 
-class Instance(NamedTuple):
-    index: int
-    graph_name: str
-    map: CombinatorialMap
-    couplings: CouplingAssignment
-    defects: DefectSet
-    seed: int
+class Instance(Frozen):
+    """A map with couplings J and defects, its provenance (stream index,
+    graph name, seed), and the values the mixed suites compare, each
+    computed on first use, by the kernel call a check would make, and
+    kept: ``jbar``, ``z`` = Z(J), ``zbar`` = Z(Jbar), ``pair_sum`` = the
+    bare pair-polygon sum P(Jbar), and ``det``, ``det_bar`` = the dimer
+    sums of nu(J) and nu(Jbar) by the determinant.  Without a defect edge
+    Jbar is J, and zbar and det_bar are z and det, not summed again."""
+
+    _fields = ("index", "graph_name", "map", "couplings", "defects", "seed")
+
+    def __init__(
+        self, m: CombinatorialMap, couplings: CouplingAssignment, defects: DefectSet,
+        index: int = 0, graph_name: str = "input", seed: int = 0,
+    ) -> None:
+        self.__dict__.update(index=index, graph_name=graph_name, map=m,
+                             couplings=couplings, defects=defects, seed=seed)
+
+    @property
+    def _defective(self) -> bool:
+        return bool(self.defects.gamma or self.defects.gamma_star)
+
+    @cached_property
+    def jbar(self) -> CouplingAssignment:
+        return modify_couplings(self.couplings, self.defects)
+
+    @cached_property
+    def z(self) -> complex:
+        return partition_function(self.map, self.couplings)
+
+    @cached_property
+    def zbar(self) -> complex:
+        return partition_function(self.map, self.jbar) if self._defective else self.z
+
+    @cached_property
+    def pair_sum(self) -> float:
+        return pair_polygon_sum(self.map, self.map.dual, self.jbar, include_constant=False)
+
+    def _det(self, j: CouplingAssignment) -> float:
+        gq = graph_context(self.map)
+        return dimer_partition_function(gq, nu_from_couplings(gq, j), "determinant")[0]
+
+    @cached_property
+    def det(self) -> float:
+        return self._det(self.couplings)
+
+    @cached_property
+    def det_bar(self) -> float:
+        return self._det(self.jbar) if self._defective else self.det
 
     def provenance(self) -> dict[str, Any]:
         return {
@@ -123,7 +170,7 @@ def random_instance(
     m = builtin(name)
     j = base_couplings([rng.uniform(J_LOW, J_HIGH) for _ in range(m.edge_count)])
     d = random_defects(m, rng, profile=profile)
-    return Instance(index, name, m, j, d, seed)
+    return Instance(m, j, d, index=index, graph_name=name, seed=seed)
 
 
 def random_instances(

@@ -9,13 +9,15 @@ trigonometry is ever evaluated.
 
 That real sum covers every spin configuration without listing them: one
 frontier sweep (a transfer matrix) adds the vertices in a narrow order and
-keeps one summed weight per spin pattern of the live vertices.
+keeps one summed weight per spin pattern of the live vertices.  Every
+call sweeps: nothing here keeps a sum.  The values a verification
+instance compares several times (Z(J), Z(Jbar)) are taken once and kept on
+the instance (``instances.Instance``).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -30,14 +32,6 @@ from .planar_map import CombinatorialMap, DefectSet
 # The most live states a frontier sweep may hold after a step; a sweep's
 # time and memory follow this count.
 STATE_CAP = 1 << 16
-
-# Spin sums the run-wide memo keeps, least recently used first out.  The
-# suites of a 500-instance stream ask for about 6,200 sums, 2,400 of them
-# again, each repeat within 2,048 distinct sums of its first.
-SUM_CACHE_SIZE = 2048
-
-# the memo key's empty fixed-spin and observable sets
-_NONE: frozenset = frozenset()
 
 # exact powers of i
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -128,32 +122,29 @@ def _spin_sum(
     so the plan alone tells, before any state is made, whether one would
     leave more than STATE_CAP: then it raises TooLarge.  No step holds more
     than 2^(free spins) states, so the plan is walked only when that
-    exceeds STATE_CAP.  The sum itself comes from the run-wide memo."""
+    exceeds STATE_CAP."""
     if j.edge_count != m.edge_count:
         raise LengthMismatch("coupling count differs from edge count")
-    items = _NONE
-    if fixed:
-        for v, s in fixed.items():
-            if s not in (-1, 1):
-                raise ValueError(f"fixed spin at {v} must be +-1, got {s}")
-            if not 0 <= v < m.vertex_count:
-                raise ValueError(f"fixed spin at {v} is not a vertex")
-        items = frozenset(fixed.items())
-    if 1 << (m.vertex_count - len(items)) > STATE_CAP:
-        pinned = sum(1 << v for v, _s in items)
+    fixed = fixed or {}
+    for v, s in fixed.items():
+        if s not in (-1, 1):
+            raise ValueError(f"fixed spin at {v} must be +-1, got {s}")
+        if not 0 <= v < m.vertex_count:
+            raise ValueError(f"fixed spin at {v} is not a vertex")
+    if 1 << (m.vertex_count - len(fixed)) > STATE_CAP:
+        pinned = sum(1 << v for v in fixed)
         live = 0
         for v, _back, keep in m.vertex_plan[1]:
             live = (live | 1 << v) & keep
             held = 1 << (live & ~pinned).bit_count()
             if held > STATE_CAP:
                 raise TooLarge(f"spin sweep holds {held} states, cap is {STATE_CAP}")
-    return _sweep(m, j.real, j.half_pi, items, frozenset(obs) if obs else _NONE)
+    return _sweep(m, j.real, j.half_pi, fixed, obs)
 
 
-@lru_cache(maxsize=SUM_CACHE_SIZE)
 def _sweep(
-    m: CombinatorialMap, real: tuple[float, ...], half_pi: tuple[bool, ...],
-    fixed_items: frozenset[tuple[int, int]], obs: frozenset[int],
+    m: CombinatorialMap, real: Sequence[float], half_pi: Sequence[bool],
+    fixed: Mapping[int, int], obs: Collection[int],
 ) -> float:
     """The frontier sweep of a checked input.  A state is the mask of live
     vertices with spin -1, valued by the summed weight of the swept spins.
@@ -169,7 +160,6 @@ def _sweep(
     exact, as (sign*z)*f == z*(sign*f) for sign = +-1, and every other
     product and sum keeps the order of the generic loop, so the sum is
     bit-identical to it."""
-    fixed = dict(fixed_items)
     loops, steps = m.vertex_plan
     same = [math.exp(a) for a in real]
     differ = [-math.exp(-a) if f else math.exp(-a) for a, f in zip(real, half_pi)]
@@ -290,8 +280,9 @@ def dual_couplings(j: CouplingAssignment) -> CouplingAssignment:
     """Kramers-Wannier dual couplings J* = -(1/2) ln tanh J, indexed by the
     identity edge bijection of the dual map.  With x = e^{-2J} that is
     (1/2) ln(1 + 2x/(1 - x)), which keeps full precision at strong
-    coupling, where tanh J rounds to 1; raises CouplingUnderflow where J*
-    underflows to 0."""
+    coupling, where tanh J rounds to 1.  At a subnormal J, 2x/(1 - x)
+    overflows, and J* is taken as (1/2)(ln(1 + x) - ln(1 - x)) instead.
+    Raises CouplingUnderflow where J* underflows to 0."""
     out = []
     for e in range(j.edge_count):
         a = j.real[e]
@@ -299,7 +290,10 @@ def dual_couplings(j: CouplingAssignment) -> CouplingAssignment:
             raise NonPositiveCoupling(
                 f"J_{e} = {j.value(e)} is not a base coupling"
             )
-        js = 0.5 * math.log1p(2 * math.exp(-2 * a) / -math.expm1(-2 * a))
+        x, one_less = math.exp(-2 * a), -math.expm1(-2 * a)
+        js = 0.5 * math.log1p(2 * x / one_less)
+        if js == math.inf:
+            js = 0.5 * (math.log1p(x) - math.log(one_less))
         if js == 0.0:
             raise CouplingUnderflow(f"dual coupling of J_{e} = {a} underflows to 0")
         out.append(js)

@@ -93,7 +93,11 @@ def couplings_from_dict(
     for it in items:
         if "J" not in it:
             raise NonPositiveCoupling(f"coupling {it['id']} needs a J value")
-        values.append(it["J"])  # base_couplings checks each is a finite J > 0
+        v = it["J"]
+        # a JSON number: float() would read true as 1.0 and parse "0.5"
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise NonPositiveCoupling(f"coupling {it['id']} J must be a number, got {v!r}")
+        values.append(v)  # base_couplings checks each is a finite J > 0
     if edge_count is not None and len(values) != edge_count:
         raise LengthMismatch(
             f"{len(values)} couplings for {edge_count} edges"

@@ -99,20 +99,6 @@ def suite_summary(records: Sequence[dict]) -> dict[str, Any]:
 # ------------------------------------------------------ per-instance checks
 
 
-def _theorem1_checks(inst: Instance, tol: float) -> list[IdentityReport]:
-    return theorem_reports(inst.map, inst.couplings, inst.defects, tol=tol)
-
-
-def _pairpolygon_checks(inst: Instance, tol: float) -> IdentityReport:
-    return verify_squared_partition(inst.map, inst.couplings, inst.defects, tol=tol)
-
-
-def _bipartitedimer_checks(inst: Instance, tol: float) -> IdentityReport:
-    return verify_bipartite_dimer_identity(
-        inst.map, inst.couplings, inst.defects, tol=tol
-    )
-
-
 def _corollary_checks(inst: Instance, tol: float) -> IdentityReport:
     m, j, paths = inst.map, inst.couplings, inst.defects.order_paths
     vertices = tuple(x for p in paths for x in p.endpoints)
@@ -130,8 +116,7 @@ def _corollary_checks(inst: Instance, tol: float) -> IdentityReport:
 
 
 def _duality_checks(inst: Instance, tol: float) -> list[IdentityReport]:
-    reports = kw_duality_check(inst.map, inst.couplings, inst.defects, tol=tol)
-    return list(reports.values())
+    return list(kw_duality_check(inst, tol).values())
 
 
 def _clear_faces(m: CombinatorialMap, d: DefectSet) -> list[int]:
@@ -155,14 +140,13 @@ def _boundary_checks(inst: Instance, tol: float) -> list[IdentityReport]:
     face = faces[rng.randrange(len(faces))]
     cycle = list(m.face_edges(face))
     length = len(cycle)
-    jbar = modify_couplings(j, d)
 
     def sides(res) -> tuple[complex, complex]:
         """Z(G) under the reduction's boundary condition, and
         scalar * Z_free(G')."""
         jj = modify_couplings(res.new_couplings, res.new_defects)
         return (
-            partition_function(m, jbar, fixed=res.fixed),
+            partition_function(m, inst.jbar, fixed=res.fixed),
             res.scalar * partition_function(res.new_map, jj),
         )
 
@@ -172,8 +156,9 @@ def _boundary_checks(inst: Instance, tol: float) -> list[IdentityReport]:
     start = rng.randrange(length)
     span = rng.randint(1, length)
     arc = [cycle[(start + i) % length] for i in range(span)]
-    if set(arc) == set(cycle):
-        # reduce_plus is reduce_plus_free on the whole face: same sums
+    if {v for e in arc for v in m.edge_endpoints(e)} == set(m.face_vertices(face)):
+        # the arc fixes every vertex of the face, as reduce_plus does: the
+        # same reduction plan on the same couplings, so the same sums
         plus_free = plus
     else:
         plus_free = sides(reduce_plus_free(m, j, d, arc, face))
@@ -308,9 +293,9 @@ def _magnetization_records(count: int, seed: int, tol: float) -> list[dict]:
 # stream, in the order "all" runs them.  Magnetization draws its own
 # sites, so it has neither.
 _SUITES: dict[str, tuple[Callable[[Instance, float], Any] | None, str | None]] = {
-    "theorem1": (_theorem1_checks, "mixed"),
-    "pairpolygon": (_pairpolygon_checks, "mixed"),
-    "bipartitedimer": (_bipartitedimer_checks, "mixed"),
+    "theorem1": (theorem_reports, "mixed"),
+    "pairpolygon": (verify_squared_partition, "mixed"),
+    "bipartitedimer": (verify_bipartite_dimer_identity, "mixed"),
     "corollary": (_corollary_checks, "order_only"),
     "magnetization": (None, None),
     "duality": (_duality_checks, "mixed"),
@@ -389,7 +374,7 @@ def explicit_instance(
         d = validate_defects(m, tuple(order_paths), tuple(disorder_paths))
     else:
         d = DefectSet.empty()
-    return Instance(0, name, m, couplings, d, seed)
+    return Instance(m, couplings, d, graph_name=name, seed=seed)
 
 
 def run_explicit(name: str, inst: Instance, tol: float = 1e-9) -> list[dict]:

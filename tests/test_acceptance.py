@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from bozon import (
     BUILTIN_EXAMPLES,
     DefectSet,
+    Instance,
     PathSpec,
     base_couplings,
     brute_force_dimer_Z,
@@ -175,7 +176,7 @@ def test_criterion_8_coupling_duality(capfd):
         for trial in range(20):
             m = builtin(("k3", "c4", "grid_2_3")[trial % 3])
             j = base_couplings(random_j(rng, m.edge_count))
-            reports = kw_duality_check(m, j)
+            reports = kw_duality_check(Instance(m, j, DefectSet.empty()))
             per_edge = reports["per_edge_duality"]
             assert per_edge.tol == 1e-12
             assert per_edge.passed
@@ -188,7 +189,7 @@ def test_criterion_8_coupling_duality(capfd):
                 validate_defects(m, (), (PathSpec(dm.edge_endpoints(1), (1,)),)),
             ]
             for d in configs:
-                reports = kw_duality_check(m, j, d)
+                reports = kw_duality_check(Instance(m, j, d))
                 assert reports["correlator_duality"].rel_err <= 1e-9
 
 

@@ -240,12 +240,14 @@ def _k3_with(k3, kind, value):
         ("J", None, "NonPositiveCoupling"),
         ("J", "inf", "NonPositiveCoupling"),
         ("J", 1e400, "NonPositiveCoupling"),
+        ("J", True, "NonPositiveCoupling"),  # float() would read 1.0
+        ("J", "0.5", "NonPositiveCoupling"),  # float() would parse it
         ("dart", "x", "MalformedRotation"),
         ("dart", 0.5, "MalformedRotation"),  # int() would read dart 0
         ("defects", {"order_paths": 5}, "MalformedRotation"),
         ("defects", {"order_paths": [{"endpoints": [0, 1], "edges": [0.5]}]}, "MalformedRotation"),
     ],
-    ids=["J-abc", "J-null", "J-inf-text", "J-1e400", "dart-x", "dart-0.5", "order-5", "edge-0.5"],
+    ids=["J-abc", "J-null", "J-inf-text", "J-1e400", "J-true", "J-0.5-text", "dart-x", "dart-0.5", "order-5", "edge-0.5"],
 )
 def test_verify_malformed_input_values_exit_2(tmp_path, capsys, kind, value, typed):
     """A malformed or non-finite value in a user file is a typed input

@@ -9,6 +9,7 @@ import pytest
 
 from bozon import (
     DefectSet,
+    Instance,
     PathSpec,
     base_couplings,
     build_map,
@@ -112,7 +113,7 @@ def test_spinor_correlation_c4(maps, rng):
     m = maps["c4"]
     j = base_couplings(random_j(rng, 4))
     d = validate_defects(m, (PathSpec((0, 1), (0,)),), (PathSpec((0, 1), (2,)),))
-    main = theorem_reports(m, j, d)[-1]
+    main = theorem_reports(Instance(m, j, d))[-1]
     assert main.name == "theorem_main"
     assert main.passed
     assert main.sign == 1
@@ -167,7 +168,7 @@ def test_magnetization_strong_coupling_saturates(maps):
 def test_duality_per_edge_relation(maps, rng):
     m = maps["grid_2_3"]
     j = base_couplings(random_j(rng, m.edge_count))
-    reports = kw_duality_check(m, j, None)
+    reports = kw_duality_check(Instance(m, j, DefectSet.empty()))
     assert reports["per_edge_duality"].passed
     assert reports["per_edge_duality"].tol == 1e-12
     assert reports["modified_duality"].passed
@@ -179,5 +180,5 @@ def test_duality_with_defects(maps, rng):
         m = maps[name]
         j = base_couplings(random_j(rng, m.edge_count))
         d = validate_defects(m, (PathSpec((0, 1), (0,)),), ())
-        reports = kw_duality_check(m, j, d)
+        reports = kw_duality_check(Instance(m, j, d))
         assert all(r.passed for r in reports.values())

@@ -8,8 +8,10 @@ import math
 import pytest
 
 import bozon.dimer
+import bozon.instances
 from bozon import (
     DefectSet,
+    Instance,
     base_couplings,
     brute_force_dimer_Z,
     build_gq,
@@ -380,7 +382,7 @@ def test_bipartite_dimer_identity(maps, rng):
         m = maps[name]
         j = base_couplings(random_j(rng, m.edge_count))
         d = DefectSet.from_edge_sets({0}, set())
-        rep = verify_bipartite_dimer_identity(m, j, d)
+        rep = verify_bipartite_dimer_identity(Instance(m, j, d))
         assert rep.passed
 
 
@@ -389,7 +391,7 @@ def test_theorem_reports_match_oracle(maps, rng):
     j = base_couplings(random_j(rng, m.edge_count))
     gamma, gamma_star = {0}, {2}
     d = DefectSet.from_edge_sets(gamma, gamma_star)
-    reports = theorem_reports(m, j, d)
+    reports = theorem_reports(Instance(m, j, d))
     assert [r.name for r in reports] == [
         "squared_Z_vs_dimer",
         "squared_Zbar_vs_dimer",
@@ -410,8 +412,8 @@ def test_theorem_main_fails_a_flipped_dimer_ratio(maps, rng, monkeypatch):
     m = maps["c4"]
     j = base_couplings(random_j(rng, m.edge_count))
     d = DefectSet.from_edge_sets({0}, {2})
-    assert theorem_reports(m, j, d)[-1].passed
-    real = bozon.dimer.dimer_partition_function
+    assert theorem_reports(Instance(m, j, d))[-1].passed
+    real = bozon.instances.dimer_partition_function
     calls = []
 
     def flipped(*args, **kwargs):
@@ -419,8 +421,8 @@ def test_theorem_main_fails_a_flipped_dimer_ratio(maps, rng, monkeypatch):
         calls.append(z)
         return (-z if len(calls) == 2 else z), route
 
-    monkeypatch.setattr(bozon.dimer, "dimer_partition_function", flipped)
-    main = theorem_reports(m, j, d)[-1]
+    monkeypatch.setattr(bozon.instances, "dimer_partition_function", flipped)
+    main = theorem_reports(Instance(m, j, d))[-1]
     assert len(calls) == 2
     assert main.name == "theorem_main"
     assert not main.passed
@@ -509,7 +511,7 @@ def test_graph_context_is_the_one_g_q_per_map(monkeypatch):
             z, route = dimer_partition_function(gq, w, "determinant")
             assert route == "determinant"
             assert z == pytest.approx(brute_force_dimer_Z(gq, w), rel=1e-12)
-        theorem_reports(m, uniform_couplings(m.edge_count, 0.7), ONE_DEFECT[0])
+        theorem_reports(Instance(m, uniform_couplings(m.edge_count, 0.7), ONE_DEFECT[0]))
         assert calls == ["kasteleyn_orientation", "calibration_sign"]
         assert graph_context(m) is gq and gq.sign in (1, -1)
     finally:

@@ -16,6 +16,7 @@ import bozon
 import bozon.dimer
 from bozon import (
     DefectSet,
+    Instance,
     base_couplings,
     brute_force_dimer_Z,
     builtin,
@@ -126,11 +127,11 @@ def test_singular_kasteleyn_matrix_raises(monkeypatch, rng):
 
     real_nu = bozon.dimer.nu_from_couplings
     monkeypatch.setattr(
-        bozon.dimer, "nu_from_couplings", lambda g, j: _dead_vertex(g, real_nu(g, j))
+        bozon.instances, "nu_from_couplings", lambda g, j: _dead_vertex(g, real_nu(g, j))
     )
     j = base_couplings(random_j(rng, m.edge_count))
     with pytest.raises(SingularMatrix, match="vanished"):
-        theorem_reports(m, j, DefectSet.from_edge_sets({0}, set()))
+        theorem_reports(Instance(m, j, DefectSet.from_edge_sets({0}, set())))
 
 
 @pytest.mark.parametrize("name", ORACLE_MAPS)

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -35,11 +33,10 @@ from bozon.errors import (
     OverlapError,
     TooLarge,
 )
-from bozon.ising import SUM_CACHE_SIZE, _sweep, i_power
+from bozon.ising import _sweep, i_power
 from bozon.instances import FAMILY
 
 from conftest import (
-    clear_caches,
     generic_spin_sum,
     rescanning_vertex_plan,
     modified_values,
@@ -126,6 +123,7 @@ def test_partition_function_with_fixed_spins(maps, rng):
         partition_function(m, j, fixed=fixed),
         oracle_partition(m, list(j.real), fixed=fixed),
     )
+    assert partition_function(m, j, fixed={}) == partition_function(m, j)
 
 
 def test_partition_function_phase_is_exact(maps, rng):
@@ -142,15 +140,17 @@ def test_partition_function_cap():
     """The plan alone shows the 17-spin frontier, so the sweep raises
     before it makes a state."""
     m = builtin("grid_17_17")
-    with pytest.raises(TooLarge, match=r"^spin sweep holds 131072 states, cap is 65536$"):
-        partition_function(m, uniform_couplings(m.edge_count, 0.5))
+    for _ in range(2):  # a failing input raises every time
+        with pytest.raises(TooLarge, match=r"^spin sweep holds 131072 states, cap is 65536$"):
+            partition_function(m, uniform_couplings(m.edge_count, 0.5))
 
 
 @pytest.mark.parametrize("v", [-1, 4])
 def test_fixed_spin_off_the_map_is_rejected(maps, v):
     m = maps["c4"]
-    with pytest.raises(ValueError, match="is not a vertex"):
-        partition_function(m, uniform_couplings(m.edge_count, 0.5), fixed={v: 1})
+    for _ in range(2):  # a failing input raises every time
+        with pytest.raises(ValueError, match="is not a vertex"):
+            partition_function(m, uniform_couplings(m.edge_count, 0.5), fixed={v: 1})
 
 
 @pytest.mark.parametrize("vertices", [[99], [0, -1], [4, 1, 2], [99, 99]])
@@ -237,6 +237,13 @@ def test_dual_couplings_keep_precision_at_strong_coupling():
     # evaluated as written it gives -0.0, since tanh 20 rounds to 1
     js = dual_couplings(base_couplings([20.0]))
     assert math.isclose(js.real[0], 4.2483542552915889953e-18, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("a", [1e-320, 5e-309])
+def test_dual_couplings_of_a_subnormal_coupling_are_finite(a):
+    # J* = (1/2) ln coth J = -(1/2) ln J to double precision at such J,
+    # while 2x/(1 - x) overflows there
+    assert math.isclose(dual_couplings(base_couplings([a])).real[0], -0.5 * math.log(a), rel_tol=1e-12)
 
 
 def test_dual_couplings_underflow_is_typed():
@@ -402,9 +409,7 @@ def test_sweep_step_is_bit_identical_to_the_generic_loop(rng, name):
         for fixed in ({}, face, {n - 1: -1}):
             for obs in ((), (0,), (0, n - 1), tuple(range(n))):
                 want = generic_spin_sum(m, jj.real, jj.half_pi, fixed, set(obs))
-                got = _sweep.__wrapped__(
-                    m, jj.real, jj.half_pi, frozenset(fixed.items()), frozenset(obs)
-                )
+                got = _sweep(m, jj.real, jj.half_pi, fixed, set(obs))
                 assert got.hex() == want.hex(), (fixed, obs)
 
 
@@ -439,102 +444,3 @@ def test_sweep_maps_cover_every_written_out_step():
         for _v, back, _keep in step_map(name).vertex_plan[1]
     }
     assert backs == {0, 1, 2, 3, 4}
-
-
-def test_repeated_sum_runs_the_sweep_once(maps, rng):
-    m = maps["grid_3_3"]
-    j = base_couplings(random_j(rng, m.edge_count))
-    clear_caches()
-    first = partition_function(m, j)
-    assert _sweep.cache_info().misses == 1
-    assert partition_function(m, base_couplings(j.real)) == first
-    assert _sweep.cache_info()[:2] == (1, 1)  # (hits, misses)
-
-
-def test_empty_fixed_and_observable_sets_share_one_memo_key(maps, rng):
-    """The no-fixed-spin, no-observable path skips building the sets; its
-    key is the one an explicit empty dict or set gives."""
-    m = maps["grid_3_3"]
-    j = base_couplings(random_j(rng, m.edge_count))
-    clear_caches()
-    first = partition_function(m, j)
-    assert partition_function(m, j, fixed={}) == first
-    assert spin_expectation(m, j, (0, 0)) == 1.0  # (0, 0) cancels to no observable
-    assert _sweep(m, j.real, j.half_pi, frozenset(), frozenset()) == first.real
-    assert _sweep.cache_info()[:2] == (4, 1)  # (hits, misses)
-
-
-def test_memo_misses_on_any_other_input(maps, rng):
-    m = maps["grid_3_3"]
-    j = base_couplings(random_j(rng, m.edge_count))
-    clear_caches()
-    partition_function(m, j)
-    other = (
-        lambda: partition_function(m, base_couplings((*j.real[:-1], j.real[-1] * 2))),
-        lambda: partition_function(m, modify_couplings(j, DefectSet.from_edge_sets({0}, ()))),
-        lambda: partition_function(m, j, fixed={0: 1}),
-        lambda: partition_function(m, j, fixed={0: -1}),
-        lambda: partition_function(m, j, fixed={1: 1}),
-        lambda: spin_expectation(m, j, (0, 8)),  # the denominator hits
-        lambda: spin_expectation(m, j, (0, 7)),
-        lambda: partition_function(builtin("wheel_6"), j),  # also 12 edges
-    )
-    for k, call in enumerate(other, 2):
-        call()
-        assert _sweep.cache_info().misses == k, k
-
-
-@pytest.mark.parametrize(
-    ("name", "fixed", "error"),
-    (("grid_17_17", None, TooLarge), ("c4", {4: 1}, ValueError)),
-)
-def test_memo_keeps_no_failed_input(name, fixed, error):
-    m = builtin(name)
-    j = uniform_couplings(m.edge_count, 0.5)
-    clear_caches()
-    for _ in range(2):
-        with pytest.raises(error):
-            partition_function(m, j, fixed=fixed)
-    assert _sweep.cache_info().currsize == 0
-
-
-def test_clear_caches_empties_the_memo(maps):
-    m = maps["c4"]
-    partition_function(m, uniform_couplings(m.edge_count, 0.5))
-    assert _sweep.cache_info().currsize > 0
-    clear_caches()
-    assert _sweep.cache_info().currsize == 0
-
-
-def test_memo_under_thread_contention(rng):
-    """More threads than cores ask for overlapping sums with a short switch
-    interval; each gets the sequential value and the memo stays bounded."""
-    inputs = []
-    for name in FAMILY:
-        m = builtin(name)
-        for _ in range(8):
-            inputs.append((m, base_couplings(random_j(rng, m.edge_count))))
-    clear_caches()
-    want = [partition_function(m, j) for m, j in inputs]
-    clear_caches()
-    got = [[] for _ in range(8)]
-
-    def work(k):
-        order = list(range(len(inputs)))
-        order = order[k:] + order[:k]
-        got[k] = sorted((i, partition_function(*inputs[i])) for i in order)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for res in got:
-        assert res == list(enumerate(want))
-    assert _sweep.cache_info().currsize <= min(len(inputs), SUM_CACHE_SIZE)

@@ -15,6 +15,7 @@ import bozon.polygon
 from bozon import (
     CouplingAssignment,
     DefectSet,
+    Instance,
     base_couplings,
     build_map,
     builtin,
@@ -144,7 +145,7 @@ def test_verify_squared_partition_reports(maps, rng):
     m = maps["wheel_4"]
     j = base_couplings(random_j(rng, m.edge_count))
     d = DefectSet.from_edge_sets({0}, {4})
-    report = verify_squared_partition(m, j, d)
+    report = verify_squared_partition(Instance(m, j, d))
     assert report.passed
     assert report.extra == {"gamma": 1, "gamma_star": 1}
 

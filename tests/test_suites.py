@@ -202,6 +202,64 @@ def test_dual_built_once_per_distinct_map(monkeypatch):
     ]
 
 
+MIXED_SUITES = ("theorem1", "pairpolygon", "bipartitedimer", "duality")
+
+
+def test_each_spin_sum_of_the_mixed_suites_is_swept_once(monkeypatch):
+    """The mixed suites read Z(J), Z(Jbar) and the dual side's sums from
+    their instances, so over two seeded streams no spin sum input (map,
+    couplings, fixed spins, observables) is swept twice."""
+    swept = Counter()
+    real = bozon.ising._sweep
+
+    def counting(m, real_j, half_pi, fixed, obs):
+        swept[m, real_j, half_pi, frozenset(fixed.items()), frozenset(obs)] += 1
+        return real(m, real_j, half_pi, fixed, obs)
+
+    monkeypatch.setattr(bozon.ising, "_sweep", counting)
+    clear_caches()  # instances drawn afresh, with no value taken yet
+    try:
+        for seed in (1, 7):
+            for suite in MIXED_SUITES:
+                run_suite(suite, 100, seed)
+    finally:
+        clear_caches()
+    assert swept
+    assert sum(n - 1 for n in swept.values()) == 0
+
+
+@pytest.mark.parametrize(
+    "value, failing",
+    [
+        ("zbar", {
+            "theorem1": {"squared_Zbar_vs_dimer", "theorem_main"},
+            "pairpolygon": {"squared_partition_pair_polygon"},
+            "duality": {"correlator_duality"},
+        }),
+        ("pair_sum", {
+            "pairpolygon": {"squared_partition_pair_polygon"},
+            "bipartitedimer": {"pair_polygon_vs_half_dimer"},
+        }),
+    ],
+)
+def test_a_wrong_shared_value_fails_every_suite_that_reads_it(monkeypatch, value, failing):
+    """Each kept value is read by at least two checks: with Z(Jbar) or
+    P(Jbar) doubled on every instance of the stream, every instance record
+    of each suite that reads it fails that suite's checks of it."""
+    clear_caches()
+    try:
+        for inst in random_instances(20, 1):
+            # a computed value is kept in the instance's __dict__
+            monkeypatch.setitem(inst.__dict__, value, 2 * getattr(inst, value))
+        for suite, checks in failing.items():
+            for rec in run_suite(suite, 20, 1):
+                if rec["scope"] == "instance":
+                    failed = {c["name"] for c in rec["checks"] if not c["pass"]}
+                    assert checks <= failed, (suite, rec["index"])
+    finally:
+        clear_caches()
+
+
 def test_warm_rerun_is_byte_identical():
     """A second run in one process reads interned maps and the memoized
     stream; its report must equal the cold run's byte for byte."""
