@@ -7,16 +7,21 @@ Exit codes: 0 when every check passes, 1 on an identity violation,
 (TooLarge) or a map with a bridge (whose report still records each
 BridgeUnsupported error).  Identical (config, seed) pairs produce
 byte-identical JSON.
+
+``verify`` encodes each JSON record as the suite yields it and keeps only
+the text, never the record list; it writes nothing until the last record
+is encoded, so a run that raises leaves no report.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .dimer import graph_context, nu_from_couplings
 from .errors import BozonError, BridgeUnsupported, IdentityViolation
@@ -24,6 +29,7 @@ from .graphs import BUILTIN_EXAMPLES, builtin
 from .ising import uniform_couplings
 from .reports import flatten_check
 from .serialize import (
+    ENCODER,
     canonical_json,
     couplings_from_dict,
     defect_paths_from_dict,
@@ -35,9 +41,8 @@ from .suites import (
     DEFAULT_SEED,
     SUITE_NAMES,
     explicit_instance,
+    iter_suite,
     run_explicit,
-    run_suite,
-    suite_summary,
 )
 
 
@@ -55,45 +60,50 @@ def _load_json(path: str) -> Any:
         raise InputProblem(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, *pieces: str) -> None:
+    """The concatenated pieces, to ``path`` or to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise InputProblem(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _tally(records: Iterable[dict], keep: Callable[[dict], Any]) -> tuple[list, dict, int]:
+    """``keep`` of each record, the report's summary and the number of
+    records that need a bridge-free map, taken as the records go by:
+    map() hands each record to ``take`` and holds it no longer."""
+    failed: list[int] = []
+    bridged: list[int] = []
+
+    def take(i: int, rec: dict) -> Any:
+        if not rec.get("pass"):
+            failed.append(i)
+        if rec.get("error", "").startswith(f"{BridgeUnsupported.__name__}:"):
+            bridged.append(i)
+        return keep(rec)
+
+    kept = list(map(take, itertools.count(), records))
+    summary = {"total": len(kept), "failed": len(failed), "failed_indices": failed,
+               "pass": not failed}
+    return kept, summary, len(bridged)
 
 
 def records_to_csv(records: Sequence[dict]) -> str:
     """One row per check (records without checks still get a row); complex
     values appear as re/im column pairs and nested provenance as JSON."""
     rows: list[dict[str, Any]] = []
-    fields: list[str] = []
-
-    def take(row: dict[str, Any]) -> None:
-        rows.append(row)
-        for k in row:
-            if k not in fields:
-                fields.append(k)
-
     for rec in records:
-        base: dict[str, Any] = {}
-        for k, v in rec.items():
-            if k == "checks":
-                continue
-            key = "record_pass" if k == "pass" else k
-            base[key] = (
+        base = {
+            "record_pass" if k == "pass" else k:
                 json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
-            )
-        checks = rec.get("checks") or ()
-        if not checks:
-            take(dict(base))
-        for check in checks:
-            row = dict(base)
-            row.update(flatten_check(check))
-            take(row)
+            for k, v in rec.items() if k != "checks"
+        }
+        rows += [{**base, **flatten_check(c)} for c in rec.get("checks") or ()] or [base]
+    fields = list(dict.fromkeys(k for row in rows for k in row))
 
     # imported here so that a JSON report never loads the csv module
     import csv
@@ -150,14 +160,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         order_paths, disorder_paths = _input_defects(args)
         name = os.path.splitext(os.path.basename(args.graph))[0] or "input"
         try:
-            inst = explicit_instance(
-                m,
-                couplings,
-                order_paths,
-                disorder_paths,
-                name=name,
-                seed=args.seed,
-            )
+            inst = explicit_instance(m, couplings, order_paths, disorder_paths,
+                                     name=name, seed=args.seed)
             records = run_explicit(args.suite, inst, tol=args.tol)
         except ValueError as exc:
             raise InputProblem(str(exc)) from exc
@@ -170,25 +174,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise InputProblem("provide --graph FILE or --random N")
         if args.random <= 0:
             raise InputProblem("--random needs a positive count")
-        records = run_suite(args.suite, count=args.random, seed=args.seed, tol=args.tol)
+        records = iter_suite(args.suite, count=args.random, seed=args.seed, tol=args.tol)
         config.update({"mode": "random", "count": args.random})
 
-    summary = suite_summary(records)
     if args.format == "csv":
-        text = records_to_csv(records)
+        rows, summary, unsupported = _tally(records, lambda rec: rec)
+        _write_text(args.out, records_to_csv(rows))
     else:
-        text = canonical_json(
-            {"config": config, "records": records, "summary": summary}
+        # sort_keys orders the document config, records, summary
+        texts, summary, unsupported = _tally(records, ENCODER.encode)
+        body = [","] * (2 * len(texts) - 1)  # the texts, comma-separated
+        body[::2] = texts
+        _write_text(
+            args.out, '{"config":', ENCODER.encode(config), ',"records":[',
+            *body, '],"summary":', ENCODER.encode(summary), "}\n",
         )
-    _write_text(args.out, text)
     print(
         f"verify {args.suite}: {summary['total']} records, "
         f"{summary['failed']} failed",
         file=sys.stderr,
     )
     # a bridged map is an input bozon does not support, not a violation
-    bridged = f"{BridgeUnsupported.__name__}:"
-    unsupported = sum(rec.get("error", "").startswith(bridged) for rec in records)
     if unsupported:
         print(f"error: {unsupported} records need a bridge-free map", file=sys.stderr)
         return 2

@@ -762,7 +762,10 @@ def verify_bipartite_dimer_identity(inst: Instance, tol: float = 1e-9) -> Identi
     d = inst.defects
     gq = graph_context(inst.map)
     lhs = inst.pair_sum
-    zd, route = dimer_partition_function(gq, nu_from_couplings(gq, inst.jbar))
+    if gq.vertex_count > DIMER_CAP:  # auto takes the determinant the instance keeps
+        zd, route = inst.det_bar, "determinant"
+    else:
+        zd, route = dimer_partition_function(gq, nu_from_couplings(gq, inst.jbar))
     report = compare(
         "pair_polygon_vs_half_dimer",
         lhs,

@@ -2,7 +2,8 @@
 
 All dumps are canonical and compact (sorted keys, no whitespace, one
 trailing newline, no timestamps), so json's C encoder writes them and
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files.  ENCODER is that encoder; a
+dict encodes the same alone as nested, so a report can go record by record.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from .errors import LengthMismatch, MalformedRotation, NonPositiveCoupling
 from .ising import CouplingAssignment, base_couplings
 from .planar_map import CombinatorialMap, DefectSet, PathSpec, build_map
 
+ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return ENCODER.encode(obj) + "\n"
 
 
 # ---------------------------------------------------------------- graphs

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .boundary import reduce_dobrushin, reduce_plus, reduce_plus_free
 from .consequences import (
@@ -262,12 +262,11 @@ _MAGNETIZATION_SITES = (
 )
 
 
-def _magnetization_records(count: int, seed: int, tol: float) -> list[dict]:
+def _magnetization_records(count: int, seed: int, tol: float) -> Iterator[dict]:
     """Fixed-plus boundary magnetization at 10 to 50 sites (``count``
     clamped): direct average vs contracted pair correlation vs dimer
     ratio."""
     rng = random.Random(f"{seed}-magnetization")
-    records = []
     for i in range(max(10, min(count, 50))):
         name, u = _MAGNETIZATION_SITES[i % len(_MAGNETIZATION_SITES)]
         m = builtin(name)
@@ -283,10 +282,7 @@ def _magnetization_records(count: int, seed: int, tol: float) -> list[dict]:
             "vertex": u,
             "couplings": couplings_to_dict(j),
         }
-        records.append(
-            _record(fields, lambda: magnetization_report(m, j, face, u, tol=tol)[1])
-        )
-    return records
+        yield _record(fields, lambda: magnetization_report(m, j, face, u, tol=tol)[1])
 
 
 # Each suite's per-instance check and the defect profile of its seeded
@@ -315,14 +311,15 @@ def _count_record(name: str, m: CombinatorialMap) -> dict:
     return _record(fields, lambda: matching_count_report(m))
 
 
-def run_suite(
+def iter_suite(
     name: str,
     count: int = DEFAULT_COUNT,
     seed: int = DEFAULT_SEED,
     tol: float = 1e-9,
-) -> list[dict]:
-    """The records of one suite, or of every suite in turn for "all".
-    Each instance suite checks ``count`` instances of its seeded stream:
+) -> Iterator[dict]:
+    """The records of one suite, or of every suite in turn for "all", each
+    built when it is asked for.  Each instance suite checks ``count``
+    instances of its seeded stream:
 
     theorem1        squared correlator vs dimer ratio, with both unsquared
                     product identities;
@@ -339,19 +336,28 @@ def run_suite(
     magnetization checks its own boundary sites instead.
     """
     if name == "all":
-        return [rec for n in SUITE_NAMES for rec in run_suite(n, count, seed, tol)]
+        for n in SUITE_NAMES:
+            yield from iter_suite(n, count, seed, tol)
+        return
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     if name == "magnetization":
-        return _magnetization_records(count, seed, tol)
+        yield from _magnetization_records(count, seed, tol)
+        return
     instances = random_instances(count, seed, profile=_SUITES[name][1])
-    records = [_instance_record(name, inst, tol) for inst in instances]
+    for inst in instances:
+        yield _instance_record(name, inst, tol)
     if name == "bipartitedimer":
-        for graph in sorted({rec["graph"] for rec in records}):
-            records.append(_count_record(graph, builtin(graph)))
+        for graph in sorted({inst.graph_name for inst in instances}):
+            yield _count_record(graph, builtin(graph))
     elif name == "corollary":
-        records.extend(closed_form_records(seed, tol=tol))
-    return records
+        yield from closed_form_records(seed, tol=tol)
+
+
+def run_suite(name: str, count: int = DEFAULT_COUNT, seed: int = DEFAULT_SEED,
+              tol: float = 1e-9) -> list[dict]:
+    """iter_suite's records as a list."""
+    return list(iter_suite(name, count, seed, tol))
 
 
 # ------------------------------------------- explicit (user-supplied) inputs

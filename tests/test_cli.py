@@ -3,11 +3,25 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+import weakref
 
 import pytest
 
-from bozon.cli import main
-from bozon.serialize import map_from_dict
+import bozon.cli
+import bozon.suites
+from bozon import builtin, uniform_couplings
+from bozon.cli import main, records_to_csv
+from bozon.errors import TooLarge
+from bozon.serialize import canonical_json, defect_paths_from_dict, map_from_dict
+from bozon.suites import (
+    SUITE_NAMES,
+    explicit_instance,
+    run_explicit,
+    run_suite,
+    suite_summary,
+)
+from conftest import clear_caches
 
 
 def run_cli(capsys, *argv):
@@ -406,3 +420,134 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------- the streamed JSON report
+
+
+def _whole_document(config, records):
+    """The report as one canonical_json call over the whole record list."""
+    summary = suite_summary(records)
+    return canonical_json({"config": config, "records": records, "summary": summary})
+
+
+def _verify_both_ways(tmp_path, capsys, *argv):
+    """verify's report through --out, then through stdout."""
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "verify", *argv, "--out", str(out_path))
+    assert (code, out) == (0, "")
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    return out_path.read_text(), out
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("suite", SUITE_NAMES + ("all",))
+def test_the_streamed_report_is_the_whole_document(tmp_path, capsys, suite, seed):
+    """Encoding the records one by one gives the bytes that encoding the
+    whole document at once gives, in a file and on stdout."""
+    argv = ("--suite", suite, "--random", "3", "--seed", str(seed))
+    config = {"command": "verify", "suite": suite, "seed": seed, "tol": 1e-9,
+              "format": "json", "mode": "random", "count": 3}
+    expected = _whole_document(config, run_suite(suite, count=3, seed=seed))
+    assert _verify_both_ways(tmp_path, capsys, *argv) == (expected, expected)
+
+
+def test_the_streamed_explicit_report_is_the_whole_document(tmp_path, capsys):
+    graph = builtin_file(tmp_path, capsys, "grid_3_3")
+    defects = tmp_path / "defects.json"
+    defects.write_text(json.dumps({
+        "order_paths": [{"endpoints": [0, 2], "edges": [0, 1]}],
+        "disorder_paths": [{"endpoints": [3, 4], "edges": [10]}],
+    }))
+    argv = ("--suite", "all", "--graph", graph, "--defects", str(defects), "--seed", "7")
+    config = {"command": "verify", "suite": "all", "seed": 7, "tol": 1e-9,
+              "format": "json", "mode": "explicit", "graph": graph,
+              "couplings": None, "defects": str(defects)}
+    m = builtin("grid_3_3")
+    inst = explicit_instance(
+        m, uniform_couplings(m.edge_count, 1.0),
+        *defect_paths_from_dict(json.loads(defects.read_text())),
+        name="grid_3_3", seed=7,
+    )
+    records = run_explicit("all", inst)
+    assert {r["suite"] for r in records} == {"theorem1", "pairpolygon", "bipartitedimer", "duality"}
+    expected = _whole_document(config, records)
+    assert _verify_both_ways(tmp_path, capsys, *argv) == (expected, expected)
+
+
+def test_the_csv_report_is_the_record_list_as_csv(capsys):
+    argv = ("verify", "--suite", "all", "--random", "3", "--seed", "1", "--format", "csv")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == records_to_csv(run_suite("all", count=3, seed=1))
+
+
+class _Record(dict):
+    """A dict that a weak reference can watch."""
+
+
+def test_verify_holds_no_record_it_has_encoded(tmp_path, capsys, monkeypatch):
+    """Each record is dead by the time the next one is asked for; the
+    summary and the bridged count are taken as the records go by."""
+    refs = []
+
+    def make(i):
+        rec = _Record(suite="theorem1", index=i, checks=[], **{"pass": i % 3 != 1})
+        if i == 4:
+            rec["error"] = "BridgeUnsupported: a bridge"
+        refs.append(weakref.ref(rec))
+        return rec
+
+    def stream(*args, **kwargs):
+        for i in range(6):
+            assert all(ref() is None for ref in refs), f"a record before {i} lives"
+            yield make(i)
+
+    monkeypatch.setattr(bozon.cli, "iter_suite", stream)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--random", "6", "--out", str(out_path)
+    )
+    assert (code, out) == (2, "")
+    assert "6 records, 2 failed" in err and "1 records need a bridge-free map" in err
+    summary = json.loads(out_path.read_text())["summary"]
+    assert summary == {"total": 6, "failed": 2, "failed_indices": [1, 4], "pass": False}
+
+
+def test_verify_peak_memory_is_a_few_reports(tmp_path):
+    """The traced peak of a cold 200-instance gate stays below five times
+    its report.  Encoding the whole record list at once peaked at about
+    ten times."""
+    clear_caches()
+    out_path = tmp_path / "report.json"
+    argv = ["verify", "--suite", "all", "--random", "200", "--seed", "1", "--out", str(out_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * out_path.stat().st_size
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_a_too_large_input_mid_stream_writes_nothing(tmp_path, capsys, monkeypatch, to_file):
+    """TooLarge on duality's third instance, after every earlier suite's
+    records are encoded: exit 2 and no report at all."""
+    seen = []
+    duality = bozon.suites._SUITES["duality"][0]
+
+    def check(inst, tol):
+        seen.append(inst.index)
+        if len(seen) == 3:
+            raise TooLarge("too many states")
+        return duality(inst, tol)
+
+    monkeypatch.setitem(bozon.suites._SUITES, "duality", (check, "mixed"))
+    out_path = tmp_path / "report.json"
+    argv = ["verify", "--suite", "all", "--random", "4", "--seed", "1"]
+    code, out, err = run_cli(capsys, *argv, *(["--out", str(out_path)] if to_file else []))
+    assert (code, out, seen) == (2, "", [0, 1, 2])
+    assert not out_path.exists()
+    assert "TooLarge" in err and "Traceback" not in err
