@@ -19,7 +19,6 @@ from .boundary import (
 )
 from .consequences import (
     dimer_correlation_ratio,
-    kw_duality_check,
     magnetization_report,
     spin_correlation,
 )
@@ -37,8 +36,6 @@ from .dimer import (
     matching_pair_histogram,
     nu_from_couplings,
     polygon_to_dimer_count,
-    theorem_reports,
-    verify_bipartite_dimer_identity,
 )
 from .errors import BozonError, IdentityViolation
 from .graphs import BUILTIN_EXAMPLES, builtin, c4, grid, k3, wheel
@@ -66,11 +63,7 @@ from .planar_map import (
     vertex_to_dual_face,
     walk_path,
 )
-from .polygon import (
-    pair_polygon_sum,
-    polygon_weights,
-    verify_squared_partition,
-)
+from .polygon import pair_polygon_sum, polygon_weights
 from .reports import IdentityReport, compare, flatten_check
 from .serialize import (
     canonical_json,
@@ -85,6 +78,7 @@ from .serialize import (
 from .suites import (
     SUITE_NAMES,
     explicit_instance,
+    instance_reports,
     run_explicit,
     run_suite,
     suite_summary,
@@ -130,9 +124,9 @@ __all__ = [
     "graph_context",
     "grid",
     "high_temp_expansion_check",
+    "instance_reports",
     "k3",
     "kasteleyn_orientation",
-    "kw_duality_check",
     "magnetization_report",
     "map_from_dict",
     "map_to_dict",
@@ -154,11 +148,8 @@ __all__ = [
     "spin_correlation",
     "spin_expectation",
     "suite_summary",
-    "theorem_reports",
     "uniform_couplings",
     "validate_defects",
-    "verify_bipartite_dimer_identity",
-    "verify_squared_partition",
     "vertex_to_dual_face",
     "walk_path",
     "wheel",

@@ -16,7 +16,6 @@ is encoded, so a run that raises leaves no report.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -43,6 +42,7 @@ from .suites import (
     explicit_instance,
     iter_suite,
     run_explicit,
+    suite_summary,
 )
 
 
@@ -75,21 +75,18 @@ def _write_text(path: str | None, *pieces: str) -> None:
 def _tally(records: Iterable[dict], keep: Callable[[dict], Any]) -> tuple[list, dict, int]:
     """``keep`` of each record, the report's summary and the number of
     records that need a bridge-free map, taken as the records go by:
-    map() hands each record to ``take`` and holds it no longer."""
-    failed: list[int] = []
-    bridged: list[int] = []
+    map() hands each record to ``take``, and suite_summary sees only its
+    verdict."""
+    kept: list = []
+    bridged = 0
 
-    def take(i: int, rec: dict) -> Any:
-        if not rec.get("pass"):
-            failed.append(i)
-        if rec.get("error", "").startswith(f"{BridgeUnsupported.__name__}:"):
-            bridged.append(i)
-        return keep(rec)
+    def take(rec: dict) -> dict:
+        nonlocal bridged
+        bridged += rec.get("error", "").startswith(f"{BridgeUnsupported.__name__}:")
+        kept.append(keep(rec))
+        return {"pass": rec.get("pass")}
 
-    kept = list(map(take, itertools.count(), records))
-    summary = {"total": len(kept), "failed": len(failed), "failed_indices": failed,
-               "pass": not failed}
-    return kept, summary, len(bridged)
+    return kept, suite_summary(map(take, records)), bridged
 
 
 def records_to_csv(records: Sequence[dict]) -> str:

@@ -1,71 +1,36 @@
 """Spin correlation consequences of the dimer correspondence.
 
 Squared multi-spin correlations equal ratios of dimer partition functions
-on the quad graph; boundary magnetization reduces to a pair correlation
-after contracting the plus boundary; and a planar graph with its dual
-satisfies the Kramers-Wannier coupling duality edge by edge, for modified
-couplings, and at the correlator level.  Mixed order/disorder correlators
-are checked by dimer.theorem_reports.
+on the quad graph, and boundary magnetization reduces to a pair
+correlation after contracting the plus boundary.  Mixed order/disorder
+correlators, and the Kramers-Wannier duality between a map and its dual,
+are declared edges of the theorem1 and duality suites (see suites).
 """
 
 from __future__ import annotations
 
-import cmath
 from collections import Counter
 from typing import Sequence
 
 from .boundary import reduce_plus
-from .dimer import dimer_partition_function, graph_context, nu_from_couplings
-from .errors import EndpointMismatch, IdentityViolation, SingularMatrix
+from .errors import EndpointMismatch
 from .instances import Instance
-from .ising import (
-    CouplingAssignment,
-    dual_couplings,
-    i_power,
-    modify_couplings,
-    spin_expectation,
-)
+from .ising import CouplingAssignment, spin_expectation
 from .planar_map import (
     CombinatorialMap,
     DefectSet,
     PathSpec,
     shortest_path,
     validate_defects,
-    vertex_to_dual_face,
 )
 from .reports import IdentityReport, compare
 
 
-def dimer_correlation_ratio(
-    m: CombinatorialMap,
-    j: CouplingAssignment,
-    d: DefectSet,
-) -> tuple[float, str]:
-    """Z_dimer(nu(Jbar)) / Z_dimer(nu(J)) on the quad graph, with one
-    shared route for numerator and denominator: "auto" picks it for nu(J)
-    (brute force, G_Q's plan replayed, when G_Q has at most DIMER_CAP
-    vertices, else the determinant under G_Q's orientation and sign), and
-    nu(Jbar) takes the same one.
-    Returns (ratio, method)."""
-    jbar = modify_couplings(j, d)
-    gq = graph_context(m)
-    zd, method = dimer_partition_function(gq, nu_from_couplings(gq, j))
-    zd_bar, _ = dimer_partition_function(gq, nu_from_couplings(gq, jbar), method)
-    if zd == 0.0:
-        raise SingularMatrix("unmodified dimer partition function vanished")
-    return zd_bar / zd, method
-
-
-def _normalized_ratio(inst: Instance, residual_tol: float = 1e-12) -> float:
-    """(-i)^{|Gamma|} Z(Jbar)/Z(J) of the instance; exact phase
-    bookkeeping makes this real, and the imaginary residue is checked
-    anyway."""
-    value = i_power(-len(inst.defects.gamma)) * (inst.zbar / inst.z)
-    if abs(value.imag) > residual_tol * max(1.0, abs(value)):
-        raise IdentityViolation(
-            f"correlator has imaginary residue {value.imag!r}"
-        )
-    return value.real
+def dimer_correlation_ratio(inst: Instance) -> tuple[float, str]:
+    """Z_dimer(nu(Jbar)) / Z_dimer(nu(J)) on the instance's quad graph,
+    both sums by its route (see Instance), and that route."""
+    zd = inst.dimer
+    return inst.dimer_bar / zd, inst.route
 
 
 def spin_correlation(
@@ -90,9 +55,9 @@ def _checked_spin_correlation(
     vertices: Sequence[int],
     paths: Sequence[PathSpec],
     tol: float,
-) -> tuple[float, float, DefectSet]:
+) -> tuple[float, float, Instance]:
     """spin_correlation's value, the direct spin average it was checked
-    against, and the order defect of the paths."""
+    against, and the instance of the paths' order defect that holds it."""
     if len(vertices) % 2:
         raise EndpointMismatch("spin insertions must come in pairs")
     want = Counter(vertices)
@@ -102,23 +67,17 @@ def _checked_spin_correlation(
             f"path endpoints {sorted(got.elements())} do not pair up the "
             f"vertices {sorted(want.elements())}"
         )
-    d = validate_defects(m, paths, ())
-    value = _normalized_ratio(Instance(m, j, d))
+    inst = Instance(m, j, validate_defects(m, paths, ()))
+    value = inst.correlator
     direct = spin_expectation(m, j, vertices)
     compare("spin_correlation_vs_direct", value, direct, tol=tol).require()
-    return value, direct, d
+    return value, direct, inst
 
 
-def _squared_vs_dimer(
-    m: CombinatorialMap,
-    j: CouplingAssignment,
-    d: DefectSet,
-    value: float,
-    tol: float,
-) -> tuple[float, str]:
-    """Checks value^2 against the dimer ratio of the order defect d and
-    returns dimer_correlation_ratio's (ratio, method)."""
-    ratio, method = dimer_correlation_ratio(m, j, d)
+def _squared_vs_dimer(inst: Instance, value: float, tol: float) -> tuple[float, str]:
+    """Checks value^2 against the instance's dimer ratio and returns
+    dimer_correlation_ratio's (ratio, method)."""
+    ratio, method = dimer_correlation_ratio(inst)
     compare("squared_spin_vs_dimer_ratio", value * value, ratio, tol=tol).require()
     return ratio, method
 
@@ -154,7 +113,7 @@ def magnetization_report(
             f"no correlation path from vertex {u} to the boundary of face {face}"
         )
 
-    pair, _direct, d = _checked_spin_correlation(gp, jp, (u_new, b), (spec,), tol)
+    pair, _direct, inst = _checked_spin_correlation(gp, jp, (u_new, b), (spec,), tol)
     reports = [
         compare(
             "magnetization_pair_reduction",
@@ -165,7 +124,7 @@ def magnetization_report(
         )
     ]
     if not gp.has_bridge():
-        ratio, method = _squared_vs_dimer(gp, jp, d, pair, tol)
+        ratio, method = _squared_vs_dimer(inst, pair, tol)
         reports.append(
             compare(
                 "magnetization_squared_vs_dimer",
@@ -177,69 +136,3 @@ def magnetization_report(
         )
     return direct, reports
 
-
-def kw_duality_check(
-    inst: Instance,
-    tol: float = 1e-9,
-    edge_tol: float = 1e-12,
-) -> dict[str, IdentityReport]:
-    """Kramers-Wannier duality between a map and its dual, three ways.
-
-    per_edge: sech(2 J*_e) = tanh(2 J_e) for J* = dual_couplings(J).
-    modified: exp(-2 Jbar*_e) = tanh(Jbar_e) with defect roles swapped
-        across the duality (order paths become disorder paths and vice
-        versa).
-    correlator: the normalized defect correlators of G and G* agree,
-        (-i)^{|Gamma|} Z(G,Jbar)/Z(G,J) = (-i)^{|Gamma*|} Z(G*,Jbar*)/Z(G*,J*),
-        with G's values read from the instance and G*'s from the dual
-        instance (G*, J*, swapped defects).
-    """
-    m, j, d = inst.map, inst.couplings, inst.defects
-    dm = m.dual
-    js = dual_couplings(j)
-
-    per_edge_err = max(
-        (abs(js.sech2(e) - j.tanh2(e)) for e in range(m.edge_count)),
-        default=0.0,
-    )
-    reports = {
-        "per_edge_duality": compare(
-            "per_edge_duality", per_edge_err, 0.0, tol=edge_tol
-        )
-    }
-
-    if d.order_paths or d.disorder_paths:
-        d = validate_defects(m, d.order_paths, d.disorder_paths)
-        f_of = vertex_to_dual_face(m)
-        swapped_disorder = tuple(
-            PathSpec((f_of[p.endpoints[0]], f_of[p.endpoints[1]]), p.edges)
-            for p in d.order_paths
-        )
-        dstar = validate_defects(dm, d.disorder_paths, swapped_disorder)
-    else:
-        dstar = DefectSet.from_edge_sets(d.gamma_star, d.gamma)
-
-    dual = Instance(dm, js, dstar)
-    mod_err = max(
-        (
-            abs(cmath.exp(-2 * dual.jbar.value(e)) - cmath.tanh(inst.jbar.value(e)))
-            for e in range(m.edge_count)
-        ),
-        default=0.0,
-    )
-    reports["modified_duality"] = compare(
-        "modified_duality", mod_err, 0.0, tol=edge_tol
-    )
-
-    lhs = _normalized_ratio(inst)
-    rhs = _normalized_ratio(dual)
-    reports["correlator_duality"] = compare(
-        "correlator_duality",
-        lhs,
-        rhs,
-        tol=tol,
-        extra={"gamma": len(d.gamma), "gamma_star": len(d.gamma_star)},
-    )
-    for r in reports.values():
-        r.require()
-    return reports

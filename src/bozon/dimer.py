@@ -40,8 +40,8 @@ growth while keeping fill low.  The package needs no numerical library.
 Nothing about G_Q depends on the couplings, so graph_context memoizes one
 G_Q per map, and G_Q owns what is built from it: its sweep order, matching
 plan, leg tables, Kasteleyn layout, orientation and calibration sign
-(``gq.orientation``, ``gq.sign``).  dimer_partition_function is the one
-place that picks a route.  The map's dual is memoized on the map itself
+(``gq.orientation``, ``gq.sign``).  auto_route is the one place that
+picks a route.  The map's dual is memoized on the map itself
 (``m.dual``).
 
 The matching sweep's states depend only on G_Q and on which weights are
@@ -59,23 +59,19 @@ import math
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BridgeUnsupported,
     InconsistentPair,
     MalformedRotation,
     OrientationFailure,
-    SingularMatrix,
     TooLarge,
 )
 from .ising import STATE_CAP, CouplingAssignment
 from .planar_map import MAP_CACHE_SIZE, CombinatorialMap, Frozen, _assemble
 from .polygon import SweepPlan, _polygon_sweep, replay_plan
 from .reports import IdentityReport, compare
-
-if TYPE_CHECKING:
-    from .instances import Instance
 
 # The largest G_Q (in vertices) that the "auto" route sums by the matching
 # sweep; larger ones go to the determinant.
@@ -673,6 +669,12 @@ def graph_context(m: CombinatorialMap) -> QuadDimerGraph:
     return build_gq(m)
 
 
+def auto_route(gq: QuadDimerGraph) -> str:
+    """The route "auto" takes on G_Q: "brute" when G_Q has at most
+    DIMER_CAP vertices, "determinant" otherwise."""
+    return "brute" if gq.vertex_count <= DIMER_CAP else "determinant"
+
+
 def dimer_partition_function(
     gq: QuadDimerGraph,
     weights: DimerWeights,
@@ -680,10 +682,9 @@ def dimer_partition_function(
 ) -> tuple[float, str]:
     """Signed dimer partition function of G_Q under ``weights``, and the
     route that computed it: "brute" (the matching sweep), "determinant"
-    (sign-calibrated Kasteleyn determinant), or "auto", which is brute when
-    G_Q has at most DIMER_CAP vertices and the determinant otherwise."""
+    (sign-calibrated Kasteleyn determinant), or "auto" (auto_route's)."""
     if route == "auto":
-        route = "brute" if gq.vertex_count <= DIMER_CAP else "determinant"
+        route = auto_route(gq)
     if route == "brute":
         return brute_force_dimer_Z(gq, weights), route
     if route == "determinant":
@@ -754,72 +755,6 @@ def matching_pair_histogram(gq: QuadDimerGraph) -> dict[tuple[int, int], int]:
             raise InconsistentPair(f"quad {e} uses both parallel kinds")
         hist[pm, dm] = count
     return hist
-
-
-def verify_bipartite_dimer_identity(inst: Instance, tol: float = 1e-9) -> IdentityReport:
-    """Bare pair-polygon sum = (1/2) * Z_dimer(G_Q, nu(J_bar)), the dimer
-    sum by dimer_partition_function's "auto" route."""
-    d = inst.defects
-    gq = graph_context(inst.map)
-    lhs = inst.pair_sum
-    if gq.vertex_count > DIMER_CAP:  # auto takes the determinant the instance keeps
-        zd, route = inst.det_bar, "determinant"
-    else:
-        zd, route = dimer_partition_function(gq, nu_from_couplings(gq, inst.jbar))
-    report = compare(
-        "pair_polygon_vs_half_dimer",
-        lhs,
-        0.5 * zd,
-        tol=tol,
-        extra={
-            "gamma": len(d.gamma),
-            "gamma_star": len(d.gamma_star),
-            "method": route,
-        },
-    )
-    return report.require()
-
-
-def theorem_reports(inst: Instance, tol: float = 1e-9) -> list[IdentityReport]:
-    """Squared correlator = (-1)^{|Gamma|} * ratio of dimer partition
-    functions, with the two unsquared product identities checked on the
-    way.  The paper's sign is predicted, +1 once (-1)^{|Gamma|} is in the
-    right-hand side, and asserted: a ratio of the wrong sign fails.
-    Returns all three reports without raising, in the order [unmodified
-    unsquared, modified unsquared, main].  The determinants come first:
-    a map without a G_Q raises before any spin sum.
-    """
-    m, j, d = inst.map, inst.couplings, inst.defects
-    zd, zd_bar = inst.det, inst.det_bar
-    z, zbar = inst.z, inst.zbar
-    lhs = (zbar / z) ** 2
-    if zd == 0.0:
-        raise SingularMatrix("dimer partition function of nu(J) vanished")
-    sign_gamma = (-1) ** len(d.gamma)
-    rhs = sign_gamma * zd_bar / zd
-
-    cosh_prod = 1.0
-    for e in range(m.edge_count):
-        cosh_prod *= math.cosh(2 * j.real[e])
-    scale = 2**m.vertex_count * cosh_prod
-    r_plain = compare("squared_Z_vs_dimer", z * z, scale * zd, tol=tol)
-    r_mod = compare(
-        "squared_Zbar_vs_dimer", zbar * zbar, sign_gamma * scale * zd_bar, tol=tol
-    )
-
-    r_main = compare(
-        "theorem_main",
-        lhs,
-        rhs,
-        tol=tol,
-        sign=1,
-        extra={
-            "gamma": len(d.gamma),
-            "gamma_star": len(d.gamma_star),
-            "dimer_ratio": zd_bar / zd,
-        },
-    )
-    return [r_plain, r_mod, r_main]
 
 
 def matching_count_report(

@@ -5,21 +5,29 @@ defect paths found by rejection sampling of disjoint BFS shortest paths
 (primal for order, dual for disorder).  The seed fully determines the
 stream, and every instance carries enough provenance to replay it.
 Instances are immutable, so each stream is drawn once per process and
-shared by every suite that runs it, together with the values the mixed
-suites compare (see Instance): each is taken once, however many suites
-read it.
+shared by every suite that runs it, together with the values that the
+mixed suites' declared edges compare (see Instance and suites): each is
+taken once, however many edges read it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from functools import cached_property, lru_cache
 from typing import Any, Sequence
 
-from .dimer import dimer_partition_function, graph_context, nu_from_couplings
-from .errors import BozonError
+from .dimer import auto_route, dimer_partition_function, graph_context, nu_from_couplings
+from .errors import BozonError, IdentityViolation, SingularMatrix
 from .graphs import builtin
-from .ising import CouplingAssignment, base_couplings, modify_couplings, partition_function
+from .ising import (
+    CouplingAssignment,
+    base_couplings,
+    dual_couplings,
+    i_power,
+    modify_couplings,
+    partition_function,
+)
 from .planar_map import (
     CombinatorialMap,
     DefectSet,
@@ -27,6 +35,7 @@ from .planar_map import (
     PathSpec,
     shortest_path,
     validate_defects,
+    vertex_to_dual_face,
 )
 from .polygon import pair_polygon_sum
 from .serialize import couplings_to_dict, defects_to_dict
@@ -49,12 +58,17 @@ _PROFILES: dict[str, tuple[tuple[int, int], ...]] = {
 
 class Instance(Frozen):
     """A map with couplings J and defects, its provenance (stream index,
-    graph name, seed), and the values the mixed suites compare, each
-    computed on first use, by the kernel call a check would make, and
-    kept: ``jbar``, ``z`` = Z(J), ``zbar`` = Z(Jbar), ``pair_sum`` = the
-    bare pair-polygon sum P(Jbar), and ``det``, ``det_bar`` = the dimer
-    sums of nu(J) and nu(Jbar) by the determinant.  Without a defect edge
-    Jbar is J, and zbar and det_bar are z and det, not summed again."""
+    graph name, seed), and the values the mixed suites' edges compare
+    (see suites), each computed on first use, by the kernel call a check
+    would make, and kept: ``jbar``, ``z`` = Z(J), ``zbar`` = Z(Jbar),
+    ``scale`` = 2^|V| prod_e cosh(2J_e), ``pair_sum`` = the bare
+    pair-polygon sum P(Jbar), ``det``, ``det_bar`` = the dimer sums of
+    nu(J) and nu(Jbar) by the determinant, and ``dimer``, ``dimer_bar`` =
+    the same sums by ``route``, the route "auto" takes on the map's G_Q.
+    Without a defect edge Jbar is J, and each Jbar value is its J value,
+    not summed again.  ``correlator`` = (-i)^{|Gamma|} Z(Jbar)/Z(J) is
+    read off z and zbar.  ``dual`` is the dual instance; a suite record
+    drops it once its checks are made."""
 
     _fields = ("index", "graph_name", "map", "couplings", "defects", "seed")
 
@@ -81,21 +95,73 @@ class Instance(Frozen):
     def zbar(self) -> complex:
         return partition_function(self.map, self.jbar) if self._defective else self.z
 
+    @property
+    def correlator(self) -> float:
+        """Real by exact phase bookkeeping; an imaginary residue is checked
+        anyway.  Each read divides the kept sums again."""
+        value = i_power(-len(self.defects.gamma)) * (self.zbar / self.z)
+        if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
+            raise IdentityViolation(f"correlator has imaginary residue {value.imag!r}")
+        return value.real
+
+    @cached_property
+    def scale(self) -> float:
+        real = self.couplings.real
+        return 2**self.map.vertex_count * math.prod(
+            [math.cosh(2 * real[e]) for e in range(self.map.edge_count)]
+        )
+
     @cached_property
     def pair_sum(self) -> float:
         return pair_polygon_sum(self.map, self.map.dual, self.jbar, include_constant=False)
 
-    def _det(self, j: CouplingAssignment) -> float:
+    def _dimer(self, route: str, bar: bool) -> float:
+        """D(nu(Jbar)) when ``bar``, else D(nu(J)), by ``route``.  D(nu(J))
+        divides every dimer ratio, so 0 there raises SingularMatrix."""
         gq = graph_context(self.map)
-        return dimer_partition_function(gq, nu_from_couplings(gq, j), "determinant")[0]
+        j = self.jbar if bar else self.couplings
+        value = dimer_partition_function(gq, nu_from_couplings(gq, j), route)[0]
+        if value == 0.0 and not bar:
+            raise SingularMatrix("dimer partition function of nu(J) vanished")
+        return value
 
     @cached_property
     def det(self) -> float:
-        return self._det(self.couplings)
+        return self._dimer("determinant", False)
 
     @cached_property
     def det_bar(self) -> float:
-        return self._det(self.jbar) if self._defective else self.det
+        return self._dimer("determinant", True) if self._defective else self.det
+
+    @property
+    def route(self) -> str:
+        return auto_route(graph_context(self.map))
+
+    @cached_property
+    def dimer(self) -> float:
+        return self.det if self.route == "determinant" else self._dimer("brute", False)
+
+    @cached_property
+    def dimer_bar(self) -> float:
+        if self.route == "determinant":
+            return self.det_bar
+        return self._dimer("brute", True) if self._defective else self.dimer
+
+    @cached_property
+    def dual(self) -> Instance:
+        """(G*, J*, the defects swapped across the duality: order paths
+        become disorder paths, and disorder paths order paths)."""
+        m, d = self.map, self.defects
+        if d.order_paths or d.disorder_paths:
+            f_of = vertex_to_dual_face(m)
+            swapped = tuple(
+                PathSpec((f_of[p.endpoints[0]], f_of[p.endpoints[1]]), p.edges)
+                for p in d.order_paths
+            )
+            dstar = validate_defects(m.dual, d.disorder_paths, swapped)
+        else:
+            dstar = DefectSet.from_edge_sets(d.gamma_star, d.gamma)
+        return Instance(m.dual, dual_couplings(self.couplings), dstar)
 
     def provenance(self) -> dict[str, Any]:
         return {

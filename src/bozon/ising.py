@@ -10,9 +10,10 @@ trigonometry is ever evaluated.
 That real sum covers every spin configuration without listing them: one
 frontier sweep (a transfer matrix) adds the vertices in a narrow order and
 keeps one summed weight per spin pattern of the live vertices.  Every
-call sweeps: nothing here keeps a sum.  The values a verification
-instance compares several times (Z(J), Z(Jbar)) are taken once and kept on
-the instance (``instances.Instance``).
+call sweeps: nothing here keeps a sum.  The sums that several of a
+verification instance's declared edges read (Z(J), Z(Jbar), and the dual
+instance's for the duality edges) are taken once and kept on the instance
+(``instances.Instance``).
 """
 
 from __future__ import annotations

@@ -27,15 +27,11 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import TooLarge
 from .ising import STATE_CAP, CouplingAssignment
 from .planar_map import MAP_CACHE_SIZE, CombinatorialMap
-from .reports import IdentityReport, compare
-
-if TYPE_CHECKING:
-    from .instances import Instance
 
 
 class PolygonWeights(NamedTuple):
@@ -196,16 +192,3 @@ def pair_polygon_sum(
     total = _polygon_sweep(m, w.primal, w.dual)
     return (w.constant * total) if include_constant else total
 
-
-def verify_squared_partition(inst: Instance, tol: float = 1e-9) -> IdentityReport:
-    """[Z(J_bar)]^2 against C * (the bare pair-polygon sum), both read
-    from the instance; raises on violation."""
-    d = inst.defects
-    report = compare(
-        "squared_partition_pair_polygon",
-        inst.zbar * inst.zbar,
-        polygon_weights(inst.map, inst.jbar).constant * inst.pair_sum,
-        tol=tol,
-        extra={"gamma": len(d.gamma), "gamma_star": len(d.gamma_star)},
-    )
-    return report.require()

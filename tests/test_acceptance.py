@@ -22,8 +22,8 @@ from bozon import (
     builtin,
     dimer_Z_det,
     dual,
+    instance_reports,
     kasteleyn_orientation,
-    kw_duality_check,
     modify_couplings,
     nu_from_couplings,
     polygon_weights,
@@ -176,8 +176,9 @@ def test_criterion_8_coupling_duality(capfd):
         for trial in range(20):
             m = builtin(("k3", "c4", "grid_2_3")[trial % 3])
             j = base_couplings(random_j(rng, m.edge_count))
-            reports = kw_duality_check(Instance(m, j, DefectSet.empty()))
-            per_edge = reports["per_edge_duality"]
+            per_edge, _modified, _correlator = instance_reports(
+                "duality", Instance(m, j, DefectSet.empty())
+            )
             assert per_edge.tol == 1e-12
             assert per_edge.passed
         for name in ("k3", "c4"):
@@ -189,8 +190,8 @@ def test_criterion_8_coupling_duality(capfd):
                 validate_defects(m, (), (PathSpec(dm.edge_endpoints(1), (1,)),)),
             ]
             for d in configs:
-                reports = kw_duality_check(Instance(m, j, d))
-                assert reports["correlator_duality"].rel_err <= 1e-9
+                correlator = instance_reports("duality", Instance(m, j, d))[-1]
+                assert correlator.rel_err <= 1e-9
 
 
 def test_criterion_9_structural_invariants(capfd):

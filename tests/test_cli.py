@@ -16,6 +16,7 @@ from bozon.errors import TooLarge
 from bozon.serialize import canonical_json, defect_paths_from_dict, map_from_dict
 from bozon.suites import (
     SUITE_NAMES,
+    Edge,
     explicit_instance,
     run_explicit,
     run_suite,
@@ -536,15 +537,16 @@ def test_a_too_large_input_mid_stream_writes_nothing(tmp_path, capsys, monkeypat
     """TooLarge on duality's third instance, after every earlier suite's
     records are encoded: exit 2 and no report at all."""
     seen = []
-    duality = bozon.suites._SUITES["duality"][0]
+    first, *rest = bozon.suites._SUITES["duality"][0]
 
-    def check(inst, tol):
+    def lhs(inst):
         seen.append(inst.index)
         if len(seen) == 3:
             raise TooLarge("too many states")
-        return duality(inst, tol)
+        return first.lhs(inst)
 
-    monkeypatch.setitem(bozon.suites._SUITES, "duality", (check, "mixed"))
+    edges = (Edge(first.name, lhs, first.rhs, tol=first.tol), *rest)
+    monkeypatch.setitem(bozon.suites._SUITES, "duality", (edges, "mixed"))
     out_path = tmp_path / "report.json"
     argv = ["verify", "--suite", "all", "--random", "4", "--seed", "1"]
     code, out, err = run_cli(capsys, *argv, *(["--out", str(out_path)] if to_file else []))

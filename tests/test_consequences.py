@@ -14,10 +14,9 @@ from bozon import (
     base_couplings,
     build_map,
     dimer_correlation_ratio,
-    kw_duality_check,
+    instance_reports,
     magnetization_report,
     spin_correlation,
-    theorem_reports,
     uniform_couplings,
     validate_defects,
 )
@@ -86,7 +85,7 @@ def test_squared_correlation_equals_dimer_ratio(maps, rng):
     j = base_couplings(random_j(rng, 3))
     path = PathSpec((0, 1), (0,))
     value = spin_correlation(m, j, (0, 1), (path,))
-    ratio, method = dimer_correlation_ratio(m, j, validate_defects(m, (path,), ()))
+    ratio, method = dimer_correlation_ratio(Instance(m, j, validate_defects(m, (path,), ())))
     want = oracle_expectation(m, list(j.real), (0, 1))
     assert value * value == pytest.approx(abs(want) ** 2, rel=1e-10)
     assert ratio == pytest.approx(value * value, rel=1e-9)
@@ -99,8 +98,8 @@ def test_dimer_ratio_method_switches_at_cap(maps, rng):
     d = DefectSet.from_edge_sets({0}, set())
     j_small = base_couplings(random_j(rng, 4))
     j_big = base_couplings(random_j(rng, 12))
-    _, method_small = dimer_correlation_ratio(small, j_small, d)
-    _, method_big = dimer_correlation_ratio(big, j_big, d)
+    _, method_small = dimer_correlation_ratio(Instance(small, j_small, d))
+    _, method_big = dimer_correlation_ratio(Instance(big, j_big, d))
     assert method_small == "brute"
     assert method_big == "determinant"  # 48 quad vertices exceed the brute cap
 
@@ -113,7 +112,7 @@ def test_spinor_correlation_c4(maps, rng):
     m = maps["c4"]
     j = base_couplings(random_j(rng, 4))
     d = validate_defects(m, (PathSpec((0, 1), (0,)),), (PathSpec((0, 1), (2,)),))
-    main = theorem_reports(Instance(m, j, d))[-1]
+    main = instance_reports("theorem1", Instance(m, j, d))[-1]
     assert main.name == "theorem_main"
     assert main.passed
     assert main.sign == 1
@@ -168,7 +167,7 @@ def test_magnetization_strong_coupling_saturates(maps):
 def test_duality_per_edge_relation(maps, rng):
     m = maps["grid_2_3"]
     j = base_couplings(random_j(rng, m.edge_count))
-    reports = kw_duality_check(Instance(m, j, DefectSet.empty()))
+    reports = {r.name: r for r in instance_reports("duality", Instance(m, j, DefectSet.empty()))}
     assert reports["per_edge_duality"].passed
     assert reports["per_edge_duality"].tol == 1e-12
     assert reports["modified_duality"].passed
@@ -180,5 +179,5 @@ def test_duality_with_defects(maps, rng):
         m = maps[name]
         j = base_couplings(random_j(rng, m.edge_count))
         d = validate_defects(m, (PathSpec((0, 1), (0,)),), ())
-        reports = kw_duality_check(Instance(m, j, d))
-        assert all(r.passed for r in reports.values())
+        reports = instance_reports("duality", Instance(m, j, d))
+        assert all(r.passed for r in reports)

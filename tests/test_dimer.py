@@ -26,11 +26,10 @@ from bozon import (
     matching_pair_histogram,
     graph_context,
     modify_couplings,
+    instance_reports,
     nu_from_couplings,
     polygon_to_dimer_count,
-    theorem_reports,
     uniform_couplings,
-    verify_bipartite_dimer_identity,
 )
 from bozon.dimer import (
     DUAL_PARALLEL,
@@ -382,16 +381,16 @@ def test_bipartite_dimer_identity(maps, rng):
         m = maps[name]
         j = base_couplings(random_j(rng, m.edge_count))
         d = DefectSet.from_edge_sets({0}, set())
-        rep = verify_bipartite_dimer_identity(Instance(m, j, d))
+        (rep,) = instance_reports("bipartitedimer", Instance(m, j, d))
         assert rep.passed
 
 
-def test_theorem_reports_match_oracle(maps, rng):
+def test_theorem1_reports_match_oracle(maps, rng):
     m = maps["c4"]
     j = base_couplings(random_j(rng, m.edge_count))
     gamma, gamma_star = {0}, {2}
     d = DefectSet.from_edge_sets(gamma, gamma_star)
-    reports = theorem_reports(Instance(m, j, d))
+    reports = instance_reports("theorem1", Instance(m, j, d))
     assert [r.name for r in reports] == [
         "squared_Z_vs_dimer",
         "squared_Zbar_vs_dimer",
@@ -408,11 +407,11 @@ def test_theorem_reports_match_oracle(maps, rng):
 
 def test_theorem_main_fails_a_flipped_dimer_ratio(maps, rng, monkeypatch):
     """The sign is predicted, not fitted: negating Z_dimer(nu(Jbar)), the
-    second dimer sum theorem_reports takes, must fail theorem_main."""
+    second dimer sum the theorem1 edges take, must fail theorem_main."""
     m = maps["c4"]
     j = base_couplings(random_j(rng, m.edge_count))
     d = DefectSet.from_edge_sets({0}, {2})
-    assert theorem_reports(Instance(m, j, d))[-1].passed
+    assert instance_reports("theorem1", Instance(m, j, d))[-1].passed
     real = bozon.instances.dimer_partition_function
     calls = []
 
@@ -422,7 +421,7 @@ def test_theorem_main_fails_a_flipped_dimer_ratio(maps, rng, monkeypatch):
         return (-z if len(calls) == 2 else z), route
 
     monkeypatch.setattr(bozon.instances, "dimer_partition_function", flipped)
-    main = theorem_reports(Instance(m, j, d))[-1]
+    main = instance_reports("theorem1", Instance(m, j, d))[-1]
     assert len(calls) == 2
     assert main.name == "theorem_main"
     assert not main.passed
@@ -458,7 +457,7 @@ def test_brute_route_is_the_reference_walk_bit_for_bit(name, rng, monkeypatch):
         want = reference_matching_sweep(gq, w, zeros).get(0, 0.0)
         assert (z.hex(), route) == (float(want).hex(), "brute")
     for d in ONE_DEFECT:
-        ratio, route = dimer_correlation_ratio(m, j, d)
+        ratio, route = dimer_correlation_ratio(Instance(m, j, d))
         assert (ratio.hex(), route) == (_reference_ratio(gq, j, d).hex(), "brute")
 
 
@@ -483,7 +482,7 @@ def test_brute_route_stops_where_the_reference_walk_does(cap, raises, rng, monke
         assert got == want
         raised.append(isinstance(got, str))
     for d in ONE_DEFECT:
-        got = sweep_outcome(lambda: dimer_correlation_ratio(m, j, d)[:1])
+        got = sweep_outcome(lambda: dimer_correlation_ratio(Instance(m, j, d))[:1])
         assert got == sweep_outcome(lambda: [_reference_ratio(gq, j, d)])
         raised.append(isinstance(got, str))
     assert any(raised) == raises
@@ -511,7 +510,7 @@ def test_graph_context_is_the_one_g_q_per_map(monkeypatch):
             z, route = dimer_partition_function(gq, w, "determinant")
             assert route == "determinant"
             assert z == pytest.approx(brute_force_dimer_Z(gq, w), rel=1e-12)
-        theorem_reports(Instance(m, uniform_couplings(m.edge_count, 0.7), ONE_DEFECT[0]))
+        instance_reports("theorem1", Instance(m, uniform_couplings(m.edge_count, 0.7), ONE_DEFECT[0]))
         assert calls == ["kasteleyn_orientation", "calibration_sign"]
         assert graph_context(m) is gq and gq.sign in (1, -1)
     finally:

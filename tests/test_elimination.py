@@ -21,12 +21,13 @@ from bozon import (
     brute_force_dimer_Z,
     builtin,
     calibration_sign,
+    dimer_correlation_ratio,
     dimer_Z_det,
     graph_context,
     kasteleyn_orientation,
     modify_couplings,
+    instance_reports,
     nu_from_couplings,
-    theorem_reports,
 )
 from bozon.cli import main
 from bozon.dimer import _det, all_ones
@@ -121,17 +122,32 @@ def _dead_vertex(gq, weights):
 
 
 def test_singular_kasteleyn_matrix_raises(monkeypatch, rng):
+    """A vanishing dimer sum of nu(J) raises one SingularMatrix, on either
+    route: in theorem1 before any spin sum, and in the corollary's dimer
+    ratio before its numerator."""
     m = builtin("grid_2_3")
     gq = graph_context(m)
     assert dimer_Z_det(gq, _dead_vertex(gq, all_ones(gq)), gq.orientation) == 0.0
 
     real_nu = bozon.dimer.nu_from_couplings
-    monkeypatch.setattr(
-        bozon.instances, "nu_from_couplings", lambda g, j: _dead_vertex(g, real_nu(g, j))
-    )
+    numerators = []
+
+    def dead(g, j):
+        numerators.append(any(j.half_pi))
+        return _dead_vertex(g, real_nu(g, j))
+
+    def no_spin_sum(*args, **kwargs):
+        raise AssertionError("a spin sum ran")
+
+    monkeypatch.setattr(bozon.instances, "nu_from_couplings", dead)
+    monkeypatch.setattr(bozon.instances, "partition_function", no_spin_sum)
     j = base_couplings(random_j(rng, m.edge_count))
+    d = DefectSet.from_edge_sets({0}, set())
     with pytest.raises(SingularMatrix, match="vanished"):
-        theorem_reports(Instance(m, j, DefectSet.from_edge_sets({0}, set())))
+        instance_reports("theorem1", Instance(m, j, d))
+    with pytest.raises(SingularMatrix, match="vanished"):
+        dimer_correlation_ratio(Instance(m, j, d))  # grid_2_3 takes the brute route
+    assert numerators == [False, False]
 
 
 @pytest.mark.parametrize("name", ORACLE_MAPS)

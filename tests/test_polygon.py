@@ -22,8 +22,8 @@ from bozon import (
     dual,
     modify_couplings,
     pair_polygon_sum,
+    instance_reports,
     polygon_weights,
-    verify_squared_partition,
 )
 from bozon.errors import TooLarge
 from bozon.polygon import _PAIR_PLANS, _polygon_sweep
@@ -141,11 +141,11 @@ def test_pair_polygon_sum_modified(maps, duals, rng):
     assert abs((zbar * zbar).imag) < 1e-12 * abs(zbar) ** 2
 
 
-def test_verify_squared_partition_reports(maps, rng):
+def test_pairpolygon_edge_reports(maps, rng):
     m = maps["wheel_4"]
     j = base_couplings(random_j(rng, m.edge_count))
     d = DefectSet.from_edge_sets({0}, {4})
-    report = verify_squared_partition(Instance(m, j, d))
+    (report,) = instance_reports("pairpolygon", Instance(m, j, d))
     assert report.passed
     assert report.extra == {"gamma": 1, "gamma_star": 1}
 

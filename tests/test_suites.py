@@ -16,7 +16,9 @@ import bozon.dimer
 import bozon.ising
 import bozon.planar_map
 import bozon.polygon
+import bozon.suites
 from bozon import (
+    Instance,
     PathSpec,
     base_couplings,
     build_map,
@@ -256,6 +258,52 @@ def test_a_wrong_shared_value_fails_every_suite_that_reads_it(monkeypatch, value
                 if rec["scope"] == "instance":
                     failed = {c["name"] for c in rec["checks"] if not c["pass"]}
                     assert checks <= failed, (suite, rec["index"])
+    finally:
+        clear_caches()
+
+
+def test_a_failed_duality_record_keeps_all_three_checks(monkeypatch):
+    """Every declared edge gives its report, failed or not: with Z(Jbar)
+    doubled on every instance, each duality record fails its correlator
+    check and still carries both residual checks, passing."""
+    clear_caches()
+    try:
+        for inst in random_instances(20, 1):
+            monkeypatch.setitem(inst.__dict__, "zbar", 2 * inst.zbar)
+        records = run_suite("duality", 20, 1)
+        assert len(records) == 20
+        for rec in records:
+            assert [(c["name"], c["pass"]) for c in rec["checks"]] == [
+                ("per_edge_duality", True),
+                ("modified_duality", True),
+                ("correlator_duality", False),
+            ], rec["index"]
+    finally:
+        clear_caches()
+
+
+def test_each_mixed_record_carries_its_suites_declared_checks():
+    """Over seeds 1 and 7, every instance record of a mixed suite carries
+    exactly the check names its suite declares, in the declared order, or
+    an error and no check.  Once the suites have run, no stream instance
+    holds its dual instance: the dual side lives for one duality record."""
+    clear_caches()
+    try:
+        for seed in (1, 7):
+            for suite in MIXED_SUITES:
+                declared = [edge.name for edge in bozon.suites._SUITES[suite][0]]
+                records = [r for r in run_suite(suite, 100, seed) if r["scope"] == "instance"]
+                assert len(records) == 100
+                for rec in records:
+                    names = [c["name"] for c in rec["checks"]]
+                    assert names == declared or ("error" in rec and not names), (
+                        suite, seed, rec["index"], names
+                    )
+            for inst in random_instances(100, seed):
+                kept = vars(inst)
+                assert "zbar" in kept  # the suites took its values
+                assert "dual" not in kept
+                assert not any(isinstance(v, Instance) for v in kept.values())
     finally:
         clear_caches()
 
