@@ -17,11 +17,7 @@ from .boundary import (
     reduce_plus,
     reduce_plus_free,
 )
-from .consequences import (
-    dimer_correlation_ratio,
-    magnetization_report,
-    spin_correlation,
-)
+from .consequences import magnetization_report
 from .dimer import (
     DIMER_CAP,
     QuadDimerGraph,
@@ -114,7 +110,6 @@ __all__ = [
     "defect_paths_from_dict",
     "defects_to_dict",
     "dimer_Z_det",
-    "dimer_correlation_ratio",
     "dimer_partition_function",
     "dual",
     "dual_couplings",
@@ -145,7 +140,6 @@ __all__ = [
     "run_explicit",
     "run_suite",
     "shortest_path",
-    "spin_correlation",
     "spin_expectation",
     "suite_summary",
     "uniform_couplings",

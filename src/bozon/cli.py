@@ -2,11 +2,11 @@
 dimer graph G_Q (as JSON, with its weights when couplings are given), and
 print builtin rotation systems.
 
-Exit codes: 0 when every check passes, 1 on an identity violation,
-2 on an input or configuration error, an input too large to verify
-(TooLarge) or a map with a bridge (whose report still records each
-BridgeUnsupported error).  Identical (config, seed) pairs produce
-byte-identical JSON.
+Exit codes: 0 when every check passes, 1 when a check entry fails, 2 on
+an input or configuration error, an input too large to verify (TooLarge)
+or a record that carries an error entry, such as a map with a bridge
+(BridgeUnsupported) or a value past float range (the report is still
+written).  Identical (config, seed) pairs produce byte-identical JSON.
 
 ``verify`` encodes each JSON record as the suite yields it and keeps only
 the text, never the record list; it writes nothing until the last record
@@ -20,10 +20,11 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from typing import Any, Callable, Iterable, Sequence
 
 from .dimer import graph_context, nu_from_couplings
-from .errors import BozonError, BridgeUnsupported, IdentityViolation
+from .errors import BozonError
 from .graphs import BUILTIN_EXAMPLES, builtin
 from .ising import uniform_couplings
 from .reports import flatten_check
@@ -72,21 +73,21 @@ def _write_text(path: str | None, *pieces: str) -> None:
         raise InputProblem(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _tally(records: Iterable[dict], keep: Callable[[dict], Any]) -> tuple[list, dict, int]:
-    """``keep`` of each record, the report's summary and the number of
-    records that need a bridge-free map, taken as the records go by:
-    map() hands each record to ``take``, and suite_summary sees only its
-    verdict."""
+def _tally(records: Iterable[dict], keep: Callable[[dict], Any]) -> tuple[list, dict, Counter]:
+    """``keep`` of each record, the report's summary and the count of the
+    records that carry an error entry by the error's type, taken as the
+    records go by: map() hands each record to ``take``, and suite_summary
+    sees only its verdict."""
     kept: list = []
-    bridged = 0
+    errors: Counter = Counter()
 
     def take(rec: dict) -> dict:
-        nonlocal bridged
-        bridged += rec.get("error", "").startswith(f"{BridgeUnsupported.__name__}:")
+        if "error" in rec:
+            errors[rec["error"].partition(":")[0]] += 1
         kept.append(keep(rec))
         return {"pass": rec.get("pass")}
 
-    return kept, suite_summary(map(take, records)), bridged
+    return kept, suite_summary(map(take, records)), errors
 
 
 def records_to_csv(records: Sequence[dict]) -> str:
@@ -175,11 +176,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         config.update({"mode": "random", "count": args.random})
 
     if args.format == "csv":
-        rows, summary, unsupported = _tally(records, lambda rec: rec)
+        rows, summary, errors = _tally(records, lambda rec: rec)
         _write_text(args.out, records_to_csv(rows))
     else:
         # sort_keys orders the document config, records, summary
-        texts, summary, unsupported = _tally(records, ENCODER.encode)
+        texts, summary, errors = _tally(records, ENCODER.encode)
         body = [","] * (2 * len(texts) - 1)  # the texts, comma-separated
         body[::2] = texts
         _write_text(
@@ -191,9 +192,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"{summary['failed']} failed",
         file=sys.stderr,
     )
-    # a bridged map is an input bozon does not support, not a violation
-    if unsupported:
-        print(f"error: {unsupported} records need a bridge-free map", file=sys.stderr)
+    # a record that could not be checked (a bridged map, a value past float
+    # range) is an input bozon does not support, not a violation
+    if errors:
+        kinds = ", ".join(f"{n} {kind}" for kind, n in sorted(errors.items()))
+        print(f"error: {errors.total()} records carry an error entry ({kinds})",
+              file=sys.stderr)
         return 2
     return 0 if summary["pass"] else 1
 
@@ -281,9 +285,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputProblem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IdentityViolation as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return 1
     except BozonError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

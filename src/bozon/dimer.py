@@ -320,9 +320,18 @@ def nu_from_couplings(gq: QuadDimerGraph, jbar: CouplingAssignment) -> DimerWeig
     table = [
         1.0,
         *[math.tanh(2 * a) for a in real],
-        *[-s if f else s for a, f in zip(real, jbar.half_pi) for s in (1.0 / math.cosh(2 * a),)],
+        *[-s if f else s for a, f in zip(real, jbar.half_pi) for s in (_sech(2 * a),)],
     ]
     return tuple(map(table.__getitem__, gq.nu_index))
+
+
+def _sech(x: float) -> float:
+    """1/cosh(x); past |x| = 710.5, where cosh(x) overflows, 2e^-|x|, which
+    is then 1/cosh(x) to double precision (subnormal, or 0)."""
+    try:
+        return 1.0 / math.cosh(x)
+    except OverflowError:
+        return 2.0 * math.exp(-abs(x))
 
 
 def all_ones(gq: QuadDimerGraph) -> DimerWeights:

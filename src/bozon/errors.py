@@ -85,11 +85,8 @@ class InconsistentPair(BozonError):
 # --- identity checks -------------------------------------------------------
 
 class IdentityViolation(BozonError):
-    """A verified identity failed outside tolerance."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A value a check reads breaks an invariant it must hold (the
+    correlator's imaginary residue)."""
 
 
 class NonFiniteValue(BozonError):

@@ -6,8 +6,8 @@ defect paths found by rejection sampling of disjoint BFS shortest paths
 stream, and every instance carries enough provenance to replay it.
 Instances are immutable, so each stream is drawn once per process and
 shared by every suite that runs it, together with the values that the
-mixed suites' declared edges compare (see Instance and suites): each is
-taken once, however many edges read it.
+suites' declared edges compare (see Instance and suites): each is taken
+once, however many edges read it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .ising import (
     base_couplings,
     dual_couplings,
     i_power,
+    inserted_spin_sum,
     modify_couplings,
     partition_function,
 )
@@ -58,17 +59,19 @@ _PROFILES: dict[str, tuple[tuple[int, int], ...]] = {
 
 class Instance(Frozen):
     """A map with couplings J and defects, its provenance (stream index,
-    graph name, seed), and the values the mixed suites' edges compare
-    (see suites), each computed on first use, by the kernel call a check
-    would make, and kept: ``jbar``, ``z`` = Z(J), ``zbar`` = Z(Jbar),
+    graph name, seed), and the values the suites' edges compare (see
+    suites), each computed on first use, by the kernel call a check would
+    make, and kept: ``jbar``, ``z`` = Z(J), ``zbar`` = Z(Jbar),
+    ``direct`` = the spin average at the boundary of Gamma by the spin sum,
     ``scale`` = 2^|V| prod_e cosh(2J_e), ``pair_sum`` = the bare
     pair-polygon sum P(Jbar), ``det``, ``det_bar`` = the dimer sums of
     nu(J) and nu(Jbar) by the determinant, and ``dimer``, ``dimer_bar`` =
     the same sums by ``route``, the route "auto" takes on the map's G_Q.
     Without a defect edge Jbar is J, and each Jbar value is its J value,
-    not summed again.  ``correlator`` = (-i)^{|Gamma|} Z(Jbar)/Z(J) is
-    read off z and zbar.  ``dual`` is the dual instance; a suite record
-    drops it once its checks are made."""
+    not summed again.  ``correlator`` = (-i)^{|Gamma|} Z(Jbar)/Z(J) and
+    ``dimer_ratio`` = dimer_bar/dimer are read off the kept values.
+    ``dual`` is the dual instance; a suite record drops it once its checks
+    are made."""
 
     _fields = ("index", "graph_name", "map", "couplings", "defects", "seed")
 
@@ -103,6 +106,15 @@ class Instance(Frozen):
         if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
             raise IdentityViolation(f"correlator has imaginary residue {value.imag!r}")
         return value.real
+
+    @cached_property
+    def direct(self) -> float:
+        """E[product of the spins at the boundary of Gamma (the order paths'
+        endpoints)], summed directly: the sweep with those spins inserted
+        over the kept Z(J), whose phase is 1 as J is a base assignment.
+        1.0 without an order edge."""
+        ends = [v for e in self.defects.gamma for v in self.map.edge_endpoints(e)]
+        return inserted_spin_sum(self.map, self.couplings, ends) / self.z.real if ends else 1.0
 
     @cached_property
     def scale(self) -> float:
@@ -146,6 +158,13 @@ class Instance(Frozen):
         if self.route == "determinant":
             return self.det_bar
         return self._dimer("brute", True) if self._defective else self.dimer
+
+    @property
+    def dimer_ratio(self) -> float:
+        """D(nu(Jbar)) / D(nu(J)) by ``route``, the denominator taken first
+        (it raises SingularMatrix at 0).  Each read divides again."""
+        d = self.dimer
+        return self.dimer_bar / d
 
     @cached_property
     def dual(self) -> Instance:

@@ -227,6 +227,24 @@ def partition_function(
     return i_power(j.phase_power) * _spin_sum(m, j, fixed, ())
 
 
+def inserted_spin_sum(
+    m: CombinatorialMap,
+    j: CouplingAssignment,
+    vertices: Sequence[int],
+    fixed: Mapping[int, int] | None = None,
+) -> float:
+    """Z over its exact phase i**k with the spins at ``vertices`` multiplied
+    in, by the sweep: the numerator of spin_expectation.  Repeated vertices
+    cancel in pairs."""
+    odd: set[int] = set()
+    for v in vertices:
+        # checked before pairs cancel, so [99, 99] is refused like [99]
+        if not 0 <= v < m.vertex_count:
+            raise ValueError(f"observable spin at {v} is not a vertex")
+        odd ^= {v}
+    return _spin_sum(m, j, fixed, odd)
+
+
 def spin_expectation(
     m: CombinatorialMap,
     j: CouplingAssignment,
@@ -235,18 +253,10 @@ def spin_expectation(
 ) -> float:
     """E[prod_{v in vertices} s_v] under the (possibly fixed-spin) measure:
     the sweep with the observable spins inserted over the sweep without.
-
-    Repeated vertices cancel in pairs.  The phase factors of flagged edges
-    divide out between numerator and denominator, so the result is real.
+    The phase factors of flagged edges divide out between numerator and
+    denominator, so the result is real.
     """
-    odd: set[int] = set()
-    for v in vertices:
-        # checked before pairs cancel, so [99, 99] is refused like [99]
-        if not 0 <= v < m.vertex_count:
-            raise ValueError(f"observable spin at {v} is not a vertex")
-        odd ^= {v}
-    den = _spin_sum(m, j, fixed, ())
-    return _spin_sum(m, j, fixed, odd) / den
+    return inserted_spin_sum(m, j, vertices, fixed) / _spin_sum(m, j, fixed, ())
 
 
 def high_temp_expansion_check(

@@ -1,12 +1,17 @@
-"""Identity-check reports: one record per verified equality."""
+"""Identity-check reports: one record per verified equality, and the
+declared identities (edges) that build them."""
 
 from __future__ import annotations
 
 import cmath
 import json
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
-from .errors import IdentityViolation, NonFiniteValue
+from .errors import NonFiniteValue
+from .planar_map import Frozen
+
+if TYPE_CHECKING:
+    from .instances import Instance
 
 
 class IdentityReport(NamedTuple):
@@ -47,15 +52,6 @@ class IdentityReport(NamedTuple):
             d[k] = v
         return d
 
-    def require(self) -> "IdentityReport":
-        if not self.passed:
-            raise IdentityViolation(
-                f"{self.name}: lhs={self.lhs} rhs={self.rhs} "
-                f"rel_err={self.rel_err:.3e} tol={self.tol:.1e}",
-                report=self,
-            )
-        return self
-
 
 def compare(
     name: str,
@@ -93,6 +89,36 @@ def compare(
         sign=sign,
         extra=dict(extra or {}),
     )
+
+
+class Edge(Frozen):
+    """One identity a suite checks, lhs = rhs, declared over an instance's
+    values (see instances.Instance): the two sides and the report's further
+    fields as functions of the instance, the predicted sign the report
+    records, and a tolerance that replaces the run's.  A plain class, not a
+    NamedTuple, whose string annotations would cost every start-up about
+    0.3 ms to evaluate."""
+
+    _fields = ("name", "lhs", "rhs", "sign", "extra", "tol")
+
+    def __init__(
+        self, name: str, lhs: Callable[[Instance], complex], rhs: Callable[[Instance], complex],
+        sign: int | None = None, extra: Callable[[Instance], dict[str, Any]] | None = None,
+        tol: float | None = None,
+    ) -> None:
+        self.__dict__.update(name=name, lhs=lhs, rhs=rhs, sign=sign, extra=extra, tol=tol)
+
+
+def edge_reports(edges: Sequence[Edge], inst: Instance, tol: float = 1e-9) -> list[IdentityReport]:
+    """Every edge's report on ``inst``, in order, failed or not.  The
+    right-hand sides are read first: they hold the dimer sums, so a map
+    without a G_Q raises before any spin sum."""
+    rhs = [edge.rhs(inst) for edge in edges]
+    return [
+        compare(edge.name, edge.lhs(inst), r, tol=tol if edge.tol is None else edge.tol,
+                sign=edge.sign, extra=edge.extra and edge.extra(inst))
+        for edge, r in zip(edges, rhs)
+    ]
 
 
 _CHECK_CORE = ("name", "lhs", "rhs", "abs_err", "rel_err", "tol", "pass", "sign")

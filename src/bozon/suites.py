@@ -14,14 +14,9 @@ import random
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .boundary import reduce_dobrushin, reduce_plus, reduce_plus_free
-from .consequences import (
-    _checked_spin_correlation,
-    _squared_vs_dimer,
-    magnetization_report,
-    spin_correlation,
-)
+from .consequences import COROLLARY, magnetization_report
 from .dimer import matching_count_report
-from .errors import BozonError, IdentityViolation, TooLarge
+from .errors import BozonError, TooLarge
 from .graphs import builtin
 from .instances import Instance, random_instances
 from .ising import (
@@ -34,13 +29,12 @@ from .ising import (
 from .planar_map import (
     CombinatorialMap,
     DefectSet,
-    Frozen,
     PathSpec,
     build_map,
     validate_defects,
 )
 from .polygon import polygon_weights
-from .reports import IdentityReport, compare
+from .reports import Edge, IdentityReport, compare, edge_reports
 from .serialize import couplings_to_dict
 
 DEFAULT_COUNT = 100
@@ -54,23 +48,15 @@ def worker_count() -> int:
 
 
 def _record(
-    fields: dict[str, Any],
-    thunk: Callable[[], IdentityReport | list[IdentityReport]],
+    fields: dict[str, Any], thunk: Callable[[], list[IdentityReport]]
 ) -> dict[str, Any]:
     """A suite record: ``fields`` (suite, scope and provenance), then the
-    checks ``thunk`` returns and the verdict.  An identity violation that
-    carries a report becomes a failed check; TooLarge propagates, since
+    checks ``thunk`` returns and the verdict.  TooLarge propagates, since
     the input is too large to verify at all; any other bozon error, or a
     float overflow, leaves no checks and an ``error`` entry."""
     error = None
     try:
-        out = thunk()
-        reports = out if isinstance(out, list) else [out]
-    except IdentityViolation as exc:
-        if exc.report is None:
-            reports, error = [], str(exc)
-        else:
-            reports = [exc.report]
+        reports = thunk()
     except TooLarge:
         raise
     except (BozonError, OverflowError) as exc:
@@ -96,24 +82,6 @@ def suite_summary(records: Iterable[dict]) -> dict[str, Any]:
 
 
 # ------------------------------------------------------ per-instance checks
-
-
-class Edge(Frozen):
-    """One identity a suite checks, lhs = rhs, declared over an instance's
-    values (see Instance): the two sides and the report's further fields
-    as functions of the instance, the predicted sign the report records,
-    and a tolerance that replaces the run's.  A plain class, not a
-    NamedTuple, whose string annotations would cost every start-up about
-    0.3 ms to evaluate."""
-
-    _fields = ("name", "lhs", "rhs", "sign", "extra", "tol")
-
-    def __init__(
-        self, name: str, lhs: Callable[[Instance], complex], rhs: Callable[[Instance], complex],
-        sign: int | None = None, extra: Callable[[Instance], dict[str, Any]] | None = None,
-        tol: float | None = None,
-    ) -> None:
-        self.__dict__.update(name=name, lhs=lhs, rhs=rhs, sign=sign, extra=extra, tol=tol)
 
 
 # The per-edge duality residuals are single closed-form values, held to a
@@ -173,22 +141,6 @@ DUALITY = (
     Edge("correlator_duality", lambda i: i.correlator, lambda i: i.dual.correlator,
          extra=_gammas),
 )
-
-
-def _corollary_checks(inst: Instance, tol: float) -> list[IdentityReport]:
-    m, j, paths = inst.map, inst.couplings, inst.defects.order_paths
-    vertices = tuple(x for p in paths for x in p.endpoints)
-    if not vertices:
-        return [compare("direct_squared_vs_dimer_ratio", 1.0, 1.0, tol=tol)]
-    value, direct, held = _checked_spin_correlation(m, j, vertices, paths, tol)
-    ratio, method = _squared_vs_dimer(held, value, tol)
-    return [compare(
-        "direct_squared_vs_dimer_ratio",
-        direct * direct,
-        ratio,
-        tol=tol,
-        extra={"gamma": len(held.defects.gamma), "method": method},
-    )]
 
 
 def _clear_faces(m: CombinatorialMap, d: DefectSet) -> list[int]:
@@ -287,43 +239,29 @@ def _boundary_checks(inst: Instance, tol: float) -> list[IdentityReport]:
 
 def closed_form_records(seed: int, tol: float = 1e-9) -> list[dict]:
     """tanh(J) on a single edge and (t + t^3)/(1 + t^4) on adjacent C4
-    vertices, both routed through the brute-checked correlator."""
+    vertices, each the correlator of an order path on edge 0 from vertex 0
+    to 1, which is also checked against the direct spin average."""
     rng = random.Random(f"{seed}-closed-forms")
 
-    def fields(name: str, j: CouplingAssignment) -> dict[str, Any]:
-        return {
+    def record(graph: str, m: CombinatorialMap, j: CouplingAssignment,
+               check: str, closed_form: float) -> dict:
+        fields = {
             "suite": "corollary",
             "scope": "closed_form",
-            "graph": name,
+            "graph": graph,
             "couplings": couplings_to_dict(j),
         }
+        inst = Instance(m, j, validate_defects(m, (PathSpec((0, 1), (0,)),), ()))
+        edges = (Edge(check, lambda i: i.correlator, lambda i: closed_form), COROLLARY[1])
+        return _record(fields, lambda: edge_reports(edges, inst, tol))
 
     j_edge = rng.uniform(0.1, 2.0)
-    m1 = build_map([[0], [1]], [(0, 1)])
-    j1 = base_couplings([j_edge])
-    rec1 = _record(
-        fields("single_edge", j1),
-        lambda: compare(
-            "closed_form_single_edge",
-            spin_correlation(m1, j1, (0, 1), (PathSpec((0, 1), (0,)),), tol=tol),
-            math.tanh(j_edge),
-            tol=tol,
-        ),
-    )
-
+    rec1 = record("single_edge", build_map([[0], [1]], [(0, 1)]), base_couplings([j_edge]),
+                  "closed_form_single_edge", math.tanh(j_edge))
     j_c4 = rng.uniform(0.1, 2.0)
     t = math.tanh(j_c4)
-    c4 = builtin("c4")
-    j4 = uniform_couplings(4, j_c4)
-    rec2 = _record(
-        fields("c4", j4),
-        lambda: compare(
-            "closed_form_c4_adjacent",
-            spin_correlation(c4, j4, (0, 1), (PathSpec((0, 1), (0,)),), tol=tol),
-            (t + t**3) / (1 + t**4),
-            tol=tol,
-        ),
-    )
+    rec2 = record("c4", builtin("c4"), uniform_couplings(4, j_c4),
+                  "closed_form_c4_adjacent", (t + t**3) / (1 + t**4))
     return [rec1, rec2]
 
 
@@ -337,7 +275,7 @@ _MAGNETIZATION_SITES = (
 def _magnetization_records(count: int, seed: int, tol: float) -> Iterator[dict]:
     """Fixed-plus boundary magnetization at 10 to 50 sites (``count``
     clamped): direct average vs contracted pair correlation vs dimer
-    ratio."""
+    ratio (see magnetization_report)."""
     rng = random.Random(f"{seed}-magnetization")
     for i in range(max(10, min(count, 50))):
         name, u = _MAGNETIZATION_SITES[i % len(_MAGNETIZATION_SITES)]
@@ -357,15 +295,16 @@ def _magnetization_records(count: int, seed: int, tol: float) -> Iterator[dict]:
         yield _record(fields, lambda: magnetization_report(m, j, face, u, tol=tol)[1])
 
 
-# Each suite's per-instance checks, its declared edges or a check
-# function, and the defect profile of its seeded stream, in the order
-# "all" runs them.  Magnetization draws its own sites, so it has neither.
+# Each suite's per-instance checks, its declared edges or (boundary) a
+# check function, and the defect profile of its seeded stream, in the
+# order "all" runs them.  Magnetization draws its own sites, so it has
+# neither.
 _SUITES: dict[str, tuple[tuple[Edge, ...] | Callable[[Instance, float], list[IdentityReport]]
                          | None, str | None]] = {
     "theorem1": (THEOREM1, "mixed"),
     "pairpolygon": (PAIRPOLYGON, "mixed"),
     "bipartitedimer": (BIPARTITEDIMER, "mixed"),
-    "corollary": (_corollary_checks, "order_only"),
+    "corollary": (COROLLARY, "order_only"),
     "magnetization": (None, None),
     "duality": (DUALITY, "mixed"),
     "boundary": (_boundary_checks, "none"),
@@ -374,24 +313,17 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def instance_reports(suite: str, inst: Instance, tol: float = 1e-9) -> list[IdentityReport]:
-    """The reports of one suite's checks on ``inst``, in order.  Every
-    declared edge gives its report, failed or not.  The right-hand sides
-    are read first: they hold the dimer sums, so a map without a G_Q
-    raises before any spin sum.  The dual instance that duality's edges
-    read is dropped after them, so it lives for one record.  Corollary and
-    boundary run their check functions."""
+    """The reports of one suite's checks on ``inst``, in order: every
+    declared edge's report, failed or not (see reports.edge_reports).  The
+    dual instance that duality's edges read is dropped after them, so it
+    lives for one record.  Boundary runs its check function."""
     checks = _SUITES.get(suite, (None,))[0]
     if checks is None:
         raise ValueError(f"suite {suite!r} does not take an explicit instance")
     if callable(checks):
         return checks(inst, tol)
     try:
-        rhs = [edge.rhs(inst) for edge in checks]
-        return [
-            compare(edge.name, edge.lhs(inst), r, tol=tol if edge.tol is None else edge.tol,
-                    sign=edge.sign, extra=edge.extra and edge.extra(inst))
-            for edge, r in zip(checks, rhs)
-        ]
+        return edge_reports(checks, inst, tol)
     finally:
         vars(inst).pop("dual", None)
 
@@ -404,7 +336,7 @@ def _instance_record(suite: str, inst: Instance, tol: float) -> dict:
 def _count_record(name: str, m: CombinatorialMap) -> dict:
     """The exact grouped-matching count of one graph (coupling-free)."""
     fields = {"suite": "bipartitedimer", "scope": "graph", "graph": name}
-    return _record(fields, lambda: matching_count_report(m))
+    return _record(fields, lambda: [matching_count_report(m)])
 
 
 def iter_suite(
@@ -422,8 +354,9 @@ def iter_suite(
     pairpolygon     [Z(Jbar)]^2 = C * (pair-polygon sum);
     bipartitedimer  bare pair-polygon sum = half the dimer sum, then the
                     exact grouped-matching count once per distinct graph;
-    corollary       squared multi-spin correlations (direct expectation)
-                    vs dimer ratios, then the two closed forms;
+    corollary       the order paths' endpoint spin average, direct and
+                    through the defects, and both squares vs the dimer
+                    ratio, then the two closed forms;
     duality         per-edge, modified and correlator-level coupling
                     duality between each map and its dual;
     boundary        Z_bc(G) = scalar * Z_free(G') by double enumeration

@@ -211,9 +211,10 @@ def test_verify_too_large_exits_2(tmp_path, capsys):
 
 
 def test_verify_a_bridged_map_exits_2_with_its_report(tmp_path, capsys):
-    """A 3-vertex path (two bridges) has no G_Q: the dimer suites record a
-    typed BridgeUnsupported error, the others run, and the exit code is
-    the input error's."""
+    """A 3-vertex path (two bridges) has no G_Q: the suites that read a
+    dimer sum (corollary too, which without defects checks 1 = 1 on each
+    edge) record a typed BridgeUnsupported error, the others run, and the
+    exit code is the input error's."""
     graph = tmp_path / "path3.json"
     graph.write_text(json.dumps({
         "vertices": [{"id": 0, "darts": [0, 2]}, {"id": 1, "darts": [1]},
@@ -222,12 +223,13 @@ def test_verify_a_bridged_map_exits_2_with_its_report(tmp_path, capsys):
     }))
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--graph", str(graph))
     assert code == 2
-    assert "bridge-free" in err and "Traceback" not in err
+    assert "error: 4 records carry an error entry (4 BridgeUnsupported)" in err
+    assert "Traceback" not in err
     records = json.loads(out)["records"]
     errors = [(r["suite"], r["error"].split(":")[0]) for r in records if "error" in r]
     assert errors == [("theorem1", "BridgeUnsupported")] + [
         ("bipartitedimer", "BridgeUnsupported")
-    ] * 2
+    ] * 2 + [("corollary", "BridgeUnsupported")]
     assert all(r["pass"] for r in records if "error" not in r)
 
 
@@ -351,6 +353,10 @@ def test_verify_out_file(tmp_path, capsys, c4_file):
 
 
 def test_verify_overflow_exits_1_with_report(tmp_path, capsys):
+    """grid_3_3 at J=400: every instance record carries an error entry (a
+    float overflow, a non-finite side or a dual coupling that underflows)
+    and no check entry fails, so verify writes its report and exits 2 with
+    one error line."""
     graph = tmp_path / "g33.json"
     assert run_cli(capsys, "builtin", "grid_3_3", "--out", str(graph))[0] == 0
     couplings = tmp_path / "j.json"
@@ -365,8 +371,12 @@ def test_verify_overflow_exits_1_with_report(tmp_path, capsys):
         capsys, "verify", "--suite", "all", "--graph", str(graph),
         "--couplings", str(couplings), "--defects", str(defects),
     )
-    assert code == 1
+    assert code == 2
     assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: 6 records carry an error entry"
+        " (1 CouplingUnderflow, 2 NonFiniteValue, 3 OverflowError)"
+    ]
 
     def reject(token):
         raise ValueError(f"non-finite JSON token {token}")
@@ -511,7 +521,8 @@ def test_verify_holds_no_record_it_has_encoded(tmp_path, capsys, monkeypatch):
         capsys, "verify", "--random", "6", "--out", str(out_path)
     )
     assert (code, out) == (2, "")
-    assert "6 records, 2 failed" in err and "1 records need a bridge-free map" in err
+    assert "6 records, 2 failed" in err
+    assert "1 records carry an error entry (1 BridgeUnsupported)" in err
     summary = json.loads(out_path.read_text())["summary"]
     assert summary == {"total": 6, "failed": 2, "failed_indices": [1, 4], "pass": False}
 

@@ -13,14 +13,15 @@ from bozon import (
     PathSpec,
     base_couplings,
     build_map,
-    dimer_correlation_ratio,
     instance_reports,
     magnetization_report,
-    spin_correlation,
+    spin_expectation,
     uniform_couplings,
     validate_defects,
 )
-from bozon.errors import EndpointMismatch
+from bozon.consequences import COROLLARY
+from bozon.instances import random_instances
+from bozon.reports import edge_reports
 
 from conftest import oracle_expectation, random_j
 
@@ -29,11 +30,20 @@ def single_edge_map():
     return build_map([[0], [1]], [(0, 1)])
 
 
+def correlation(m, j, *paths):
+    """The correlator of the order paths' instance, checked against the
+    direct spin average by the corollary's spin_correlation_vs_direct."""
+    inst = Instance(m, j, validate_defects(m, paths, ()))
+    (check,) = edge_reports(COROLLARY[1:2], inst)
+    assert check.name == "spin_correlation_vs_direct" and check.passed
+    return inst.correlator
+
+
 def test_single_edge_closed_form(rng):
     m = single_edge_map()
     jv = rng.uniform(0.1, 2.0)
     j = base_couplings([jv])
-    got = spin_correlation(m, j, (0, 1), (PathSpec((0, 1), (0,)),))
+    got = correlation(m, j, PathSpec((0, 1), (0,)))
     assert got == pytest.approx(math.tanh(jv), rel=1e-12)
 
 
@@ -42,15 +52,15 @@ def test_c4_adjacent_closed_form(maps, rng):
     jv = rng.uniform(0.1, 2.0)
     j = uniform_couplings(4, jv)
     t = math.tanh(jv)
-    got = spin_correlation(m, j, (0, 1), (PathSpec((0, 1), (0,)),))
+    got = correlation(m, j, PathSpec((0, 1), (0,)))
     assert got == pytest.approx((t + t**3) / (1 + t**4), rel=1e-12)
 
 
 def test_spin_correlation_path_independent(maps, rng):
     m = maps["c4"]
     j = base_couplings(random_j(rng, 4))
-    short = spin_correlation(m, j, (0, 1), (PathSpec((0, 1), (0,)),))
-    long = spin_correlation(m, j, (0, 1), (PathSpec((0, 1), (3, 2, 1)),))
+    short = correlation(m, j, PathSpec((0, 1), (0,)))
+    long = correlation(m, j, PathSpec((0, 1), (3, 2, 1)))
     assert short == pytest.approx(long, rel=1e-12)
 
 
@@ -61,31 +71,18 @@ def test_spin_correlation_matches_oracle(maps, rng):
     j = base_couplings(random_j(rng, m.edge_count))
     verts = (0, 5)
     spec = shortest_path(m, 0, 5)
-    got = spin_correlation(m, j, verts, (spec,))
+    got = correlation(m, j, spec)
     want = oracle_expectation(m, list(j.real), verts)
     assert got == pytest.approx(complex(want).real, rel=1e-11)
-
-
-def test_spin_correlation_rejects_odd_insertions(maps, rng):
-    m = maps["c4"]
-    j = base_couplings(random_j(rng, 4))
-    with pytest.raises(EndpointMismatch):
-        spin_correlation(m, j, (0,), (PathSpec((0, 1), (0,)),))
-
-
-def test_spin_correlation_rejects_unpaired_endpoints(maps, rng):
-    m = maps["c4"]
-    j = base_couplings(random_j(rng, 4))
-    with pytest.raises(EndpointMismatch):
-        spin_correlation(m, j, (0, 2), (PathSpec((0, 1), (0,)),))
 
 
 def test_squared_correlation_equals_dimer_ratio(maps, rng):
     m = maps["k3"]
     j = base_couplings(random_j(rng, 3))
     path = PathSpec((0, 1), (0,))
-    value = spin_correlation(m, j, (0, 1), (path,))
-    ratio, method = dimer_correlation_ratio(Instance(m, j, validate_defects(m, (path,), ())))
+    value = correlation(m, j, path)
+    inst = Instance(m, j, validate_defects(m, (path,), ()))
+    ratio, method = inst.dimer_ratio, inst.route
     want = oracle_expectation(m, list(j.real), (0, 1))
     assert value * value == pytest.approx(abs(want) ** 2, rel=1e-10)
     assert ratio == pytest.approx(value * value, rel=1e-9)
@@ -98,8 +95,8 @@ def test_dimer_ratio_method_switches_at_cap(maps, rng):
     d = DefectSet.from_edge_sets({0}, set())
     j_small = base_couplings(random_j(rng, 4))
     j_big = base_couplings(random_j(rng, 12))
-    _, method_small = dimer_correlation_ratio(Instance(small, j_small, d))
-    _, method_big = dimer_correlation_ratio(Instance(big, j_big, d))
+    method_small = Instance(small, j_small, d).route
+    method_big = Instance(big, j_big, d).route
     assert method_small == "brute"
     assert method_big == "determinant"  # 48 quad vertices exceed the brute cap
 
@@ -119,6 +116,18 @@ def test_spinor_correlation_c4(maps, rng):
     assert main.extra["gamma"] == 1
 
 
+@pytest.mark.parametrize("seed", (1, 2, 7))
+def test_direct_is_the_spin_expectation_bit_for_bit(seed):
+    """An instance's direct average divides the sweep with its order
+    paths' endpoint spins inserted by the kept Z(J): bit for bit the
+    spin_expectation of those spins, on the order-only streams."""
+    for inst in random_instances(100, seed, profile="order_only"):
+        ends = [v for p in inst.defects.order_paths for v in p.endpoints]
+        assert ends
+        want = spin_expectation(inst.map, inst.couplings, ends)
+        assert inst.direct.hex() == want.hex(), inst.index
+
+
 def test_magnetization_matches_oracle(maps, rng):
     m = maps["wheel_4"]
     j = base_couplings(random_j(rng, m.edge_count))
@@ -126,7 +135,7 @@ def test_magnetization_matches_oracle(maps, rng):
     rim = {v for t in m.faces[outer] for v in (m.dart_vertex[t],)}
     value, reports = magnetization_report(m, j, outer, 0)
     for r in reports:
-        r.require()
+        assert r.passed, r.name
     want = oracle_expectation(m, list(j.real), (0,), fixed={v: 1 for v in rim})
     assert value == pytest.approx(complex(want).real, rel=1e-10)
 
@@ -150,7 +159,7 @@ def test_magnetization_boundary_vertex_is_one(maps, rng):
     rim_vertex = m.dart_vertex[m.faces[outer][0]]
     value, reports = magnetization_report(m, j, outer, rim_vertex)
     for r in reports:
-        r.require()
+        assert r.passed, r.name
     assert value == 1.0
 
 
@@ -160,7 +169,7 @@ def test_magnetization_strong_coupling_saturates(maps):
     outer = max(range(m.face_count), key=lambda f: len(m.faces[f]))
     value, reports = magnetization_report(m, j, outer, 0)
     for r in reports:
-        r.require()
+        assert r.passed, r.name
     assert value == pytest.approx(1.0, abs=1e-3)
 
 

@@ -18,7 +18,6 @@ from bozon import (
     build_map,
     builtin,
     calibration_sign,
-    dimer_correlation_ratio,
     dimer_partition_function,
     dimer_Z_det,
     kasteleyn_orientation,
@@ -123,6 +122,21 @@ def test_nu_weights(maps, gqs, rng):
             assert w[k] == pytest.approx(math.tanh(2 * j.real[e]))
         else:
             assert w[k] == pytest.approx(1 / math.cosh(2 * j.real[e]))
+
+
+def test_sech_weights_past_cosh_overflow(maps, gqs):
+    """cosh(2J) overflows past 2J = 710.5, and sech(2J) = 2e^{-2J} there:
+    subnormal at 2J = 711 and 0 at 2J = 800, with the order edge's sign.
+    Below that the weight is 1/cosh(2J) as before."""
+    m, gq = maps["c4"], gqs["c4"]
+    d = DefectSet.from_edge_sets({0}, set())
+    for jv, want in ((355.5, 2 * math.exp(-711.0)), (400.0, 0.0), (300.0, 1 / math.cosh(600.0))):
+        w = nu_from_couplings(gq, modify_couplings(uniform_couplings(m.edge_count, jv), d))
+        for k in range(gq.edge_count):
+            if gq.edge_kind[k] == "dual_parallel":
+                sign = -1 if gq.edge_primal_edge[k] == 0 else 1
+                assert w[k] == sign * want, (jv, k)
+    assert 0.0 < 2 * math.exp(-711.0) < 2.3e-308
 
 
 def test_modified_weights_flip_signs(maps, gqs, rng):
@@ -433,7 +447,7 @@ ONE_DEFECT = (DefectSet.from_edge_sets({0}, ()), DefectSet.from_edge_sets((), {0
 
 
 def _reference_ratio(gq, j, d):
-    """dimer_correlation_ratio's value from two reference walks, the
+    """Instance.dimer_ratio's value from two reference walks, the
     denominator first."""
     zeros = (0,) * gq.edge_count
     z = reference_matching_sweep(gq, nu_from_couplings(gq, j), zeros).get(0, 0.0)
@@ -445,7 +459,7 @@ def _reference_ratio(gq, j, d):
 def test_brute_route_is_the_reference_walk_bit_for_bit(name, rng, monkeypatch):
     """dimer_partition_function's auto route sums each weight assignment
     by the matching sweep, bit for bit the reference walk's sum, and
-    dimer_correlation_ratio divides two such sums taken on that route.
+    Instance.dimer_ratio divides two such sums taken on that route.
     DIMER_CAP is raised so that every map takes the brute route."""
     monkeypatch.setattr(bozon.dimer, "DIMER_CAP", 48)
     m = builtin(name)
@@ -457,14 +471,15 @@ def test_brute_route_is_the_reference_walk_bit_for_bit(name, rng, monkeypatch):
         want = reference_matching_sweep(gq, w, zeros).get(0, 0.0)
         assert (z.hex(), route) == (float(want).hex(), "brute")
     for d in ONE_DEFECT:
-        ratio, route = dimer_correlation_ratio(Instance(m, j, d))
+        inst = Instance(m, j, d)
+        ratio, route = inst.dimer_ratio, inst.route
         assert (ratio.hex(), route) == (_reference_ratio(gq, j, d).hex(), "brute")
 
 
 @pytest.mark.parametrize("cap, raises", [(40, True), (200, False)])
 def test_brute_route_stops_where_the_reference_walk_does(cap, raises, rng, monkeypatch):
     """Under a lowered STATE_CAP the brute route of dimer_partition_function
-    and of dimer_correlation_ratio raises TooLarge with the reference
+    and of Instance.dimer_ratio raises TooLarge with the reference
     walk's message, or neither raises, also when G_Q's plan was built
     under the default cap.  grid_3_3's sweep at all-nonzero weights peaks
     at 50 states; weights with a zero walk under the lowered cap."""
@@ -482,7 +497,7 @@ def test_brute_route_stops_where_the_reference_walk_does(cap, raises, rng, monke
         assert got == want
         raised.append(isinstance(got, str))
     for d in ONE_DEFECT:
-        got = sweep_outcome(lambda: dimer_correlation_ratio(Instance(m, j, d))[:1])
+        got = sweep_outcome(lambda: [Instance(m, j, d).dimer_ratio])
         assert got == sweep_outcome(lambda: [_reference_ratio(gq, j, d)])
         raised.append(isinstance(got, str))
     assert any(raised) == raises

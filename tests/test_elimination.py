@@ -21,7 +21,6 @@ from bozon import (
     brute_force_dimer_Z,
     builtin,
     calibration_sign,
-    dimer_correlation_ratio,
     dimer_Z_det,
     graph_context,
     kasteleyn_orientation,
@@ -146,7 +145,7 @@ def test_singular_kasteleyn_matrix_raises(monkeypatch, rng):
     with pytest.raises(SingularMatrix, match="vanished"):
         instance_reports("theorem1", Instance(m, j, d))
     with pytest.raises(SingularMatrix, match="vanished"):
-        dimer_correlation_ratio(Instance(m, j, d))  # grid_2_3 takes the brute route
+        instance_reports("corollary", Instance(m, j, d))  # grid_2_3 takes the brute route
     assert numerators == [False, False]
 
 

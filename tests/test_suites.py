@@ -149,37 +149,49 @@ def test_gq_built_once_per_distinct_map(monkeypatch):
     assert len(set(built)) == len(built)
 
 
-def _doubled_ratio(real):
-    def doubled(*args):
-        ratio, method = real(*args)
-        return 2 * ratio, method
+def _declared_checks(rec):
+    """The check names a corollary or magnetization record carries, in
+    order: the corollary's declared edges on a stream instance; a closed
+    form, then the correlator against the direct average; and the
+    magnetization's two routes, each checked by the contracted instance's
+    direct average and dimer ratio."""
+    if rec["suite"] == "magnetization":
+        return ["magnetization_pair_reduction", "spin_correlation_vs_direct",
+                "magnetization_squared_vs_dimer", "squared_spin_vs_dimer_ratio"]
+    if rec["scope"] == "closed_form":
+        closed_form = {"single_edge": "closed_form_single_edge", "c4": "closed_form_c4_adjacent"}
+        return [closed_form[rec["graph"]], "spin_correlation_vs_direct"]
+    return [edge.name for edge in bozon.suites._SUITES["corollary"][0]]
 
-    return doubled
 
-
-def _doubled_value(real):
-    return lambda *args, **kwargs: 2 * real(*args, **kwargs)
+# The corollary and magnetization checks that read each instance value.
+_READERS = {
+    "direct": {"direct_squared_vs_dimer_ratio", "spin_correlation_vs_direct"},
+    "dimer_ratio": {
+        "direct_squared_vs_dimer_ratio",
+        "squared_spin_vs_dimer_ratio",
+        "magnetization_squared_vs_dimer",
+    },
+}
 
 
 @pytest.mark.parametrize("suite", ["corollary", "magnetization"])
-@pytest.mark.parametrize(
-    "patched, wrong, check",
-    [
-        ("dimer_correlation_ratio", _doubled_ratio, "squared_spin_vs_dimer_ratio"),
-        ("spin_expectation", _doubled_value, "spin_correlation_vs_direct"),
-    ],
-)
-def test_failed_spin_check_lands_in_the_record(monkeypatch, suite, patched, wrong, check):
-    """The spin sums the corollary and magnetization checks share are
-    still checked: a wrong dimer ratio or direct average fails the record
-    with the check that caught it."""
-    real = getattr(bozon.consequences, patched)
-    monkeypatch.setattr(bozon.consequences, patched, wrong(real))
+@pytest.mark.parametrize("value", ["direct", "dimer_ratio"])
+def test_failed_spin_check_lands_in_the_record(monkeypatch, suite, value):
+    """The direct spin average and the dimer ratio of an instance are each
+    read by recorded checks: with either doubled on every instance, each
+    record keeps all of its checks and fails exactly those that read it."""
+    real = vars(Instance)[value]
+    get = getattr(real, "func", None) or real.fget
+    monkeypatch.setattr(Instance, value, property(lambda inst: 2 * get(inst)))
     records = run_suite(suite, count=10, seed=1)
-    failed = [r for r in records if not r["pass"]]
-    assert failed
-    for r in failed:
-        assert [(c["name"], c["pass"]) for c in r["checks"]] == [(check, False)]
+    assert len(records) == (12 if suite == "corollary" else 10)
+    for r in records:
+        names = [c["name"] for c in r["checks"]]
+        assert names == _declared_checks(r), (r["scope"], r.get("index"))
+        failed = {c["name"] for c in r["checks"] if not c["pass"]}
+        assert failed == _READERS[value] & set(names), (r["scope"], r.get("index"))
+        assert r["pass"] == (not failed)
 
 
 def test_dual_built_once_per_distinct_map(monkeypatch):
@@ -210,7 +222,10 @@ MIXED_SUITES = ("theorem1", "pairpolygon", "bipartitedimer", "duality")
 def test_each_spin_sum_of_the_mixed_suites_is_swept_once(monkeypatch):
     """The mixed suites read Z(J), Z(Jbar) and the dual side's sums from
     their instances, so over two seeded streams no spin sum input (map,
-    couplings, fixed spins, observables) is swept twice."""
+    couplings, fixed spins, observables) is swept twice.  The corollary's
+    direct average divides by the kept Z(J), so no sum is swept twice
+    inside a corollary record.  (Its order-only stream draws a first
+    instance like the mixed stream's, whose Z(J) it sums again.)"""
     swept = Counter()
     real = bozon.ising._sweep
 
@@ -224,10 +239,16 @@ def test_each_spin_sum_of_the_mixed_suites_is_swept_once(monkeypatch):
         for seed in (1, 7):
             for suite in MIXED_SUITES:
                 run_suite(suite, 100, seed)
+        assert swept
+        assert sum(n - 1 for n in swept.values()) == 0
+        for seed in (1, 7):
+            swept.clear()
+            for rec in bozon.suites.iter_suite("corollary", 100, seed):
+                # closed_form_records sums both of its records before the first
+                assert sum(n - 1 for n in swept.values()) == 0, (seed, rec.get("index"))
+                swept.clear()
     finally:
         clear_caches()
-    assert swept
-    assert sum(n - 1 for n in swept.values()) == 0
 
 
 @pytest.mark.parametrize(
@@ -285,8 +306,10 @@ def test_a_failed_duality_record_keeps_all_three_checks(monkeypatch):
 def test_each_mixed_record_carries_its_suites_declared_checks():
     """Over seeds 1 and 7, every instance record of a mixed suite carries
     exactly the check names its suite declares, in the declared order, or
-    an error and no check.  Once the suites have run, no stream instance
-    holds its dual instance: the dual side lives for one duality record."""
+    an error and no check; so does every corollary and magnetization
+    record (see _declared_checks).  Once the suites have run, no stream
+    instance holds its dual instance: the dual side lives for one duality
+    record."""
     clear_caches()
     try:
         for seed in (1, 7):
@@ -298,6 +321,14 @@ def test_each_mixed_record_carries_its_suites_declared_checks():
                     names = [c["name"] for c in rec["checks"]]
                     assert names == declared or ("error" in rec and not names), (
                         suite, seed, rec["index"], names
+                    )
+            for suite, count in (("corollary", 102), ("magnetization", 50)):
+                records = run_suite(suite, 100, seed)
+                assert len(records) == count
+                for rec in records:
+                    names = [c["name"] for c in rec["checks"]]
+                    assert names == _declared_checks(rec) or ("error" in rec and not names), (
+                        suite, seed, rec.get("index"), names
                     )
             for inst in random_instances(100, seed):
                 kept = vars(inst)
@@ -459,6 +490,24 @@ def test_explicit_corollary_requires_order_only():
     )
     with pytest.raises(ValueError):
         run_explicit("corollary", inst)
+
+
+def test_explicit_corollary_without_defects_checks_one_on_each_side():
+    """Without an order path the corollary's three edges compare 1 with 1
+    (no spin inserted, Jbar = J): each side is exactly 1.0 on a bridge-free
+    map.  A bridged map has no dimer side, so its record carries a
+    BridgeUnsupported error entry."""
+    (rec,) = run_explicit("corollary", explicit_instance(builtin("c4"), uniform_couplings(4, 0.6)))
+    assert rec["pass"] and "error" not in rec
+    assert [c["name"] for c in rec["checks"]] == [
+        edge.name for edge in bozon.suites._SUITES["corollary"][0]
+    ]
+    assert all(c["lhs"] == c["rhs"] == 1.0 for c in rec["checks"])
+
+    path3 = build_map([[0, 2], [1], [3]], [(0, 1), (2, 3)])
+    (rec,) = run_explicit("corollary", explicit_instance(path3, uniform_couplings(2, 0.6)))
+    assert rec["pass"] is False and rec["checks"] == []
+    assert rec["error"].startswith("BridgeUnsupported:")
 
 
 def test_explicit_boundary_requires_a_clear_face():
