@@ -1,11 +1,13 @@
 """Reduction of plus, plus-free, and Dobrushin boundary conditions on a
 face to free-boundary models on a contracted map.
 
-All three reductions contract fixed-spin vertices into a single vertex by
-edge contraction, in one pass over the edge ids.  Every removed edge
-leaves the factor exp(J_e s_u s_v) of its frozen endpoint spins in the
-scalar prefactor, and fixing the one merged vertex versus leaving it free
-costs the global spin-flip factor 1/2, so
+All three reductions contract the fixed-spin vertices into a single
+vertex, read straight off the darts: a union-find over the removed edges
+decides which are contracted, and the merged vertex's rotation is sigma's
+first return past the removed darts.  Every removed edge leaves the
+factor exp(J_e s_u s_v) of its frozen endpoint spins in the scalar
+prefactor, and fixing the one merged vertex versus leaving it free costs
+the global spin-flip factor 1/2, so
 
     Z_bc(G, couplings) = scalar * Z_free(G', carried couplings).
 
@@ -13,9 +15,10 @@ The Dobrushin minus arc is handled by the gauge flip s -> -s at the merged
 minus vertex: couplings on its remaining edges are negated, which is
 exactly a disorder line through the fan of those edges.
 
-The surgery reads no coupling, so it runs once per map and sets of +1 and
--1 vertices, into a plan memoized for the run (``MAP_CACHE_SIZE`` plans).
-Each call replays its plan's removed edges, in order, on its couplings.
+The contraction reads no coupling, so it runs once per map and sets of +1
+and -1 vertices, into a plan memoized for the run (``MAP_CACHE_SIZE``
+plans).  Each call replays its plan's removed edges, in order, on its
+couplings.
 """
 
 from __future__ import annotations
@@ -41,94 +44,14 @@ class ReductionResult(NamedTuple):
     disorder_line: tuple[int, ...] = ()  # new edge ids of the appended line
 
 
-class _Surgeon:
-    """Mutable rotation-system editor: contraction, loop deletion, and the
-    record of removed edges.  It reads no coupling: a removal records the
-    edge and the sign its factor exp(J_e * sign) takes."""
-
-    def __init__(self, m: CombinatorialMap):
-        self.rotations = [list(r) for r in m.vertex_darts]
-        self.edge_darts = [tuple(p) for p in m.edge_darts]
-        self.dart_edge = list(m.dart_edge)
-        self.dart_vertex = list(m.dart_vertex)
-        self.alive_edge = [True] * m.edge_count
-        self.alive_vertex = [True] * m.vertex_count
-        self.rep = list(range(m.vertex_count))  # original id -> surviving id
-        self.sign = [1] * m.edge_count  # -1 on an edge the gauge flipped
-        self.removed: list[tuple[int, int]] = []  # (edge, sign), in order
-
-    def endpoints(self, e: int) -> tuple[int, int]:
-        d1, d2 = self.edge_darts[e]
-        return self.dart_vertex[d1], self.dart_vertex[d2]
-
-    def contract(self, e: int, spin_product: int) -> int:
-        """Contract non-loop edge e, merging its head into its tail; the
-        removed interaction contributes exp(J_e * spin_product)."""
-        d1, d2 = self.edge_darts[e]
-        u, v = self.dart_vertex[d1], self.dart_vertex[d2]
-        if u == v:
-            raise ValueError(f"edge {e} is already a loop")
-        self.removed.append((e, spin_product * self.sign[e]))
-        rot_u, rot_v = self.rotations[u], self.rotations[v]
-        i1, i2 = rot_u.index(d1), rot_v.index(d2)
-        seq_u = rot_u[i1 + 1 :] + rot_u[:i1]
-        seq_v = rot_v[i2 + 1 :] + rot_v[:i2]
-        self.rotations[u] = seq_u + seq_v
-        self.rotations[v] = []
-        for d in seq_v:
-            self.dart_vertex[d] = u
-        self.alive_edge[e] = False
-        self.alive_vertex[v] = False
-        for x, r in enumerate(self.rep):
-            if r == v:
-                self.rep[x] = u
-        return u
-
-    def absorb_loop(self, e: int, spin_product: int) -> None:
-        """Delete a loop edge whose endpoints are frozen; its interaction
-        is the constant exp(J_e * spin_product)."""
-        d1, d2 = self.edge_darts[e]
-        u = self.dart_vertex[d1]
-        self.removed.append((e, spin_product * self.sign[e]))
-        self.rotations[u] = [d for d in self.rotations[u] if d not in (d1, d2)]
-        self.alive_edge[e] = False
-
-    def negate_at(self, v: int) -> list[int]:
-        """Gauge flip: negate the sign of edges with exactly one endpoint
-        v; returns the negated (old) edge ids."""
-        touched = []
-        for e in range(len(self.alive_edge)):
-            if not self.alive_edge[e]:
-                continue
-            a, b = self.endpoints(e)
-            if (a == v) != (b == v):
-                self.sign[e] = -self.sign[e]
-                touched.append(e)
-        return touched
-
-    def finalize(self) -> tuple[CombinatorialMap, tuple, tuple, tuple]:
-        """Compact ids and rebuild a validated map; returns it with the
-        surviving old edge ids, the vertex map and the edge map."""
-        new_edges = [e for e in range(len(self.alive_edge)) if self.alive_edge[e]]
-        edge_map = [-1] * len(self.alive_edge)
-        dart_map: dict[int, int] = {}
-        edges_out = []
-        for k, e in enumerate(new_edges):
-            edge_map[e] = k
-            d1, d2 = self.edge_darts[e]
-            dart_map[d1] = 2 * k
-            dart_map[d2] = 2 * k + 1
-            edges_out.append((2 * k, 2 * k + 1))
-        new_vertices = [
-            v for v in range(len(self.alive_vertex)) if self.alive_vertex[v]
-        ]
-        vertex_index = {v: i for i, v in enumerate(new_vertices)}
-        rotations_out = [
-            [dart_map[d] for d in self.rotations[v]] for v in new_vertices
-        ]
-        m = build_map(rotations_out, edges_out)
-        vertex_map = tuple(vertex_index[self.rep[x]] for x in range(len(self.rep)))
-        return m, tuple(new_edges), vertex_map, tuple(edge_map)
+def clear_faces(m: CombinatorialMap, d: DefectSet) -> list[int]:
+    """Faces whose contraction keeps every defect edge: no order or
+    disorder-crossed edge has both endpoints on the face.  That rules out
+    the face's own edges and also chords, which contraction would turn
+    into loops."""
+    flagged = [set(m.edge_endpoints(e)) for e in d.gamma | d.gamma_star]
+    return [f for f in range(m.face_count)
+            if not any(ends <= set(m.face_vertices(f)) for ends in flagged)]
 
 
 def _check_defects_clear(edges: set[int], d: DefectSet) -> None:
@@ -152,56 +75,79 @@ def _remap_defects(
     return DefectSet.from_edge_sets(remap(d.gamma), remap(d.gamma_star) + list(line))
 
 
-def _contract_fixed(surgeon: _Surgeon, spin: dict[int, int]) -> int:
-    """Contract every edge joining two fixed vertices (the keys of
-    ``spin``, chords included), absorbing the loops that appear; each
-    removal records the product of its frozen endpoint spins.  The fixed
-    vertices must be connected through such edges; returns the one vertex
-    they merge into.  One pass in edge-id order suffices: a contraction
-    merges two fixed vertices into one of them, so it never changes whether
-    another edge joins two fixed vertices."""
-    for e in range(len(surgeon.alive_edge)):
-        if not surgeon.alive_edge[e]:
-            continue
-        u, v = surgeon.endpoints(e)
-        if u not in spin or v not in spin:
-            continue
-        s = spin[u] * spin[v]
-        if u == v:
-            surgeon.absorb_loop(e, s)
-        else:
-            surgeon.contract(e, s)
-    return surgeon.rep[min(spin)]
-
-
 @lru_cache(maxsize=MAP_CACHE_SIZE)
 def _plan(m: CombinatorialMap, plus: frozenset[int], minus: frozenset[int]) -> tuple:
-    """Contract the ``plus`` vertices (spin +1) into one vertex.  With a
-    non-empty ``minus`` arc, contract it too (junction edges join the two
-    arcs and are left for the cross-arc stage), gauge the minus vertex to
-    +1, so its couplings flip sign, and merge it across the junctions; the
-    surviving flipped edges keep base J and carry a disorder line across
-    that fan instead.  Returns the coupling-free part of the reduction: the
-    reduced map, the old id of each new edge, the vertex and edge maps, the
-    merged vertex, the removed (edge, sign of J_e) pairs in order, and the
+    """Contract the ``plus`` vertices (spin +1) and the ``minus`` vertices
+    (spin -1, gauged to +1, so their other couplings flip sign) into one
+    vertex, read off the darts.  The removed edges join two plus vertices,
+    then two minus vertices, then (sign -1: the gauge flip) a plus and a
+    minus vertex, each group by edge id.  A union-find over that order
+    contracts each edge between two parts, keeping the part at its first
+    dart, and absorbs the rest as loops.  The merged vertex's rotation is
+    sigma's first return past the removed darts (across a contracted edge
+    by sigma o alpha, past a loop by sigma), from the first dart of the
+    last contracted edge; every other vertex keeps its rotation.  The
+    surviving edges with an end in the minus arc keep base J and carry a
+    disorder line across that fan instead, unless they are every edge at
+    the merged vertex: a pure gauge of it (the line would be a closed dual
+    loop).  Returns the coupling-free part of the reduction: the reduced
+    map, the old id of each new edge, the vertex and edge maps, the merged
+    vertex, the removed (edge, sign of J_e) pairs in order, and the
     disorder line's new edge ids."""
-    surgeon = _Surgeon(m)
-    merged = _contract_fixed(surgeon, dict.fromkeys(plus, 1))
-    fan: list[int] = []
-    if minus:
-        v_minus = _contract_fixed(surgeon, dict.fromkeys(minus, -1))
-        flipped = surgeon.negate_at(v_minus)
-        merged = _contract_fixed(surgeon, {merged: 1, v_minus: 1})
-        fan = [e for e in flipped if surgeon.alive_edge[e]]
-        # a fan covering every edge at the merged vertex (the merge left no
-        # loop there) is a pure gauge of that vertex: drop it (the disorder
-        # line would be a closed dual loop)
-        if set(fan) >= {surgeon.dart_edge[t] for t in surgeon.rotations[merged]}:
-            fan = []
-    new_map, survivors, vertex_map, edge_map = surgeon.finalize()
-    line = tuple(sorted(edge_map[e] for e in fan))
-    return (new_map, survivors, vertex_map, edge_map, vertex_map[merged],
-            tuple(surgeon.removed), line)
+    ends = [m.edge_endpoints(e) for e in range(m.edge_count)]
+
+    def joining(a: frozenset[int], b: frozenset[int]) -> list[int]:
+        return [e for e, (u, v) in enumerate(ends) if u in a and v in b or u in b and v in a]
+
+    removed = [(e, 1) for e in joining(plus, plus) + joining(minus, minus)]
+    removed += [(e, -1) for e in joining(plus, minus)]
+    part = list(range(m.vertex_count))
+
+    def find(x: int) -> int:
+        while part[x] != x:
+            x = part[x]
+        return x
+
+    crossed: set[int] = set()  # the darts of contracted edges
+    for e, _sign in removed:
+        d1, d2 = m.edge_darts[e]
+        u, v = find(m.dart_vertex[d1]), find(m.dart_vertex[d2])
+        if u != v:
+            part[v] = u
+            crossed.update((d1, d2))
+            last = d1
+    gone = {d for e, _sign in removed for d in m.edge_darts[e]}
+    rotations = {v: [d for d in m.vertex_darts[v] if d not in gone]
+                 for v in range(m.vertex_count) if part[v] == v}
+    merged = find(min(plus))
+    kept = [e for e in range(m.edge_count) if gone.isdisjoint(m.edge_darts[e])]
+    fixed = plus | minus
+    touching = [e for e in kept if not fixed.isdisjoint(ends[e])]  # the merged vertex's edges
+    if crossed and touching:
+
+        def after(d: int) -> int:
+            d = m.sigma[d]
+            while d in gone:
+                d = m.sigma[m.alpha[d] if d in crossed else d]
+            return d
+
+        rotation = [after(last)]
+        while (d := after(rotation[-1])) != rotation[0]:
+            rotation.append(d)
+        rotations[merged] = rotation
+    fan = [e for e in touching if not minus.isdisjoint(ends[e])]
+    edge_map = [-1] * m.edge_count
+    dart_map = {}
+    for k, e in enumerate(kept):
+        edge_map[e] = k
+        d1, d2 = m.edge_darts[e]
+        dart_map[d1], dart_map[d2] = 2 * k, 2 * k + 1
+    index = {v: i for i, v in enumerate(rotations)}
+    new_map = build_map([[dart_map[d] for d in rot] for rot in rotations.values()],
+                        [(2 * k, 2 * k + 1) for k in range(len(kept))])
+    line = tuple(edge_map[e] for e in fan) if len(fan) < len(touching) else ()
+    return (new_map, tuple(kept), tuple(index[find(x)] for x in range(m.vertex_count)),
+            tuple(edge_map), index[merged], tuple(removed), line)
 
 
 def _replay(

@@ -17,6 +17,7 @@ import random
 from functools import cached_property, lru_cache
 from typing import Any, Sequence
 
+from .boundary import ReductionResult, clear_faces, reduce_dobrushin, reduce_plus, reduce_plus_free
 from .dimer import auto_route, dimer_partition_function, graph_context, nu_from_couplings
 from .errors import BozonError, IdentityViolation, SingularMatrix
 from .graphs import builtin
@@ -70,8 +71,9 @@ class Instance(Frozen):
     Without a defect edge Jbar is J, and each Jbar value is its J value,
     not summed again.  ``correlator`` = (-i)^{|Gamma|} Z(Jbar)/Z(J) and
     ``dimer_ratio`` = dimer_bar/dimer are read off the kept values.
-    ``dual`` is the dual instance; a suite record drops it once its checks
-    are made."""
+    ``dual`` is the dual instance and ``boundary`` the boundary suite's
+    seeded reductions with their sums; a suite record drops both once its
+    checks are made."""
 
     _fields = ("index", "graph_name", "map", "couplings", "defects", "seed")
 
@@ -181,6 +183,56 @@ class Instance(Frozen):
         else:
             dstar = DefectSet.from_edge_sets(d.gamma_star, d.gamma)
         return Instance(m.dual, dual_couplings(self.couplings), dstar)
+
+    @cached_property
+    def boundary(self) -> dict[str, tuple[complex, complex, dict[str, Any]]]:
+        """The boundary suite's seeded reductions, by check name, each as
+        (Z(Jbar) under its boundary condition, scalar * Z_free of the
+        reduced instance, its draws): plus on a face clear of defects, then
+        plus on an arc of that face, then, where the face's walk is a simple
+        cycle with a split whose minus arc touches no defect edge, Dobrushin
+        at that split.  An arc that fixes every vertex of the face reuses
+        the plus reduction and both of its sums."""
+        m, j, d = self.map, self.couplings, self.defects
+        rng = random.Random(f"{self.seed}-boundary-{self.index}")
+        faces = clear_faces(m, d)
+        face = faces[rng.randrange(len(faces))]
+        cycle = list(m.face_edges(face))
+        length = len(cycle)
+
+        def sides(res: ReductionResult, **draws: Any) -> tuple[complex, complex, dict[str, Any]]:
+            reduced = Instance(res.new_map, res.new_couplings, res.new_defects)
+            return (partition_function(m, self.jbar, fixed=res.fixed),
+                    res.scalar * reduced.zbar, {"face": face, **draws})
+
+        plus = sides(reduce_plus(m, j, d, face))
+        start = rng.randrange(length)
+        span = rng.randint(1, length)
+        arc = [cycle[(start + i) % length] for i in range(span)]
+        if {v for e in arc for v in m.edge_endpoints(e)} == set(m.face_vertices(face)):
+            plus_free = (plus[0], plus[1], {"face": face, "arc_edges": span})
+        else:
+            plus_free = sides(reduce_plus_free(m, j, d, arc, face), arc_edges=span)
+        out = {"reduce_plus": plus, "reduce_plus_free": plus_free}
+        walk = [m.dart_vertex[t] for t in m.faces[face]]
+        if len(set(walk)) < length or len(set(cycle)) < length:
+            return out  # the walk passes a cut vertex: no split into two arcs
+        a = rng.randrange(length)
+        b = (a + rng.randrange(1, length)) % length
+        a, b = min(a, b), max(a, b)
+        ends = {v for e in d.gamma | d.gamma_star for v in m.edge_endpoints(e)}
+        touched = [i for i, v in enumerate(walk) if v in ends]
+        if touched and not a < touched[0] <= touched[-1] <= b:
+            # the gauge flip would reclassify a defect edge at the drawn
+            # minus arc, walk positions b+1 .. a+length; every minus arc
+            # holds position 0, and (0, the last touched position) is the
+            # first clear split
+            if touched[0] == 0:
+                return out
+            a, b = 0, touched[-1]
+        res = reduce_dobrushin(m, j, d, face, (a, b))
+        out["reduce_dobrushin"] = sides(res, split=[a, b], disorder_line=len(res.disorder_line))
+        return out
 
     def provenance(self) -> dict[str, Any]:
         return {

@@ -95,24 +95,27 @@ class Edge(Frozen):
     """One identity a suite checks, lhs = rhs, declared over an instance's
     values (see instances.Instance): the two sides and the report's further
     fields as functions of the instance, the predicted sign the report
-    records, and a tolerance that replaces the run's.  A plain class, not a
-    NamedTuple, whose string annotations would cost every start-up about
-    0.3 ms to evaluate."""
+    records, a tolerance that replaces the run's, and a predicate that
+    says whether the identity applies to the instance at all.  A plain
+    class, not a NamedTuple, whose string annotations would cost every
+    start-up about 0.3 ms to evaluate."""
 
-    _fields = ("name", "lhs", "rhs", "sign", "extra", "tol")
+    _fields = ("name", "lhs", "rhs", "sign", "extra", "tol", "applies")
 
     def __init__(
         self, name: str, lhs: Callable[[Instance], complex], rhs: Callable[[Instance], complex],
         sign: int | None = None, extra: Callable[[Instance], dict[str, Any]] | None = None,
-        tol: float | None = None,
+        tol: float | None = None, applies: Callable[[Instance], bool] | None = None,
     ) -> None:
-        self.__dict__.update(name=name, lhs=lhs, rhs=rhs, sign=sign, extra=extra, tol=tol)
+        self.__dict__.update(name=name, lhs=lhs, rhs=rhs, sign=sign, extra=extra, tol=tol,
+                             applies=applies)
 
 
 def edge_reports(edges: Sequence[Edge], inst: Instance, tol: float = 1e-9) -> list[IdentityReport]:
-    """Every edge's report on ``inst``, in order, failed or not.  The
-    right-hand sides are read first: they hold the dimer sums, so a map
-    without a G_Q raises before any spin sum."""
+    """The report of every edge that applies to ``inst``, in order, failed
+    or not.  The right-hand sides are read first: they hold the dimer
+    sums, so a map without a G_Q raises before any spin sum."""
+    edges = [edge for edge in edges if edge.applies is None or edge.applies(inst)]
     rhs = [edge.rhs(inst) for edge in edges]
     return [
         compare(edge.name, edge.lhs(inst), r, tol=tol if edge.tol is None else edge.tol,

@@ -13,19 +13,13 @@ import math
 import random
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .boundary import reduce_dobrushin, reduce_plus, reduce_plus_free
+from .boundary import clear_faces
 from .consequences import COROLLARY, magnetization_report
 from .dimer import matching_count_report
 from .errors import BozonError, TooLarge
 from .graphs import builtin
 from .instances import Instance, random_instances
-from .ising import (
-    CouplingAssignment,
-    base_couplings,
-    modify_couplings,
-    partition_function,
-    uniform_couplings,
-)
+from .ising import CouplingAssignment, base_couplings, uniform_couplings
 from .planar_map import (
     CombinatorialMap,
     DefectSet,
@@ -34,7 +28,7 @@ from .planar_map import (
     validate_defects,
 )
 from .polygon import polygon_weights
-from .reports import Edge, IdentityReport, compare, edge_reports
+from .reports import Edge, IdentityReport, edge_reports
 from .serialize import couplings_to_dict
 
 DEFAULT_COUNT = 100
@@ -143,104 +137,22 @@ DUALITY = (
 )
 
 
-def _clear_faces(m: CombinatorialMap, d: DefectSet) -> list[int]:
-    """Faces whose contraction keeps every defect edge: no order or
-    disorder-crossed edge has both endpoints on the face.  That rules out
-    the face's own edges and also chords, which contraction would turn
-    into loops."""
-    flagged = [set(m.edge_endpoints(e)) for e in d.gamma | d.gamma_star]
-    faces = []
-    for f in range(m.face_count):
-        on_face = set(m.face_vertices(f))
-        if not any(ends <= on_face for ends in flagged):
-            faces.append(f)
-    return faces
+def _reduction_edge(name: str) -> Edge:
+    """Z(Jbar) under one of the instance's seeded boundary conditions
+    against scalar * Z_free of its reduction (see Instance.boundary); an
+    edge whose reduction was not drawn gives no report."""
+    return Edge(name, lambda i: i.boundary[name][0], lambda i: i.boundary[name][1],
+                extra=lambda i: i.boundary[name][2], applies=lambda i: name in i.boundary)
 
 
-def _boundary_checks(inst: Instance, tol: float) -> list[IdentityReport]:
-    m, j, d = inst.map, inst.couplings, inst.defects
-    rng = random.Random(f"{inst.seed}-boundary-{inst.index}")
-    faces = _clear_faces(m, d)
-    face = faces[rng.randrange(len(faces))]
-    cycle = list(m.face_edges(face))
-    length = len(cycle)
-
-    def sides(res) -> tuple[complex, complex]:
-        """Z(G) under the reduction's boundary condition, and
-        scalar * Z_free(G')."""
-        jj = modify_couplings(res.new_couplings, res.new_defects)
-        return (
-            partition_function(m, inst.jbar, fixed=res.fixed),
-            res.scalar * partition_function(res.new_map, jj),
-        )
-
-    plus = sides(reduce_plus(m, j, d, face))
-    reports = [compare("reduce_plus", *plus, tol=tol, extra={"face": face})]
-
-    start = rng.randrange(length)
-    span = rng.randint(1, length)
-    arc = [cycle[(start + i) % length] for i in range(span)]
-    if {v for e in arc for v in m.edge_endpoints(e)} == set(m.face_vertices(face)):
-        # the arc fixes every vertex of the face, as reduce_plus does: the
-        # same reduction plan on the same couplings, so the same sums
-        plus_free = plus
-    else:
-        plus_free = sides(reduce_plus_free(m, j, d, arc, face))
-    reports.append(
-        compare("reduce_plus_free", *plus_free, tol=tol,
-                extra={"face": face, "arc_edges": span})
-    )
-
-    walk = [m.dart_vertex[t] for t in m.faces[face]]
-    if len(set(walk)) < length or len(set(cycle)) < length:
-        # the walk passes a cut vertex, so the face has no split into
-        # two arcs; the two checks above stand on their own
-        return reports
-    a = rng.randrange(length)
-    b = (a + rng.randrange(1, length)) % length
-    a, b = min(a, b), max(a, b)
-    flagged = d.gamma | d.gamma_star
-    defect_touch = {v for e in flagged for v in m.edge_endpoints(e)}
-
-    def minus_clear(x: int, y: int) -> bool:
-        minus = {walk[i % length] for i in range(y + 1, x + length + 1)}
-        return not (minus & defect_touch)
-
-    if defect_touch and not minus_clear(a, b):
-        found = next(
-            (
-                (x, y)
-                for x in range(length - 1)
-                for y in range(x + 1, length)
-                if minus_clear(x, y)
-            ),
-            None,
-        )
-        if found is None:
-            # the gauge flip would reclassify a defect edge from every
-            # possible minus arc; the two checks above stand on their own
-            return reports
-        a, b = found
-    res = reduce_dobrushin(m, j, d, face, (a, b))
-    reports.append(
-        compare(
-            "reduce_dobrushin",
-            *sides(res),
-            tol=tol,
-            extra={
-                "face": face,
-                "split": [a, b],
-                "disorder_line": len(res.disorder_line),
-            },
-        )
-    )
-    return reports
+BOUNDARY = tuple(map(_reduction_edge, ("reduce_plus", "reduce_plus_free", "reduce_dobrushin")))
 
 
-def closed_form_records(seed: int, tol: float = 1e-9) -> list[dict]:
+def closed_form_records(seed: int, tol: float = 1e-9) -> Iterator[dict]:
     """tanh(J) on a single edge and (t + t^3)/(1 + t^4) on adjacent C4
     vertices, each the correlator of an order path on edge 0 from vertex 0
-    to 1, which is also checked against the direct spin average."""
+    to 1, which is also checked against the direct spin average; each
+    record is built when it is asked for."""
     rng = random.Random(f"{seed}-closed-forms")
 
     def record(graph: str, m: CombinatorialMap, j: CouplingAssignment,
@@ -256,13 +168,12 @@ def closed_form_records(seed: int, tol: float = 1e-9) -> list[dict]:
         return _record(fields, lambda: edge_reports(edges, inst, tol))
 
     j_edge = rng.uniform(0.1, 2.0)
-    rec1 = record("single_edge", build_map([[0], [1]], [(0, 1)]), base_couplings([j_edge]),
-                  "closed_form_single_edge", math.tanh(j_edge))
+    yield record("single_edge", build_map([[0], [1]], [(0, 1)]), base_couplings([j_edge]),
+                 "closed_form_single_edge", math.tanh(j_edge))
     j_c4 = rng.uniform(0.1, 2.0)
     t = math.tanh(j_c4)
-    rec2 = record("c4", builtin("c4"), uniform_couplings(4, j_c4),
-                  "closed_form_c4_adjacent", (t + t**3) / (1 + t**4))
-    return [rec1, rec2]
+    yield record("c4", builtin("c4"), uniform_couplings(4, j_c4),
+                 "closed_form_c4_adjacent", (t + t**3) / (1 + t**4))
 
 
 _MAGNETIZATION_SITES = (
@@ -295,37 +206,51 @@ def _magnetization_records(count: int, seed: int, tol: float) -> Iterator[dict]:
         yield _record(fields, lambda: magnetization_report(m, j, face, u, tol=tol)[1])
 
 
-# Each suite's per-instance checks, its declared edges or (boundary) a
-# check function, and the defect profile of its seeded stream, in the
-# order "all" runs them.  Magnetization draws its own sites, so it has
-# neither.
-_SUITES: dict[str, tuple[tuple[Edge, ...] | Callable[[Instance, float], list[IdentityReport]]
-                         | None, str | None]] = {
+# Each suite's declared edges and the defect profile of its seeded stream,
+# in the order "all" runs them.  Magnetization draws its own sites, so it
+# has neither.
+_SUITES: dict[str, tuple[tuple[Edge, ...] | None, str | None]] = {
     "theorem1": (THEOREM1, "mixed"),
     "pairpolygon": (PAIRPOLYGON, "mixed"),
     "bipartitedimer": (BIPARTITEDIMER, "mixed"),
     "corollary": (COROLLARY, "order_only"),
     "magnetization": (None, None),
     "duality": (DUALITY, "mixed"),
-    "boundary": (_boundary_checks, "none"),
+    "boundary": (BOUNDARY, "none"),
 }
 SUITE_NAMES = tuple(_SUITES)
 
 
+def _refusal(suite: str, inst: Instance) -> str | None:
+    """Why ``suite`` does not apply to ``inst``, or None when it does.
+    Magnetization takes no instance (it needs a boundary face and a bulk
+    vertex, which an instance does not name); the corollary's identities
+    hold for order-only defects, and boundary needs a face clear of
+    defects."""
+    if _SUITES.get(suite, (None,))[0] is None:
+        return f"suite {suite!r} does not take an explicit instance"
+    if suite == "corollary" and inst.defects.gamma_star:
+        return "corollary suite needs order-only defects"
+    if suite == "boundary" and not clear_faces(inst.map, inst.defects):
+        return "boundary suite needs a face clear of defects"
+    return None
+
+
 def instance_reports(suite: str, inst: Instance, tol: float = 1e-9) -> list[IdentityReport]:
     """The reports of one suite's checks on ``inst``, in order: every
-    declared edge's report, failed or not (see reports.edge_reports).  The
-    dual instance that duality's edges read is dropped after them, so it
-    lives for one record.  Boundary runs its check function."""
-    checks = _SUITES.get(suite, (None,))[0]
-    if checks is None:
-        raise ValueError(f"suite {suite!r} does not take an explicit instance")
-    if callable(checks):
-        return checks(inst, tol)
+    declared edge's report, failed or not (see reports.edge_reports).  A
+    suite that does not apply raises ValueError with the reason (see
+    _refusal).  The dual instance that duality's edges read, and the
+    boundary reductions, are dropped after them, so they live for one
+    record."""
+    reason = _refusal(suite, inst)
+    if reason is not None:
+        raise ValueError(reason)
     try:
-        return edge_reports(checks, inst, tol)
+        return edge_reports(_SUITES[suite][0], inst, tol)
     finally:
         vars(inst).pop("dual", None)
+        vars(inst).pop("boundary", None)
 
 
 def _instance_record(suite: str, inst: Instance, tol: float) -> dict:
@@ -413,28 +338,12 @@ def explicit_instance(
 
 
 def run_explicit(name: str, inst: Instance, tol: float = 1e-9) -> list[dict]:
-    """Run one suite's checks on a single explicit instance.
-
-    The magnetization suite has no single-instance form (it needs a
-    boundary face and a bulk vertex, which an instance does not name).  The
-    boundary suite needs a face clear of defects, and the corollary suite
-    order-only defects: each raises ValueError without, and "all" skips it.
-    """
+    """Run one suite's checks on a single explicit instance.  A suite that
+    does not apply raises ValueError with the reason (see _refusal), and
+    "all" skips it."""
     if name == "all":
-        records = []
-        skip = {"magnetization"}
-        if not _clear_faces(inst.map, inst.defects):
-            skip.add("boundary")
-        if inst.defects.disorder_paths:
-            skip.add("corollary")
-        for n in SUITE_NAMES:
-            if n not in skip:
-                records.extend(run_explicit(n, inst, tol=tol))
-        return records
-    if name == "corollary" and inst.defects.disorder_paths:
-        raise ValueError("corollary suite needs order-only defects")
-    if name == "boundary" and not _clear_faces(inst.map, inst.defects):
-        raise ValueError("boundary suite needs a face clear of defects")
+        return [rec for n in SUITE_NAMES if _refusal(n, inst) is None
+                for rec in run_explicit(n, inst, tol=tol)]
     records = [_instance_record(name, inst, tol)]
     if name == "bipartitedimer":
         records.append(_count_record(inst.graph_name, inst.map))

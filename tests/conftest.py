@@ -446,26 +446,123 @@ def free_fermion_residual(w, e):
     return abs(w.primal[e] ** 2 + w.dual[e] ** 2 - 1.0)
 
 
-def rescanning_contract_fixed(surgeon, spin):
-    """Reference for ``boundary._contract_fixed``: after each contraction,
-    rescan every edge from id 0 for one that joins two fixed vertices."""
-    while True:
-        candidate = None
-        for e in range(len(surgeon.alive_edge)):
-            if not surgeon.alive_edge[e]:
-                continue
-            u, v = surgeon.endpoints(e)
-            if u in spin and v in spin:
-                candidate = e
-                break
-        if candidate is None:
-            return surgeon.rep[min(spin)]
-        u, v = surgeon.endpoints(candidate)
-        s = spin[u] * spin[v]
-        if u == v:
-            surgeon.absorb_loop(candidate, s)
-        else:
-            surgeon.contract(candidate, s)
+class Surgeon:
+    """Mutable rotation-system editor for ``reference_plan``: contraction,
+    loop deletion and the record of removed edges, each edit made on the
+    rotation lists.  It reads no coupling: a removal records the edge and
+    the sign its factor exp(J_e * sign) takes."""
+
+    def __init__(self, m):
+        self.rotations = [list(r) for r in m.vertex_darts]
+        self.edge_darts = [tuple(p) for p in m.edge_darts]
+        self.dart_edge = list(m.dart_edge)
+        self.dart_vertex = list(m.dart_vertex)
+        self.alive_edge = [True] * m.edge_count
+        self.alive_vertex = [True] * m.vertex_count
+        self.rep = list(range(m.vertex_count))  # original id -> surviving id
+        self.sign = [1] * m.edge_count  # -1 on an edge the gauge flipped
+        self.removed = []  # (edge, sign), in order
+
+    def endpoints(self, e):
+        d1, d2 = self.edge_darts[e]
+        return self.dart_vertex[d1], self.dart_vertex[d2]
+
+    def contract(self, e, spin_product):
+        """Contract non-loop edge e, merging its head into its tail."""
+        d1, d2 = self.edge_darts[e]
+        u, v = self.dart_vertex[d1], self.dart_vertex[d2]
+        assert u != v, f"edge {e} is already a loop"
+        self.removed.append((e, spin_product * self.sign[e]))
+        rot_u, rot_v = self.rotations[u], self.rotations[v]
+        i1, i2 = rot_u.index(d1), rot_v.index(d2)
+        seq_u = rot_u[i1 + 1:] + rot_u[:i1]
+        seq_v = rot_v[i2 + 1:] + rot_v[:i2]
+        self.rotations[u] = seq_u + seq_v
+        self.rotations[v] = []
+        for d in seq_v:
+            self.dart_vertex[d] = u
+        self.alive_edge[e] = False
+        self.alive_vertex[v] = False
+        for x, r in enumerate(self.rep):
+            if r == v:
+                self.rep[x] = u
+
+    def absorb_loop(self, e, spin_product):
+        """Delete a loop edge whose endpoints are frozen."""
+        d1, d2 = self.edge_darts[e]
+        u = self.dart_vertex[d1]
+        self.removed.append((e, spin_product * self.sign[e]))
+        self.rotations[u] = [d for d in self.rotations[u] if d not in (d1, d2)]
+        self.alive_edge[e] = False
+
+    def negate_at(self, v):
+        """Gauge flip: negate the sign of the live edges with exactly one
+        endpoint v; returns them."""
+        touched = []
+        for e in range(len(self.alive_edge)):
+            if self.alive_edge[e]:
+                a, b = self.endpoints(e)
+                if (a == v) != (b == v):
+                    self.sign[e] = -self.sign[e]
+                    touched.append(e)
+        return touched
+
+    def contract_fixed(self, spin):
+        """Contract every edge joining two fixed vertices (the keys of
+        ``spin``), absorbing the loops that appear: after each removal,
+        rescan every edge from id 0 for the next.  Returns the vertex the
+        fixed vertices merge into."""
+        while True:
+            candidate = None
+            for e in range(len(self.alive_edge)):
+                if self.alive_edge[e]:
+                    u, v = self.endpoints(e)
+                    if u in spin and v in spin:
+                        candidate = e
+                        break
+            if candidate is None:
+                return self.rep[min(spin)]
+            u, v = self.endpoints(candidate)
+            if u == v:
+                self.absorb_loop(candidate, spin[u] * spin[v])
+            else:
+                self.contract(candidate, spin[u] * spin[v])
+
+
+def reference_plan(m, plus, minus):
+    """Reference for ``boundary._plan``: the contraction surgery on the
+    rotation lists.  Contract the plus vertices; with a minus arc,
+    contract it too, gauge-flip its merged vertex, merge the two across
+    the junction edges and keep the flipped survivors as the fan, dropped
+    when it is every edge at the merged vertex.  Then compact the ids and
+    build the reduced map."""
+    surgeon = Surgeon(m)
+    merged = surgeon.contract_fixed(dict.fromkeys(plus, 1))
+    fan = []
+    if minus:
+        v_minus = surgeon.contract_fixed(dict.fromkeys(minus, -1))
+        flipped = surgeon.negate_at(v_minus)
+        merged = surgeon.contract_fixed({merged: 1, v_minus: 1})
+        fan = [e for e in flipped if surgeon.alive_edge[e]]
+        if set(fan) >= {surgeon.dart_edge[t] for t in surgeon.rotations[merged]}:
+            fan = []
+    new_edges = [e for e in range(m.edge_count) if surgeon.alive_edge[e]]
+    edge_map = [-1] * m.edge_count
+    dart_map = {}
+    for k, e in enumerate(new_edges):
+        edge_map[e] = k
+        d1, d2 = surgeon.edge_darts[e]
+        dart_map[d1], dart_map[d2] = 2 * k, 2 * k + 1
+    new_vertices = [v for v in range(m.vertex_count) if surgeon.alive_vertex[v]]
+    index = {v: i for i, v in enumerate(new_vertices)}
+    new_map = bozon.planar_map.build_map(
+        [[dart_map[d] for d in surgeon.rotations[v]] for v in new_vertices],
+        [(2 * k, 2 * k + 1) for k in range(len(new_edges))],
+    )
+    vertex_map = tuple(index[surgeon.rep[x]] for x in range(m.vertex_count))
+    line = tuple(sorted(edge_map[e] for e in fan))
+    return (new_map, tuple(new_edges), vertex_map, tuple(edge_map), vertex_map[merged],
+            tuple(surgeon.removed), line)
 
 
 def clear_caches():

@@ -36,7 +36,7 @@ from conftest import (
     modified_values,
     oracle_partition,
     random_j,
-    rescanning_contract_fixed,
+    reference_plan,
 )
 
 
@@ -248,27 +248,48 @@ def _outcome(thunk):
 ORACLE_MAPS = (*FAMILY, "wheel_8", "grid_3_4")
 
 
-@pytest.mark.parametrize("name", ORACLE_MAPS)
-def test_one_pass_contraction_matches_rescanning_reference(name, rng, monkeypatch):
-    m = builtin(name)
+# Maps whose faces are not simple cycles or whose reductions leave little:
+# a triangle with a pendant path (its outer walk passes two bridges
+# twice), two triangles meeting at a cut vertex, two and three parallel
+# edges, and a path whose one face covers every vertex.
+DEGENERATE_MAPS = {
+    "pendant_triangle": ([[0, 5, 6], [1, 2], [3, 4], [7, 8], [9]], 5),
+    "bowtie": ([[0, 5, 6, 11], [1, 2], [3, 4], [7, 8], [9, 10]], 6),
+    "digon": ([[0, 2], [1, 3]], 2),
+    "theta": ([[0, 2, 4], [5, 3, 1]], 3),
+    "path_3": ([[0, 2], [1], [3]], 2),
+}
+
+
+def _plan_test_map(name):
+    if name in DEGENERATE_MAPS:
+        rotations, edges = DEGENERATE_MAPS[name]
+        return build_map(rotations, [(2 * e, 2 * e + 1) for e in range(edges)])
+    return builtin(name)
+
+
+@pytest.mark.parametrize("name", (*ORACLE_MAPS, *DEGENERATE_MAPS))
+def test_plans_read_off_the_darts_match_the_surgery_reference(name, rng):
+    """Every reduction of every face, arc and split equals the replay of
+    the reference surgery's plan for its fixed spins, field for field:
+    the reduced map's rotation lists and the scalar's bits included."""
+    m = _plan_test_map(name)
     j = base_couplings(random_j(rng, m.edge_count))
-    cases = list(_reductions(m, j))
-    fast = [_outcome(thunk) for _label, thunk in cases]
-    # the reference pass builds its own plans, not the memo's, and leaves
-    # none of them behind
-    bozon.boundary._plan.cache_clear()
-    monkeypatch.setattr(bozon.boundary, "_contract_fixed", rescanning_contract_fixed)
-    try:
-        for (label, thunk), got in zip(cases, fast):
-            want = _outcome(thunk)
-            if isinstance(want, ReductionResult):
-                assert got.new_map == want.new_map, label
-                assert got.scalar == want.scalar, label
-                assert got.vertex_map == want.vertex_map, label
-                assert got.edge_map == want.edge_map, label
-            assert got == want, label
-    finally:
-        bozon.boundary._plan.cache_clear()
+    reduced = 0
+    for label, thunk in _reductions(m, j):
+        res = _outcome(thunk)
+        if not isinstance(res, ReductionResult):
+            continue  # the walk repeats a vertex, so the split is refused
+        plus = frozenset(v for v, s in res.fixed.items() if s > 0)
+        minus = frozenset(v for v, s in res.fixed.items() if s < 0)
+        plan = reference_plan(m, plus, minus)
+        assert bozon.boundary._plan.__wrapped__(m, plus, minus) == plan, label
+        want = bozon.boundary._replay(plan, j, DefectSet.empty(), res.fixed)
+        assert res.new_map.vertex_darts == want.new_map.vertex_darts, label
+        assert res.scalar.hex() == want.scalar.hex(), label
+        assert res == want, label
+        reduced += 1
+    assert reduced
 
 
 def _signature(thunk):

@@ -26,6 +26,7 @@ from bozon import (
     canonical_json,
     couplings_from_dict,
     explicit_instance,
+    instance_reports,
     run_explicit,
     run_suite,
     suite_summary,
@@ -224,8 +225,14 @@ def test_each_spin_sum_of_the_mixed_suites_is_swept_once(monkeypatch):
     their instances, so over two seeded streams no spin sum input (map,
     couplings, fixed spins, observables) is swept twice.  The corollary's
     direct average divides by the kept Z(J), so no sum is swept twice
-    inside a corollary record.  (Its order-only stream draws a first
-    instance like the mixed stream's, whose Z(J) it sums again.)"""
+    inside a corollary record, and each closed-form record sweeps its own
+    sums when it is asked for.  (The order-only stream draws a first
+    instance like the mixed stream's, whose Z(J) it sums again.)  Inside a
+    boundary record no fixed-spin sum is swept twice: a plus-free arc that
+    fixes every vertex of the face reuses the plus reduction and both of
+    its sums.  A free sum is swept again only by a Dobrushin reduction
+    that draws no disorder line, which leaves the plus reduction's map and
+    couplings."""
     swept = Counter()
     real = bozon.ising._sweep
 
@@ -244,9 +251,18 @@ def test_each_spin_sum_of_the_mixed_suites_is_swept_once(monkeypatch):
         for seed in (1, 7):
             swept.clear()
             for rec in bozon.suites.iter_suite("corollary", 100, seed):
-                # closed_form_records sums both of its records before the first
+                assert swept, (seed, rec["scope"], rec.get("index"))
                 assert sum(n - 1 for n in swept.values()) == 0, (seed, rec.get("index"))
                 swept.clear()
+            reused = 0
+            for rec in bozon.suites.iter_suite("boundary", 100, seed):
+                plus, plus_free, *dobrushin = rec["checks"]
+                for (_m, _j, _flags, fixed, _obs), n in swept.items():
+                    assert n == 1 or (n == 2 and not fixed and dobrushin
+                                      and dobrushin[0]["disorder_line"] == 0), (seed, rec["index"])
+                reused += (plus_free["lhs"], plus_free["rhs"]) == (plus["lhs"], plus["rhs"])
+                swept.clear()
+            assert reused > 40, seed
     finally:
         clear_caches()
 
@@ -307,9 +323,10 @@ def test_each_mixed_record_carries_its_suites_declared_checks():
     """Over seeds 1 and 7, every instance record of a mixed suite carries
     exactly the check names its suite declares, in the declared order, or
     an error and no check; so does every corollary and magnetization
-    record (see _declared_checks).  Once the suites have run, no stream
-    instance holds its dual instance: the dual side lives for one duality
-    record."""
+    record (see _declared_checks), and every boundary record, less the
+    Dobrushin check where no split of its face applies.  Once the suites
+    have run, no stream instance holds its dual instance: the dual side
+    lives for one duality record."""
     clear_caches()
     try:
         for seed in (1, 7):
@@ -322,6 +339,11 @@ def test_each_mixed_record_carries_its_suites_declared_checks():
                     assert names == declared or ("error" in rec and not names), (
                         suite, seed, rec["index"], names
                     )
+            declared = [edge.name for edge in bozon.suites.BOUNDARY]
+            for rec in run_suite("boundary", 100, seed):
+                names = [c["name"] for c in rec["checks"]]
+                # the Dobrushin edge applies where the face has a clear split
+                assert names in (declared, declared[:2]), (seed, rec["index"], names)
             for suite, count in (("corollary", 102), ("magnetization", 50)):
                 records = run_suite(suite, 100, seed)
                 assert len(records) == count
@@ -361,7 +383,7 @@ def test_tight_tolerance_yields_failed_records():
 
 
 def test_closed_form_records_present():
-    records = closed_form_records(seed=1)
+    records = list(closed_form_records(seed=1))
     assert [r["graph"] for r in records] == ["single_edge", "c4"]
     assert all(r["pass"] for r in records)
 
@@ -524,6 +546,27 @@ def test_explicit_boundary_requires_a_clear_face():
     for inst in (c4, chord):
         with pytest.raises(ValueError, match="face clear of defects"):
             run_explicit("boundary", inst)
+
+
+def test_instance_reports_refuses_what_run_explicit_refuses():
+    """instance_reports refuses a suite that does not apply, with the
+    reason run_explicit gives: the corollary on an instance with a
+    disorder path (whose identities would read as false failures), and
+    boundary without a face clear of defects (instead of failing on an
+    empty face draw)."""
+    mixed = [inst for inst in random_instances(20, 1) if inst.defects.gamma_star]
+    assert mixed
+    for inst in mixed:
+        with pytest.raises(ValueError, match="corollary suite needs order-only defects"):
+            instance_reports("corollary", inst)
+    c4 = explicit_instance(builtin("c4"), uniform_couplings(4, 0.6),
+                           order_paths=(PathSpec((0, 1), (0,)),), name="c4")
+    with pytest.raises(ValueError, match="boundary suite needs a face clear of defects"):
+        instance_reports("boundary", c4)
+    suites = [rec["suite"] for rec in run_explicit("all", c4)]
+    assert "boundary" not in suites and "corollary" in suites
+    suites = [rec["suite"] for rec in run_explicit("all", mixed[0])]
+    assert "corollary" not in suites and "theorem1" in suites
 
 
 def test_explicit_magnetization_rejected():
