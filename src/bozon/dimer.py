@@ -38,19 +38,21 @@ is at least PIVOT_THRESHOLD times the column's largest, which bounds
 growth while keeping fill low.  The package needs no numerical library.
 
 Nothing about G_Q depends on the couplings, so graph_context memoizes one
-G_Q per map, and G_Q owns what is built from it: its sweep order, matching
-plan, leg tables, Kasteleyn layout, orientation and calibration sign
+G_Q per map, and G_Q owns what is built from it: its sweep order, leg
+tables, Kasteleyn layout, orientation and calibration sign
 (``gq.orientation``, ``gq.sign``).  auto_route is the one place that
 picks a route.  The map's dual is memoized on the map itself
 (``m.dual``).
 
-The matching sweep's states depend only on G_Q and on which weights are
-zero (those edges are skipped).  For weights with no zero its arithmetic
-is recorded once into a polygon.SweepPlan kept on G_Q
-(``gq.matching_plan``), and each sum replays it, bit for bit; a plan of
-more than STATE_CAP ints is not kept.  Weights with a zero and the
-grouped count's toggled sweep are used once, so they walk.  G_Q's sweep
-order and orientation read its darts, so G_Q's map keeps no adjacency.
+The matching sweep is polygon's frontier walk: at each vertex a state
+with the vertex's bit set drops it, and any other state matches it to a
+free later neighbour.  Its states depend only on G_Q and on which weights
+are zero (those edges are skipped).  The first sum with no zero weight
+records its plan, kept on G_Q's map (``gq.map.sweep_plans``), and later
+such sums replay it, bit for bit; a plan of more than STATE_CAP ints is
+not kept.  Weights with a zero and the grouped count's toggled sweep are
+used once, so they walk.  G_Q's sweep order and orientation read its
+darts, so G_Q's map keeps no adjacency.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ from .errors import (
     OrientationFailure,
     TooLarge,
 )
-from .ising import STATE_CAP, CouplingAssignment
+from .ising import STATE_CAP, CouplingAssignment, _sech
 from .planar_map import MAP_CACHE_SIZE, CombinatorialMap, Frozen, _assemble
-from .polygon import SweepPlan, _polygon_sweep, replay_plan
+from .polygon import _planned_walk, _polygon_sweep
 from .reports import IdentityReport, compare
 
 # The largest G_Q (in vertices) that the "auto" route sums by the matching
@@ -169,14 +171,6 @@ class QuadDimerGraph(Frozen):
         return tuple(
             (v, tuple((k, u) for k, u in adj[v] if pos[u] > pos[v])) for v in order
         )
-
-    @cached_property
-    def matching_plan(self) -> SweepPlan | None:
-        """The matching sweep's plan for weights with no zero, recorded at
-        unit weights on first use, or None when it is too large to keep;
-        brute_force_dimer_Z replays it."""
-        E = self.edge_count
-        return _matching_walk(self, (1.0,) * E, (0,) * E, record=True)[1]
 
     @cached_property
     def leg_links(self) -> tuple[int, tuple[tuple, ...]]:
@@ -325,84 +319,40 @@ def nu_from_couplings(gq: QuadDimerGraph, jbar: CouplingAssignment) -> DimerWeig
     return tuple(map(table.__getitem__, gq.nu_index))
 
 
-def _sech(x: float) -> float:
-    """1/cosh(x); past |x| = 710.5, where cosh(x) overflows, 2e^-|x|, which
-    is then 1/cosh(x) to double precision (subnormal, or 0)."""
-    try:
-        return 1.0 / math.cosh(x)
-    except OverflowError:
-        return 2.0 * math.exp(-abs(x))
-
-
 def all_ones(gq: QuadDimerGraph) -> DimerWeights:
     return (1.0,) * gq.edge_count
 
 
 def _matching_walk(
-    gq: QuadDimerGraph, weights: Sequence, toggles: Sequence[int], record: bool = False
-) -> tuple[dict[int, float] | None, SweepPlan | None]:
+    gq: QuadDimerGraph, weights: Sequence, toggles: Sequence[int], key: str | None = None
+) -> dict[int, float]:
     """Sums over G_Q's perfect matchings of their weight products, keyed by
-    the XOR of their edges' toggles, from one walk over gq.sweep_order, and
-    with ``record`` the walk's plan.  A state is the mask of later vertices
-    already matched (bit v) with the toggle XOR above bit n; at vertex v it
-    drops v from the mask (weight index edge_count, the carry) or matches v
-    to a free later neighbour over edge k (index k), and equal states
-    merge.  Zero weights are skipped, integer weights give exact counts,
-    and no orientation is read.  A recording walk stops with (None, None)
-    once its ops hold more than STATE_CAP ints.  Raises TooLarge when a
-    step leaves more than STATE_CAP states."""
-    n, carry = gq.vertex_count, gq.edge_count
-    states: dict[int, float] = {0: 1}
-    ops: list[int] = []
-    counts = []
-    slots, size = {0: 0}, 1  # the states' slots; slots taken so far
-    for v, later in gq.sweep_order:
-        bit = 1 << v
-        steps = [
-            (k, weights[k], 1 << u, 1 << u | toggles[k] << n)
-            for k, u in later
-            if weights[k] != 0.0
-        ]
-        new: dict[int, float] = {}
-        get = new.get
-        old, slots = slots, {}
-        slot = slots.setdefault
-        for key, z in states.items():
-            if key & bit:
-                nxt = key ^ bit
-                new[nxt] = get(nxt, 0) + z
-                if record:
-                    ops += (slot(nxt, size + len(slots)), old[key], carry)
-                continue
-            for k, w, u_bit, flip in steps:
-                if not key & u_bit:
-                    nxt = key ^ flip
-                    new[nxt] = get(nxt, 0) + z * w
-                    if record:
-                        ops += (slot(nxt, size + len(slots)), old[key], k)
-        if len(new) > STATE_CAP:
-            raise TooLarge(f"matching sweep holds {len(new)} states, cap is {STATE_CAP}")
-        if record:
-            if len(ops) > STATE_CAP:
-                return None, None
-            counts.append(len(new))
-            size += len(new)
-        states = new
-    sums = {key >> n: z for key, z in states.items()}
-    final = tuple((key >> n, s) for key, s in slots.items())
-    return sums, (tuple(ops), tuple(counts), final) if record else None
+    the XOR of their edges' toggles, from one walk over gq.sweep_order,
+    through the plan G_Q's map keeps under ``key`` (None: no plan).  A
+    state is the mask of later vertices already matched (bit v) with the
+    toggle XOR above bit n; at vertex v it drops v from the mask (the gate;
+    weight index edge_count, the carry) or matches v to a free later
+    neighbour over edge k (index k), and equal states merge.  Zero weights
+    are skipped, integer weights give exact counts, and no orientation is
+    read.  Raises TooLarge when a step leaves more than STATE_CAP
+    states."""
+    n = gq.vertex_count
+    steps = (
+        (1 << v, [(1 << u, 0, 1 << u | toggles[k] << n, weights[k], k)
+                  for k, u in later if weights[k] != 0.0])
+        for v, later in gq.sweep_order
+    )
+    states = _planned_walk(
+        gq.map, key, (*weights, 1.0), steps, gq.edge_count, "matching", STATE_CAP
+    )
+    return {k >> n: z for k, z in states.items()}
 
 
 def brute_force_dimer_Z(gq: QuadDimerGraph, weights: DimerWeights) -> float:
     """Signed matching sum over all perfect matchings, by the sweep: weights
-    with no zero replay G_Q's plan if it keeps one, others walk."""
-    plan = None if 0.0 in weights else gq.matching_plan
-    if plan is None:
-        sums, _ = _matching_walk(gq, weights, (0,) * gq.edge_count)
-        return float(sums.get(0, 0.0))
-    vals = replay_plan(plan, (*weights, 1.0), "matching", STATE_CAP)
-    _ops, _counts, final = plan  # the empty state's slot, if it was reached
-    return float(vals[final[0][1]]) if final else 0.0
+    with no zero go through G_Q's matching plan, others walk."""
+    key = None if 0.0 in weights else "matching"
+    return float(_matching_walk(gq, weights, (0,) * gq.edge_count, key).get(0, 0.0))
 
 
 class KasteleynOrientation(NamedTuple):
@@ -755,7 +705,7 @@ def matching_pair_histogram(gq: QuadDimerGraph) -> dict[tuple[int, int], int]:
         0 if kind == LEG else 1 << e + shift[kind]
         for kind, e in zip(gq.edge_kind, gq.edge_primal_edge)
     ]
-    sums, _ = _matching_walk(gq, (1,) * gq.edge_count, toggles)
+    sums = _matching_walk(gq, (1,) * gq.edge_count, toggles)
     hist = {}
     for key, count in sums.items():
         pm, dm = key & ((1 << E) - 1), key >> E

@@ -192,7 +192,10 @@ class Instance(Frozen):
         plus on an arc of that face, then, where the face's walk is a simple
         cycle with a split whose minus arc touches no defect edge, Dobrushin
         at that split.  An arc that fixes every vertex of the face reuses
-        the plus reduction and both of its sums."""
+        the plus reduction and both of its sums, and a reduction whose
+        reduced (map, couplings, defects) equal an earlier one's reuses its
+        Z_free (a Dobrushin fan dropped as a pure gauge gives the plus
+        reduction's)."""
         m, j, d = self.map, self.couplings, self.defects
         rng = random.Random(f"{self.seed}-boundary-{self.index}")
         faces = clear_faces(m, d)
@@ -200,10 +203,13 @@ class Instance(Frozen):
         cycle = list(m.face_edges(face))
         length = len(cycle)
 
+        reduced: dict[tuple, Instance] = {}
+
         def sides(res: ReductionResult, **draws: Any) -> tuple[complex, complex, dict[str, Any]]:
-            reduced = Instance(res.new_map, res.new_couplings, res.new_defects)
+            key = (res.new_map, res.new_couplings, res.new_defects)
+            inst = reduced.setdefault(key, Instance(*key))
             return (partition_function(m, self.jbar, fixed=res.fixed),
-                    res.scalar * reduced.zbar, {"face": face, **draws})
+                    res.scalar * inst.zbar, {"face": face, **draws})
 
         plus = sides(reduce_plus(m, j, d, face))
         start = rng.randrange(length)

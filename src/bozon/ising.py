@@ -79,8 +79,17 @@ class CouplingAssignment(_Couplings):
         return -c if self.half_pi[e] else c
 
     def sech2(self, e: int) -> float:
-        s = 1.0 / math.cosh(2 * self.real[e])
+        s = _sech(2 * self.real[e])
         return -s if self.half_pi[e] else s
+
+
+def _sech(x: float) -> float:
+    """1/cosh(x); past |x| = 710.5, where cosh(x) overflows, 2e^-|x|, which
+    is then 1/cosh(x) to double precision (subnormal, or 0)."""
+    try:
+        return 1.0 / math.cosh(x)
+    except OverflowError:
+        return 2.0 * math.exp(-abs(x))
 
 
 def base_couplings(values: Sequence[float]) -> CouplingAssignment:

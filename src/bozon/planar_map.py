@@ -15,7 +15,8 @@ and are built through an internal path that allows them).
 Maps are interned by rotation system: equal rotations, edges and
 self-loop policy give the same object (from a bounded LRU table), so a
 map rebuilt by a boundary reduction or a second ``build_map`` call shares
-its memoized ``dual``, ``vertex_plan`` and ``edge_plan``.
+its memoized ``dual``, ``vertex_plan`` and ``edge_plan`` and its sweep
+plans.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .errors import (
 )
 
 # Distinct rotation systems whose map object stays interned, and boundary
-# reduction and pair-sweep plans kept: the seed-1 boundary stream of 500
-# instances interns 106 maps and keeps 176 plans.
+# reduction plans kept: the seed-1 boundary stream of 500 instances interns
+# 106 maps and keeps 176 reduction plans.
 MAP_CACHE_SIZE = 256
 
 
@@ -87,7 +88,9 @@ def _orbits(perm: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 class CombinatorialMap(Frozen):
-    """Immutable rotation system together with its derived face structure."""
+    """Immutable rotation system together with its derived face structure.
+    ``sweep_plans`` is the one mutable part: the plans of the frontier
+    sweeps over this map, by sweep (see polygon._planned_walk)."""
 
     _fields = ("sigma", "alpha", "dart_vertex", "dart_edge", "vertex_darts",
                "edge_darts", "faces", "dart_face")
@@ -112,6 +115,7 @@ class CombinatorialMap(Frozen):
             edge_darts=edge_darts,
             faces=faces,
             dart_face=dart_face,
+            sweep_plans={},
         )
 
     def __hash__(self) -> int:

@@ -12,26 +12,27 @@ has touched, and each edge goes to P, to P*, or to neither.  The same
 sweep without the P* branch gives the high-temperature polygon sum, and
 with unit weights it counts the pairs for the grouped matching count.
 
+The pair sweep and dimer's matching sweep are one frontier walk over
+bitmask states (``_walk``), each step a gate bit and a list of branches.
 The states depend only on the map, so the first sum on each map, with or
 without the P* branch, records its walk into a SweepPlan that later sums
-replay on their weights.  Up to MAP_CACHE_SIZE plans are kept, the oldest
-dropped first.  A recording that passes STATE_CAP ints stops while the
-walk goes on, and the map is marked not kept: its sums walk.  The spin
-sweep is not planned: its states depend on the fixed spins and
-observables too, and a seed-1 ``wide_maps`` pass makes 196 spin sweeps
-over 111 such keys, 83 of them used once, so there a plan costs more to
-record than it saves.
+replay on their weights.  The plan is kept on the map it sweeps
+(``m.sweep_plans``) for the map's life.  A recording that passes
+STATE_CAP ints stops while the walk goes on, and the map keeps None: its
+sums walk.  The spin sweep is not planned: its states depend on the
+fixed spins and observables too, and a seed-1 ``wide_maps`` pass makes
+196 spin sweeps over 111 such keys, 83 of them used once, so there a
+plan costs more to record than it saves.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import TooLarge
 from .ising import STATE_CAP, CouplingAssignment
-from .planar_map import MAP_CACHE_SIZE, CombinatorialMap
+from .planar_map import CombinatorialMap
 
 
 class PolygonWeights(NamedTuple):
@@ -65,6 +66,10 @@ def polygon_weights(
 # (ops, counts, final), read by replay_plan.
 SweepPlan = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
 
+# One step of a walk: its gate bit (0 for none) and its branches, each
+# (mask, want, flip, weight, weight index).
+WalkStep = tuple[int, Sequence[tuple[int, int, int, float, int]]]
+
 
 def replay_plan(plan: SweepPlan, weights: Sequence[float], sweep: str, cap: int) -> list[float]:
     """Every slot's value under ``weights``.  Slot 0 is the start state and
@@ -87,62 +92,72 @@ def replay_plan(plan: SweepPlan, weights: Sequence[float], sweep: str, cap: int)
     return vals
 
 
-def _pair_walk(
-    m: CombinatorialMap,
-    primal: Sequence[float],
-    dual: Sequence[float] | None,
-    record: bool = False,
-) -> tuple[float, SweepPlan | None]:
-    """The pair sum of _polygon_sweep by one walk over ``m.edge_plan``, and
-    with ``record`` the walk's plan.  A state is the set of vertices and
-    faces of odd degree so far, valued by the summed weight of the edges
-    swept.  Each edge is skipped (weight index 0, the 1.0), put in P (its
-    endpoints flip; index 1 + e) or, with the dual, put in P* (its faces
-    flip; index 1 + E + e), never both, so the pair cannot cross.  A vertex or face
-    whose last edge has passed must be even: states where it is odd are
-    dropped, so equal states merge and only the empty state is left.  Once
-    its ops hold more than STATE_CAP ints, a recording walk stops recording
-    and walks on, giving the plan None, so a plan stays smaller than one
-    full step of states.  Raises TooLarge when a step leaves more than
-    STATE_CAP states."""
-    E = m.edge_count
-    states = {0: 1.0}
+def _walk(
+    steps: Iterable[WalkStep], carry: int, sweep: str, cap: int, record: bool
+) -> tuple[dict[int, float], SweepPlan | None]:
+    """The final states of one frontier walk from state 0 valued 1, and
+    with ``record`` its plan.  At each step a state with the gate bit set
+    only drops it and keeps its value (weight index ``carry``, a weight of
+    1); any other state takes every branch whose ``mask`` bits equal
+    ``want``, to key ^ flip, times the branch's weight.  Equal states merge,
+    summed in walk order.  Once its ops hold more than ``cap`` ints, a
+    recording walk stops recording and walks on, giving the plan None, so a
+    plan stays smaller than one full step of states.  Raises TooLarge when
+    a step leaves more than ``cap`` states."""
+    states = {0: 1}
     ops: list[int] = []
     counts = []
     slots, size = {0: 0}, 1  # the states' slots; slots taken so far
-    for e, ends, faces, gone in m.edge_plan:
-        branches = [(0, 1.0, 0), (ends, primal[e], 1 + e)]
-        if dual is not None:
-            branches.append((faces, dual[e], 1 + E + e))
+    for gate, branches in steps:
         new: dict[int, float] = {}
         get = new.get
         old, slots = slots, {}
         slot = slots.setdefault
         for key, z in states.items():
-            for flip, w, k in branches:
-                nxt = key ^ flip
-                if not nxt & gone:
-                    new[nxt] = get(nxt, 0.0) + z * w
+            if key & gate:
+                nxt = key ^ gate
+                new[nxt] = get(nxt, 0) + z
+                if record:
+                    ops += (slot(nxt, size + len(slots)), old[key], carry)
+                continue
+            for mask, want, flip, w, k in branches:
+                if key & mask == want:
+                    nxt = key ^ flip
+                    new[nxt] = get(nxt, 0) + z * w
                     if record:
                         ops += (slot(nxt, size + len(slots)), old[key], k)
-        if len(new) > STATE_CAP:
-            raise TooLarge(f"pair sweep holds {len(new)} states, cap is {STATE_CAP}")
+        if len(new) > cap:
+            raise TooLarge(f"{sweep} sweep holds {len(new)} states, cap is {cap}")
         if record:
-            if len(ops) > STATE_CAP:
+            if len(ops) > cap:
                 record, ops = False, []
             counts.append(len(new))
             size += len(new)
         states = new
-    (total,) = states.values()
-    return total, (tuple(ops), tuple(counts), tuple(slots.items())) if record else None
+    return states, (tuple(ops), tuple(counts), tuple(slots.items())) if record else None
 
 
-# (map, with the P* branch) -> its pair plan, or None when it is too large
-# to keep; insertion ordered, so the first key is the oldest.  Callers may
-# sum from several threads, as with the lru_cache memos elsewhere, so every
-# lookup, insert and eviction holds the lock; the walks do not.
-_PAIR_PLANS: dict[tuple[CombinatorialMap, bool], SweepPlan | None] = {}
-_PAIR_LOCK = threading.Lock()
+def _planned_walk(
+    m: CombinatorialMap, key: str | None, weights: Sequence[float],
+    steps: Iterable[WalkStep], carry: int, sweep: str, cap: int,
+) -> dict[int, float]:
+    """The final states of _walk over ``steps``, by the plan kept in
+    ``m.sweep_plans[key]``.  The first call under a key walks, records and
+    keeps its plan, or None when the plan passes ``cap`` ints (a walk that
+    raises keeps nothing); later calls replay the plan on ``weights``, the
+    table the steps' weight indices read, or walk when it is None.  A key
+    of None walks and keeps nothing.  No lock is needed: two first calls
+    under one key at once each record an equal plan, and the later of
+    their dict assignments stays."""
+    plans = m.sweep_plans
+    plan = plans.get(key, False) if key else None  # False: no sum under the key yet
+    if plan is False:
+        states, plans[key] = _walk(steps, carry, sweep, cap, True)
+        return states
+    if plan is None:
+        return _walk(steps, carry, sweep, cap, False)[0]
+    vals = replay_plan(plan, weights, sweep, cap)
+    return {k: vals[s] for k, s in plan[2]}
 
 
 def _polygon_sweep(
@@ -152,27 +167,26 @@ def _polygon_sweep(
 ) -> float:
     """Sum over edge-disjoint pairs (P, P*) of even subgraphs of m and
     m.dual of prod_{e in P} primal[e] * prod_{e in P*} dual[e]; over P
-    alone when dual is None.  The map's first sum walks and records its
-    plan (a walk that raises keeps none); later sums replay it, so each
-    result is the walk's bit for bit, or walk when the plan was too large
-    to keep.  Raises TooLarge when a step leaves more than STATE_CAP
-    states."""
-    key = (m, dual is not None)
-    with _PAIR_LOCK:
-        plan = _PAIR_PLANS.get(key, False)  # False: no sum on this map yet
-    if plan is False:
-        total, plan = _pair_walk(m, primal, dual, record=True)
-        with _PAIR_LOCK:
-            if key not in _PAIR_PLANS:
-                if len(_PAIR_PLANS) >= MAP_CACHE_SIZE:
-                    del _PAIR_PLANS[next(iter(_PAIR_PLANS))]
-                _PAIR_PLANS[key] = plan
-        return total
-    if plan is None:
-        return _pair_walk(m, primal, dual)[0]
-    _ops, _counts, ((_key, slot),) = plan
+    alone when dual is None.  The pair walk over ``m.edge_plan``: a state
+    is the set of vertices and faces of odd degree so far.  Each edge is
+    skipped (weight index 0, the 1.0), put in P (its endpoints flip; index
+    1 + e) or, with the dual, put in P* (its faces flip; index 1 + E + e),
+    never both, so the pair cannot cross.  A vertex or face whose last edge
+    has passed must be even: no branch may leave it odd, so equal states
+    merge and only the empty state is left.  The map keeps one plan with
+    the P* branch ("pair") and one without ("polygon").  Raises TooLarge
+    when a step leaves more than STATE_CAP states."""
+    E = m.edge_count
     weights = (1.0, *primal, *(() if dual is None else dual))
-    return replay_plan(plan, weights, "pair", STATE_CAP)[slot]
+    sides = 2 if dual is None else 3
+    steps = (
+        (0, [(gone, f & gone, f, weights[k], k)
+             for f, k in ((0, 0), (ends, 1 + e), (faces, 1 + E + e))[:sides]])
+        for e, ends, faces, gone in m.edge_plan
+    )
+    key = "polygon" if dual is None else "pair"
+    (total,) = _planned_walk(m, key, weights, steps, 0, "pair", STATE_CAP).values()
+    return total
 
 
 def pair_polygon_sum(

@@ -567,12 +567,11 @@ def reference_plan(m, plus, minus):
 
 def clear_caches():
     """Forget every per-process cache: builtin maps, interned maps (and
-    with them their memoized duals and plans), boundary reduction plans,
-    graph contexts, pair-sweep plans and drawn instance streams, with the
-    values their instances keep."""
+    with them their memoized duals and sweep plans), boundary reduction
+    plans, graph contexts and drawn instance streams, with the values their
+    instances keep."""
     bozon.graphs.builtin.cache_clear()
     bozon.boundary._plan.cache_clear()
-    bozon.polygon._PAIR_PLANS.clear()
     bozon.planar_map._intern.cache_clear()
     bozon.dimer.graph_context.cache_clear()
     bozon.instances._stream.cache_clear()

@@ -9,6 +9,7 @@ import pytest
 
 import bozon.dimer
 import bozon.instances
+import bozon.polygon
 from bozon import (
     DefectSet,
     Instance,
@@ -486,7 +487,9 @@ def test_brute_route_stops_where_the_reference_walk_does(cap, raises, rng, monke
     monkeypatch.setattr(bozon.dimer, "DIMER_CAP", 48)
     m = builtin("grid_3_3")
     gq = graph_context(m)
-    plan = gq.matching_plan
+    brute_force_dimer_Z(gq, all_ones(gq))  # records the plan if none is kept
+    plan = gq.map.sweep_plans["matching"]
+    assert plan is not None
     monkeypatch.setattr(bozon.dimer, "STATE_CAP", cap)
     j = base_couplings(random_j(rng, m.edge_count))
     zeros = (0,) * gq.edge_count
@@ -501,7 +504,7 @@ def test_brute_route_stops_where_the_reference_walk_does(cap, raises, rng, monke
         assert got == sweep_outcome(lambda: [_reference_ratio(gq, j, d)])
         raised.append(isinstance(got, str))
     assert any(raised) == raises
-    assert gq.matching_plan is plan
+    assert gq.map.sweep_plans["matching"] is plan
 
 
 def test_graph_context_is_the_one_g_q_per_map(monkeypatch):
@@ -544,10 +547,11 @@ def test_a_bridged_map_raises_on_every_call():
 
 
 def test_a_plan_whose_build_raises_is_not_kept(monkeypatch):
-    """Under a cap that the walk's first step exceeds (3 states),
-    G_Q's plan build raises the walk's TooLarge and is not kept; under the
-    default cap it is built and kept."""
+    """Under a cap that the walk's first step exceeds (3 states), G_Q's
+    first zero-free sum raises the walk's TooLarge and keeps no plan; under
+    the default cap it records the plan and keeps it on G_Q's map."""
     gq = build_gq(builtin("grid_3_3"))
+    gq.map.sweep_plans.clear()
     w = all_ones(gq)
     zeros = (0,) * len(w)
     with monkeypatch.context() as patch:
@@ -555,21 +559,42 @@ def test_a_plan_whose_build_raises_is_not_kept(monkeypatch):
         got = sweep_outcome(lambda: [brute_force_dimer_Z(gq, w)])
         assert got == "matching sweep holds 3 states, cap is 2"
         assert got == sweep_outcome(lambda: [reference_matching_sweep(gq, w, zeros)[0]])
-        assert "matching_plan" not in vars(gq)
+        assert "matching" not in gq.map.sweep_plans
     assert brute_force_dimer_Z(gq, w) == reference_matching_sweep(gq, w, zeros)[0]
-    assert vars(gq)["matching_plan"] is not None
+    assert gq.map.sweep_plans["matching"] is not None
 
 
 def test_a_plan_past_state_cap_ints_is_not_kept(monkeypatch, rng):
     """Under a STATE_CAP that grid_3_3's walk fits (50 states a step) but
-    its plan's ops (3 ints each) do not, G_Q keeps no plan and each sum
+    its plan's ops (3 ints each) do not, G_Q's map keeps None and each sum
     walks, still equal to the reference walk bit for bit."""
     gq = build_gq(builtin("grid_3_3"))
+    gq.map.sweep_plans.clear()
     monkeypatch.setattr(bozon.dimer, "STATE_CAP", 60)
     w = [rng.uniform(-2.0, 2.0) for _ in range(gq.edge_count)]
     want = float(reference_matching_sweep(gq, w, (0,) * len(w))[0]).hex()
+    assert [brute_force_dimer_Z(gq, w).hex() for _ in "ab"] == [want] * 2
+    assert gq.map.sweep_plans["matching"] is None
+    gq.map.sweep_plans.clear()
+
+
+def test_the_first_matching_sum_records_with_no_replay(monkeypatch, rng):
+    """The first zero-free brute_force_dimer_Z on a G_Q with no plan walks
+    on its own weights while it records the plan, and replays nothing; the
+    second sum replays the kept plan once.  Both equal the reference walk
+    bit for bit."""
+    replays = []
+    real = bozon.polygon.replay_plan
+    monkeypatch.setattr(bozon.polygon, "replay_plan", lambda *a: replays.append(a) or real(*a))
+    gq = build_gq(builtin("grid_3_3"))
+    gq.map.sweep_plans.clear()
+    w = [rng.uniform(0.5, 2.0) for _ in range(gq.edge_count)]
+    want = float(reference_matching_sweep(gq, w, (0,) * len(w))[0]).hex()
     assert brute_force_dimer_Z(gq, w).hex() == want
-    assert gq.matching_plan is None
+    assert gq.map.sweep_plans["matching"] is not None
+    assert replays == []
+    assert brute_force_dimer_Z(gq, w).hex() == want
+    assert len(replays) == 1
 
 
 def _matching_weights(m, gq, rng):

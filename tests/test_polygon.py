@@ -26,7 +26,8 @@ from bozon import (
     polygon_weights,
 )
 from bozon.errors import TooLarge
-from bozon.polygon import _PAIR_PLANS, _polygon_sweep
+from bozon.dimer import brute_force_dimer_Z, graph_context
+from bozon.polygon import _polygon_sweep
 
 from conftest import (
     free_fermion_residual,
@@ -36,6 +37,7 @@ from conftest import (
     oracle_partition,
     oracle_polygon_masks,
     random_j,
+    reference_matching_sweep,
     reference_polygon_sweep,
     sweep_outcome,
     sweep_test_maps,
@@ -251,18 +253,17 @@ def test_pair_replay_is_the_dict_walk(rng):
 
 def test_the_first_pair_sum_records_the_plan_it_walks(rng):
     """A map's first sum walks on its own weights while it records the
-    plan, and equals the reference walk bit for bit; the second sum
-    replays that plan and does too."""
+    plan it keeps on the map, and equals the reference walk bit for bit;
+    the second sum replays that plan and does too."""
     for name, m in sweep_test_maps().items():
         signed = [rng.uniform(-2.0, 2.0) for _ in range(2 * m.edge_count)]
         primal, dual_w = signed[: m.edge_count], signed[m.edge_count :]
         for d in (dual_w, None):
-            _PAIR_PLANS.clear()
+            m.sweep_plans.clear()
             want = reference_polygon_sweep(m, primal, d).hex()
             assert _polygon_sweep(m, primal, d).hex() == want, name
-            assert _PAIR_PLANS[m, d is not None] is not None, name
+            assert m.sweep_plans["polygon" if d is None else "pair"] is not None, name
             assert _polygon_sweep(m, primal, d).hex() == want, name
-    _PAIR_PLANS.clear()
 
 
 @pytest.mark.parametrize("cap, raises", [(20, True), (40, False)])
@@ -273,13 +274,13 @@ def test_kept_pair_plan_stops_where_the_walk_does(cap, raises, rng, monkeypatch)
     m = builtin("grid_3_3")
     w = polygon_weights(m, base_couplings(random_j(rng, m.edge_count)))
     _polygon_sweep(m, w.primal, w.dual)  # records the plan if none is kept
-    plan = _PAIR_PLANS[m, True]
+    plan = m.sweep_plans["pair"]
     assert plan is not None
     monkeypatch.setattr(bozon.polygon, "STATE_CAP", cap)
     got = sweep_outcome(lambda: [_polygon_sweep(m, w.primal, w.dual)])
     assert got == sweep_outcome(lambda: [reference_polygon_sweep(m, w.primal, w.dual)])
     assert isinstance(got, str) == raises
-    assert _PAIR_PLANS[m, True] is plan
+    assert m.sweep_plans["pair"] is plan
 
 
 def test_a_pair_plan_past_state_cap_ints_is_not_kept(monkeypatch, rng):
@@ -289,24 +290,24 @@ def test_a_pair_plan_past_state_cap_ints_is_not_kept(monkeypatch, rng):
     bit for bit; no sum records again."""
     m = builtin("grid_3_3")
     w = polygon_weights(m, base_couplings(random_j(rng, m.edge_count)))
-    walk = bozon.polygon._pair_walk
+    walk = bozon.polygon._walk
     recorded = []
 
-    def counting_walk(m, primal, dual, record=False):
+    def counting_walk(steps, carry, sweep, cap, record):
         recorded.append(record)
-        return walk(m, primal, dual, record)
+        return walk(steps, carry, sweep, cap, record)
 
-    monkeypatch.setattr(bozon.polygon, "_pair_walk", counting_walk)
+    monkeypatch.setattr(bozon.polygon, "_walk", counting_walk)
     monkeypatch.setattr(bozon.polygon, "STATE_CAP", 40)
-    _PAIR_PLANS.clear()
+    m.sweep_plans.clear()
     try:
         want = reference_polygon_sweep(m, w.primal, w.dual).hex()
         for _ in range(3):
             assert _polygon_sweep(m, w.primal, w.dual).hex() == want
-        assert _PAIR_PLANS[m, True] is None
+        assert m.sweep_plans["pair"] is None
         assert recorded == [True, False, False]
     finally:
-        _PAIR_PLANS.clear()
+        m.sweep_plans.clear()
 
 
 CONTENTION_MAPS = (
@@ -315,28 +316,31 @@ CONTENTION_MAPS = (
 )
 
 
-def test_pair_plans_under_thread_contention(monkeypatch, rng):
-    """More threads than cores sum over more maps than the store keeps,
-    with a short switch interval: each sum equals the reference walk bit
-    for bit, no thread raises, and the store stays within its bound."""
-    inputs = []
+def test_pair_plans_under_thread_contention(rng):
+    """More threads than cores take pair sums and brute matching sums on
+    maps that keep no plan yet, with a short switch interval, so first
+    sums race to record: each sum equals the reference walk bit for bit,
+    and no thread raises."""
+    jobs, want = [], []
     for name in CONTENTION_MAPS:
         m = builtin(name)
+        gq = graph_context(m)
+        m.sweep_plans.clear()
+        gq.map.sweep_plans.clear()
         signed = [rng.uniform(-2.0, 2.0) for _ in range(2 * m.edge_count)]
         for d in (signed[m.edge_count :], None):
-            inputs.append((m, signed[: m.edge_count], d))
-    want = [reference_polygon_sweep(*args).hex() for args in inputs]
-    monkeypatch.setattr(bozon.polygon, "MAP_CACHE_SIZE", 2)
-    _PAIR_PLANS.clear()
+            jobs.append(lambda m=m, p=signed[: m.edge_count], d=d: _polygon_sweep(m, p, d))
+            want.append(reference_polygon_sweep(m, signed[: m.edge_count], d).hex())
+        w = [rng.uniform(0.5, 2.0) for _ in range(gq.edge_count)]
+        jobs.append(lambda gq=gq, w=w: brute_force_dimer_Z(gq, w))
+        want.append(float(reference_matching_sweep(gq, w, (0,) * len(w)).get(0, 0.0)).hex())
     got = [None] * 8
-    sizes = []
 
     def work(k):
         out = []
         for i in range(300):
-            n = (7 * k + i) % len(inputs)
-            out.append((n, _polygon_sweep(*inputs[n]).hex()))
-            sizes.append(len(_PAIR_PLANS))
+            n = (7 * k + i) % len(jobs)
+            out.append((n, jobs[n]().hex()))
         got[k] = out
 
     interval = sys.getswitchinterval()
@@ -349,13 +353,10 @@ def test_pair_plans_under_thread_contention(monkeypatch, rng):
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        size = len(_PAIR_PLANS)
-        _PAIR_PLANS.clear()
     assert not any(t.is_alive() for t in threads)
     for out in got:
         assert out is not None  # the thread raised
         assert all(h == want[n] for n, h in out)
-    assert max(sizes) <= 2 and size <= 2
 
 
 def peak_live_bits(m):

@@ -487,6 +487,30 @@ def test_seeded_boundary_faces_without_repeats_carry_every_reduction(seed):
     assert simple == 100
 
 
+def test_no_boundary_record_sums_one_spin_input_twice(monkeypatch):
+    """No seed-1 boundary record gives the spin sweep the same (map,
+    couplings, fixed spins, observables) twice.  In 47 of the 100 records
+    the Dobrushin fan is dropped as a pure gauge, so that reduction's
+    reduced instance equals the plus reduction's, and its Z_free is the one
+    already taken."""
+    calls = []
+    sweep = bozon.ising._sweep
+
+    def keyed_sweep(m, real, half_pi, fixed, obs):
+        calls.append((m, tuple(real), tuple(half_pi), tuple(sorted(fixed.items())),
+                      tuple(sorted(obs))))
+        return sweep(m, real, half_pi, fixed, obs)
+
+    monkeypatch.setattr(bozon.ising, "_sweep", keyed_sweep)
+    clear_caches()  # instances drawn afresh, with no value taken yet
+    try:
+        for rec in bozon.suites.iter_suite("boundary", 100, 1):
+            assert calls and len(set(calls)) == len(calls), rec["index"]
+            calls.clear()
+    finally:
+        clear_caches()
+
+
 def test_boundary_suite_on_a_face_through_a_bridge():
     """A triangle with a pendant path: the outer walk passes edges 3 and 4
     twice, so an arc drawn as consecutive walk positions may hold one
@@ -651,6 +675,18 @@ def test_tiny_coupling_pair_sums_fail_honestly(j, suite, check):
     rec = run_explicit(suite, _grid_3_3_order_path(j))[0]
     verdicts = {c["name"]: c["pass"] for c in rec["checks"]}
     assert verdicts[check] is False
+
+
+def test_duality_at_a_subnormal_coupling_has_no_error():
+    """On k3 with J_0 = 1e-320 the dual coupling J*_0 is 368.4, so cosh
+    overflows at 2J*_0; sech2 takes the 2e^-|x| form there, and the
+    defect-free duality record makes its three checks with no error."""
+    m = builtin("k3")
+    (rec,) = run_explicit("duality", explicit_instance(m, base_couplings([1e-320, 0.5, 0.7])))
+    assert "error" not in rec
+    assert [c["name"] for c in rec["checks"]] == [
+        "per_edge_duality", "modified_duality", "correlator_duality"
+    ]
 
 
 def test_duality_holds_at_strong_coupling():
